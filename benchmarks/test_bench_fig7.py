@@ -2,18 +2,24 @@
 
 from __future__ import annotations
 
+import warnings
+
 from repro.experiments import fig7_delta2
 
 from conftest import run_once
 
 
 def test_fig7_dca_vs_delta_two(benchmark, bench_students):
-    result = run_once(
-        benchmark,
-        fig7_delta2.run,
-        num_students=bench_students,
-        proportions=[0.25, 0.5, 0.75, 1.0],
-    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_once(
+            benchmark,
+            fig7_delta2.run,
+            num_students=bench_students,
+            proportions=[0.25, 0.5, 0.75, 1.0],
+        )
+    # DCA's own composition is always feasible: (Δ+2) never relaxes it.
+    assert not [w for w in caught if "constraints infeasible" in str(w.message)]
     rows = result.table("fig 7: DCA vs (Δ+2)")
     dca = {row["proportion"]: row for row in rows if row["method"] == "DCA"}
     delta = {row["proportion"]: row for row in rows if row["method"] == "(Δ+2)"}

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from _delta_two_oracle import reference_rerank
 
 from repro.baselines import (
     DeltaTwoReranker,
+    augment_with_complements,
     FairRanker,
     MultinomialFairRanker,
     MultinomialMTable,
@@ -273,11 +277,13 @@ class TestDeltaTwo:
     def test_reranker_fills_k_even_when_constraints_bind(self, biased_table):
         table, scores = biased_table
         # Impossible constraint: zero objects of either kind allowed; the
-        # reranker falls back to best-effort and still returns k items.
-        maxima = np.zeros((5, 1), dtype=int)
-        constraints = PrefixConstraints(("protected",), maxima)
-        chosen = DeltaTwoReranker(constraints).rerank(table, scores)
-        assert len(chosen) == 5
+        # reranker falls back to best-effort, says so, and still returns the
+        # k best items.
+        augmented, names = augment_with_complements(table, ["protected"])
+        constraints = PrefixConstraints(names, np.zeros((5, 2), dtype=int))
+        with pytest.warns(UserWarning, match="constraints infeasible at 5 of 5 positions"):
+            chosen = DeltaTwoReranker(constraints).rerank(augmented, scores)
+        assert chosen.tolist() == [0, 1, 2, 3, 4]
 
     def test_unconstrained_equals_merit_order(self, biased_table):
         table, scores = biased_table
@@ -305,3 +311,132 @@ class TestDeltaTwo:
         constraints = PrefixConstraints(("protected",), np.full((5, 1), 5, dtype=int))
         with pytest.raises(ValueError):
             DeltaTwoReranker(constraints).rerank(table, np.zeros(3))
+
+
+#: Instance families for the (Δ+2) oracle-equivalence suite; each runs
+#: ``ORACLE_SEEDS`` seeded instances, ~200 in all.
+ORACLE_KINDS = (
+    "overlapping",
+    "tight",
+    "ties",
+    "nan",
+    "empty_group",
+    "single_type",
+    "k_ge_n",
+    "complements",
+)
+ORACLE_SEEDS = 25
+
+
+def _oracle_instance(kind: str, seed: int):
+    """One small seeded (Δ+2) instance of the given family: table, scores, constraints."""
+    rng = np.random.default_rng((seed, ORACLE_KINDS.index(kind)))
+    n = int(rng.integers(1, 301))
+    num_groups = int(rng.integers(1, 5))
+    columns = {
+        f"g{g}": (rng.random(n) < rng.uniform(0.1, 0.9)).astype(float) for g in range(num_groups)
+    }
+    scores = rng.normal(size=n)
+    k = int(rng.integers(1, min(n, 60) + 1))
+    if kind == "ties":
+        scores = rng.integers(0, 4, size=n).astype(float)
+    elif kind == "nan":
+        scores = rng.integers(0, 6, size=n).astype(float)
+        scores[rng.random(n) < 0.3] = np.nan
+    elif kind == "empty_group":
+        columns["g0"] = np.zeros(n)
+    elif kind == "single_type":
+        columns = {name: np.ones(n) for name in columns}
+    elif kind == "k_ge_n":
+        n = int(rng.integers(1, 40))
+        columns = {name: column[:n] for name, column in columns.items()}
+        scores = scores[:n]
+        k = n + int(rng.integers(0, 5))
+    table = Table(columns)
+    names = tuple(columns)
+    if kind == "complements":
+        table, names = augment_with_complements(table, names)
+        selected = np.zeros(n, dtype=bool)
+        selected[rng.choice(n, size=k, replace=False)] = True
+        return table, scores, constraints_from_selection(table, selected, names, k)
+    # Monotone prefix maxima at a random share of each prefix; "tight"
+    # scales them toward zero so the relaxed "nothing fits" branch fires.
+    shares = rng.uniform(0.0, 0.3 if kind == "tight" else 1.0, size=len(names))
+    prefixes = np.arange(1, k + 1)[:, None]
+    maxima = np.floor(shares[None, :] * prefixes).astype(int)
+    return table, scores, PrefixConstraints(names, maxima)
+
+
+class TestDeltaTwoOracleEquivalence:
+    """The per-type re-ranker returns the reference loop's exact index sequence."""
+
+    @pytest.mark.parametrize("kind", ORACLE_KINDS)
+    def test_matches_reference_loop(self, kind):
+        relaxed_instances = 0
+        for seed in range(ORACLE_SEEDS):
+            table, scores, constraints = _oracle_instance(kind, seed)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                fast = DeltaTwoReranker(constraints).rerank(table, scores)
+            relaxed_instances += any("constraints infeasible" in str(w.message) for w in caught)
+            expected = reference_rerank(constraints, table, scores)
+            assert np.array_equal(fast, expected), (kind, seed)
+            assert fast.dtype == expected.dtype
+            if kind == "k_ge_n":
+                assert constraints.k >= table.num_rows
+                assert sorted(fast.tolist()) == list(range(table.num_rows))
+        if kind == "tight":
+            assert relaxed_instances > 0
+        if kind in ("nan", "ties"):
+            assert relaxed_instances < ORACLE_SEEDS
+
+    def test_many_groups_fold_into_type_codes(self):
+        # More groups than one 30-bit fold holds: the first 34 groups hold
+        # everyone, so the types differ only in the last six, binding groups.
+        rng = np.random.default_rng(11)
+        n, k = 120, 40
+        columns = {f"g{g}": np.ones(n) for g in range(34)}
+        columns.update({f"g{g}": (rng.random(n) < 0.5).astype(float) for g in range(34, 40)})
+        prefixes = np.arange(1, k + 1)[:, None]
+        maxima = np.hstack([np.tile(prefixes, (1, 34)), np.tile(prefixes // 2, (1, 6))])
+        constraints = PrefixConstraints(tuple(columns), maxima)
+        table, scores = Table(columns), rng.normal(size=n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fast = DeltaTwoReranker(constraints).rerank(table, scores)
+        assert np.array_equal(fast, reference_rerank(constraints, table, scores))
+
+    def test_no_groups_is_score_order(self):
+        table = Table({"x": np.zeros(6)})
+        scores = np.array([1.0, 3.0, np.nan, 3.0, 0.5, 2.0])
+        constraints = PrefixConstraints((), np.zeros((4, 0), dtype=int))
+        fast = DeltaTwoReranker(constraints).rerank(table, scores)
+        assert fast.tolist() == [1, 3, 5, 0]
+        assert np.array_equal(fast, reference_rerank(constraints, table, scores))
+
+    def test_empty_table(self):
+        constraints = PrefixConstraints(("g",), np.ones((3, 1), dtype=int))
+        chosen = DeltaTwoReranker(constraints).rerank(Table({"g": np.zeros(0)}), np.zeros(0))
+        assert chosen.shape == (0,)
+
+    def test_fig7_shaped_instance(self):
+        # The fig7 protocol on a small school cohort: binary fairness groups
+        # plus complements, capped at DCA's own selection composition.
+        from repro.experiments.setting import DEFAULT_K, SchoolSetting
+        from repro.ranking import selection_mask
+
+        setting = SchoolSetting(num_students=2000)
+        table = setting.train.table
+        base = setting.base_scores("train")
+        compensated = setting.fit_dca(DEFAULT_K).bonus.apply(table, base)
+        binary = tuple(name for name in setting.fairness_attributes if name != "eni")
+        augmented, names = augment_with_complements(table, binary)
+        size = selection_size(table.num_rows, DEFAULT_K)
+        constraints = constraints_from_selection(
+            augmented, selection_mask(compensated, DEFAULT_K), names, size
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = DeltaTwoReranker(constraints).rerank(augmented, base)
+        assert len(fast) == size
+        assert np.array_equal(fast, reference_rerank(constraints, augmented, base))

@@ -43,6 +43,7 @@ def test_expected_trajectory_files_are_committed() -> None:
         "BENCH_sharded_fit.json",
         "BENCH_matching.json",
         "BENCH_scheduler.json",
+        "BENCH_delta_two.json",
     } <= names
 
 

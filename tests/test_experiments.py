@@ -8,6 +8,8 @@ not to re-run the full-scale benchmarks (that is what ``benchmarks/`` does).
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -148,11 +150,37 @@ class TestSchoolExperiments:
         assert dca_norm < quota_norm
 
     def test_fig7_delta2_comparable_to_dca(self):
-        result = fig7_delta2.run(num_students=SMALL, proportions=[1.0])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = fig7_delta2.run(num_students=SMALL, proportions=[1.0])
+        # DCA's own composition is always feasible: (Δ+2) never relaxes it.
+        assert not [w for w in caught if "constraints infeasible" in str(w.message)]
         rows = result.table("fig 7: DCA vs (Δ+2)")
         by_method = {row["method"]: row for row in rows}
         assert by_method["(Δ+2)"]["disparity_norm"] <= by_method["DCA"]["disparity_norm"] + 0.1
         assert by_method["(Δ+2)"]["ndcg"] > 0.8
+
+    def test_fig7_ndcg_scores_the_greedy_order(self):
+        # One protected item (index 2) must lead the prefix of length 1, so
+        # the greedy order [2, 0] differs from the score order [0, 1].
+        from repro.baselines import DeltaTwoReranker, PrefixConstraints
+        from repro.metrics import ndcg_at_k
+        from repro.tabular import Table
+
+        base = np.array([4.0, 3.0, 2.0, 1.0])
+        table = Table({"not_protected": np.array([1.0, 1.0, 0.0, 0.0])})
+        constraints = PrefixConstraints(("not_protected",), np.array([[0], [1]]))
+        order = DeltaTwoReranker(constraints).rerank(table, base)
+        assert order.tolist() == [2, 0]
+
+        scores = fig7_delta2.order_scores(base, order)
+        assert np.lexsort((np.arange(4), -scores))[:2].tolist() == [2, 0]
+        gains = base - base.min()
+        expected = (gains[2] + gains[0] / np.log2(3)) / (gains[0] + gains[1] / np.log2(3))
+        assert ndcg_at_k(base, scores, 0.5) == pytest.approx(expected)
+        # Scoring only the selected set would rank it [0, 2] and overstate nDCG.
+        set_scores = base + np.isin(np.arange(4), order) * 10.0
+        assert ndcg_at_k(base, set_scores, 0.5) > ndcg_at_k(base, scores, 0.5)
 
     def test_fig8_refinement_not_worse(self):
         result = fig8_refinement.run(
