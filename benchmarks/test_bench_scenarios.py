@@ -2,15 +2,12 @@
 
 Runs the Monte-Carlo market-shape sweep at stress scale — every built-in
 scenario, all three matching engines on both proposing sides, a serial fit
-per objective plus a row-sharded twin — and records the fairness/runtime
-envelopes into ``BENCH_scenarios.json`` via :func:`record_bench`.
+per objective — and records the fairness/runtime envelopes into
+``BENCH_scenarios.json`` via :func:`record_bench`.
 
-Two hard assertions ride along (the scenario-smoke CI step relies on them):
-
-* **cross-engine identity** — every engine produced the same matching on
-  every generated market shape, both proposing sides;
-* **sharded bitwise identity** — the ``row_workers`` fit reproduced the
-  serial fit bit for bit on every shape.
+One hard assertion rides along (the scenario-smoke CI step relies on it):
+**cross-engine identity** — every engine produced the same matching on
+every generated market shape, both proposing sides.
 
 The recorded ``speedup`` per scenario is the reference engine's match time
 over the vector engine's — the committed trajectory tracks how the vector
@@ -31,9 +28,6 @@ STRESS_STUDENTS = int(os.environ.get("REPRO_BENCH_SCENARIO_STUDENTS", "20000"))
 #: Monte-Carlo trials per scenario.
 STRESS_TRIALS = int(os.environ.get("REPRO_BENCH_SCENARIO_TRIALS", "1"))
 
-#: Row-sharded workers for the bitwise-identity fit.
-STRESS_ROW_WORKERS = int(os.environ.get("REPRO_BENCH_SCENARIO_ROW_WORKERS", "2"))
-
 
 def test_scenario_sweep_envelopes_and_identity():
     metrics = {}
@@ -44,14 +38,9 @@ def test_scenario_sweep_envelopes_and_identity():
         if config.name != "tiny_district":
             config = config.scaled(num_students=STRESS_STUDENTS)
         total_students += config.num_students
-        envelope = run_scenario(
-            config, trials=STRESS_TRIALS, row_workers=STRESS_ROW_WORKERS
-        )
+        envelope = run_scenario(config, trials=STRESS_TRIALS)
         assert envelope.identity["engines_identical"] == 1, (
             f"{config.name}: engines disagreed: {envelope.identity}"
-        )
-        assert envelope.identity["sharded_bitwise_identical"] == 1, (
-            f"{config.name}: row-sharded fit drifted from serial"
         )
         runtime = envelope.runtime
         metrics[config.name] = {
@@ -59,7 +48,6 @@ def test_scenario_sweep_envelopes_and_identity():
             "ddp_after": envelope.fairness["ddp_after"]["mean"],
             "disparity_after": envelope.fairness["disparity_norm_after"]["mean"],
             "fit_serial_seconds": runtime["fit_serial_seconds"]["mean"],
-            "fit_sharded_seconds": runtime["fit_sharded_seconds"]["mean"],
             "match_heap_seconds": runtime["match_heap_seconds"]["mean"],
             "match_vector_seconds": runtime["match_vector_seconds"]["mean"],
             "match_reference_seconds": runtime["match_reference_seconds"]["mean"],
@@ -76,6 +64,5 @@ def test_scenario_sweep_envelopes_and_identity():
             "scenarios": len(metrics),
             "total_students": total_students,
             "trials": STRESS_TRIALS,
-            "row_workers": STRESS_ROW_WORKERS,
         },
     )

@@ -3,21 +3,17 @@
 Two complementary halves:
 
 * **repro-lint** (this module's public API and ``python -m repro.analysis``):
-  an ``ast``-based auditor enforcing the six repo contracts — R1
-  determinism, R2 shared-memory lifecycle, R3 compiled-objective
-  map-reduce purity, R4 worker-boundary pickling, and the interprocedural
-  pair R5 rng-lineage / R6 shard-disjointness, which follow the project
-  call graph (:mod:`repro.analysis.callgraph`) across files.  Findings can
+  an ``ast``-based auditor enforcing the repo contracts — R1
+  determinism, R2 shared-memory lifecycle, R4 worker-boundary pickling,
+  and the interprocedural R5 rng-lineage, which follows the project call
+  graph (:mod:`repro.analysis.callgraph`) across files.  Findings can
   render as text, GitHub annotations, or SARIF, and can be suppressed
   against a recorded baseline (:mod:`repro.analysis.baseline`).  See
   ``docs/contracts.md`` for the contracts and the
   ``# repro-lint: disable=RULE`` escape hatch.
-* **runtime sanitizers**: :mod:`repro.analysis.shm_sanitizer` snapshots
+* **runtime sanitizer**: :mod:`repro.analysis.shm_sanitizer` snapshots
   shared-memory segments around each test and fails the suite on anything
-  left behind — including segments leaked by *subprocesses* — and
-  :mod:`repro.analysis.race_sanitizer` (opt-in via
-  ``REPRO_RACE_SANITIZER=1``) proves every row-sharded fit step's worker
-  writes disjoint and covering, settling what R6 cannot decide statically.
+  left behind — including segments leaked by *subprocesses*.
 
 The lint half is intentionally dependency-free (stdlib ``ast`` only) so CI
 can audit the tree without installing numpy first.
@@ -42,10 +38,8 @@ from .lint import (
 )
 from .rules import (
     DEFAULT_RULES,
-    CompiledContractRule,
     DeterminismRule,
     RngLineageRule,
-    ShardDisjointRule,
     ShmLifecycleRule,
     WorkerPicklingRule,
     rules_by_id,
@@ -54,7 +48,6 @@ from .sarif import to_sarif
 
 __all__ = [
     "CallGraph",
-    "CompiledContractRule",
     "DEFAULT_RULES",
     "DeterminismRule",
     "Finding",
@@ -65,7 +58,6 @@ __all__ = [
     "ProjectRule",
     "RngLineageRule",
     "Rule",
-    "ShardDisjointRule",
     "ShmLifecycleRule",
     "WorkerPicklingRule",
     "filter_baseline",

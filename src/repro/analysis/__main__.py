@@ -24,9 +24,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         prog="repro-lint",
         description=(
             "AST-based contract auditor for the repro codebase: determinism "
-            "(R1), shared-memory lifecycle (R2), compiled-objective "
-            "map-reduce purity (R3), worker-boundary pickling (R4), "
-            "interprocedural RNG lineage (R5), shard disjointness (R6)."
+            "(R1), shared-memory lifecycle (R2), worker-boundary pickling "
+            "(R4), interprocedural RNG lineage (R5)."
         ),
     )
     parser.add_argument(
@@ -66,7 +65,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--rules",
         default=None,
-        help="comma-separated rule ids to run (default: all), e.g. R1,R3",
+        help="comma-separated rule ids to run (default: all), e.g. R1,R4",
     )
     parser.add_argument(
         "--list-rules",

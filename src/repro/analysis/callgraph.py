@@ -1,8 +1,8 @@
 """A conservative project call graph for the interprocedural lint rules.
 
-R5 (rng-lineage) and R6 (shard-disjointness) need to reason across function
-boundaries: a global RNG draw hidden two helpers below ``DCA.fit`` is
-invisible to the per-function rules, but trivially reachable here.  The
+R5 (rng-lineage) needs to reason across function boundaries: a global RNG
+draw hidden two helpers below ``DCA.fit`` is invisible to the per-function
+rules, but trivially reachable here.  The
 graph is built from the same parsed :class:`~repro.analysis.lint.LintModule`
 trees the per-module rules use, and resolution is deliberately
 *conservative*: an edge exists only when the target can be named statically.

@@ -7,19 +7,17 @@ Each rule audits one of the contracts described in ``docs/contracts.md``:
           seeded generators — never global RNG state or wall clocks.
 ``R2``    Shared-memory lifecycle: every segment allocation is
           dominated by ``close()``/``unlink()`` on all paths.
-``R3``    Compiled-objective contract: ``partial``/``merge``/
-          ``shard_fields`` travel together and order-sensitive FP
-          reductions stay out of ``partial``.
 ``R4``    Worker-boundary pickling: process pools receive module-level
           functions and plain descriptors, never closures or tables.
 ``R5``    RNG lineage (interprocedural): every draw reachable from a fit
           entry point traces to a seeded, parent-owned generator.
-``R6``    Shard disjointness (interprocedural): worker writes into shared
-          scratch are indexed through the worker's own shard descriptor.
 ========  ============================================================
 
-R1–R4 are module-scoped; R5/R6 are project-scoped and consult the call
-graph (:mod:`repro.analysis.callgraph`) built over the whole lint run.
+R1, R2 and R4 are module-scoped; R5 is project-scoped and consults the call
+graph (:mod:`repro.analysis.callgraph`) built over the whole lint run.  The
+ids R3 (compiled-objective map-reduce contract) and R6 (shard
+disjointness) are retired with the row-sharded fit they audited and are not
+reused.
 """
 
 from __future__ import annotations
@@ -27,19 +25,15 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from ..lint import Rule
-from .contract import CompiledContractRule
 from .determinism import DeterminismRule
 from .pickling import WorkerPicklingRule
 from .rng_lineage import RngLineageRule
-from .shard_disjoint import ShardDisjointRule
 from .shm import ShmLifecycleRule
 
 __all__ = [
-    "CompiledContractRule",
     "DEFAULT_RULES",
     "DeterminismRule",
     "RngLineageRule",
-    "ShardDisjointRule",
     "ShmLifecycleRule",
     "WorkerPicklingRule",
     "rules_by_id",
@@ -49,15 +43,13 @@ __all__ = [
 DEFAULT_RULES: tuple[Rule, ...] = (
     DeterminismRule(),
     ShmLifecycleRule(),
-    CompiledContractRule(),
     WorkerPicklingRule(),
     RngLineageRule(),
-    ShardDisjointRule(),
 )
 
 
 def rules_by_id(ids: Iterable[str]) -> Sequence[Rule]:
-    """Resolve ``("R1", "R3")`` into rule instances; unknown ids raise."""
+    """Resolve ``("R1", "R4")`` into rule instances; unknown ids raise."""
     wanted = list(ids)
     known = {rule.id: rule for rule in DEFAULT_RULES}
     missing = [rule_id for rule_id in wanted if rule_id not in known]

@@ -36,14 +36,7 @@ from .objectives import (
     FalsePositiveRateObjective,
     LogDiscountedDisparityObjective,
 )
-from .parallel import (
-    CompiledObjectiveCache,
-    PlaneCache,
-    ShardedFitPlane,
-    SharedColumnStore,
-    default_objective_cache,
-)
-from .scheduler import FitScheduler
+from .parallel import CompiledObjectiveCache, SharedColumnStore, default_objective_cache
 from .result import DCAResult, DCATrace
 from .sampling import SampleStream, rarest_group_frequency, recommended_sample_size
 
@@ -64,9 +57,6 @@ __all__ = [
     "DCATrace",
     "CompiledObjective",
     "CompiledObjectiveCache",
-    "FitScheduler",
-    "PlaneCache",
-    "ShardedFitPlane",
     "SharedColumnStore",
     "default_objective_cache",
     "AttributeNormalizer",

@@ -52,20 +52,18 @@ Batched execution
 -----------------
 
 :meth:`DCA.fit_many` runs seed/k/objective grids (or explicit
-:class:`FitSpec` lists) over one population through three interchangeable
+:class:`FitSpec` lists) over one population through two interchangeable
 backends selected by ``executor``:
 
 * ``"serial"`` — one job after another in the calling thread;
-* ``"thread"`` — a thread pool (the NumPy kernels release the GIL for part
-  of each step, so this helps mildly);
 * ``"process"`` — a process pool whose workers map the population out of
   ``multiprocessing.shared_memory`` (see :mod:`repro.core.parallel`): the
   base scores, attribute matrices, and each objective's compiled state are
-  placed in a shared segment once, and each job ships only a tiny shard
-  descriptor.  This is the backend that actually parallelizes the
-  Python-level step loop across cores.
+  placed in a shared segment once, and each job ships only a tiny job
+  descriptor.  This is the backend that parallelizes the Python-level step
+  loop across cores.
 
-All three produce bitwise identical results for the same specs: every job
+Both produce bitwise identical results for the same specs: every job
 owns its own seeded generator, and the shared arrays are exactly the ones a
 serial fit would compute.  A per-population
 :class:`~repro.core.parallel.CompiledObjectiveCache` additionally lets jobs
@@ -75,7 +73,6 @@ signature skip recompiling the objective, on every backend.
 
 from __future__ import annotations
 
-import concurrent.futures
 import copy
 import os
 import time
@@ -88,19 +85,16 @@ from ..ranking import ScoreFunction
 from ..tabular import Table
 from .adam import Adam
 from .bonus import BonusVector, compensate_scores
-from .config import DCAConfig
+from .config import DCAConfig, validate_worker_count
 from .objectives import CompiledObjective, DisparityObjective, FairnessObjective
 from .parallel import (
     CompiledObjectiveCache,
-    PlaneCache,
     PlaneJob,
     PlanePayload,
-    ShardedFitPlane,
     SharedPopulationPlane,
     default_objective_cache,
     execute_process_jobs,
     matrix_key,
-    validate_worker_count,
 )
 from .result import DCAResult, DCATrace
 from .sampling import SampleStream, rarest_group_frequency, recommended_sample_size
@@ -116,7 +110,7 @@ __all__ = [
 ]
 
 #: Executor names accepted by :meth:`DCA.fit_many`.
-_EXECUTORS = ("serial", "thread", "process")
+_EXECUTORS = ("serial", "process")
 
 
 def _project(values: np.ndarray, config: DCAConfig) -> np.ndarray:
@@ -309,36 +303,6 @@ class _BonusSearch:
         bonus = BonusVector(attribute_names=self.attribute_names, values=bonus_values)
         scores = bonus.apply(self.table, self._base_scores)
         return self.objective.evaluate(self.table, scores, self.k).vector
-
-
-class _ShardedBonusSearch:
-    """A :class:`_BonusSearch` whose step signals come from a row-sharded plane.
-
-    The parent-side search keeps everything sequential a fit owns — the
-    seeded RNG, the sample stream, the phase-batching cursor — so the RNG is
-    consumed exactly as a serial fit would consume it.  Only the per-step
-    objective evaluation is delegated: the drawn sample and current bonus
-    vector go to the :class:`~repro.core.parallel.ShardedFitPlane`, whose
-    map-reduce protocol returns the bitwise-identical signal.
-    """
-
-    def __init__(self, search: _BonusSearch, plane: ShardedFitPlane) -> None:
-        self._search = search
-        self._plane = plane
-        self.k = search.k
-        self.config = search.config
-        self.attribute_names = search.attribute_names
-        self.sample_size = search.sample_size
-        self.rng = search.rng
-
-    def initial_bonus(self) -> np.ndarray:
-        return self._search.initial_bonus()
-
-    def begin_phase(self, num_steps: int) -> None:
-        self._search.begin_phase(num_steps)
-
-    def step_signal(self, bonus_values: np.ndarray) -> np.ndarray:
-        return self._plane.step(bonus_values, self._search._next_indices())
 
 
 def _finish_fit(
@@ -577,46 +541,9 @@ class DCA:
         self.objective = objective or DisparityObjective(self.fairness_attributes)
         self.objective_cache = objective_cache
 
-    def fit(
-        self,
-        table: Table,
-        *,
-        row_workers: int | None = None,
-        shard_rows: int | None = None,
-        plane_cache: PlaneCache | None = None,
-    ) -> DCAResult:
-        """Fit bonus points on ``table`` (the training cohort / distribution sample).
-
-        ``row_workers`` (default: the config's ``row_workers``) row-shards
-        THIS fit's sampled objective evaluations across that many
-        shared-memory worker processes
-        (:class:`~repro.core.parallel.ShardedFitPlane`): the population
-        arrays live in one segment, each step broadcasts only the bonus
-        vector and the drawn sample, and the parent reduces the workers'
-        partial accumulators — **bitwise identical** to the in-process fit
-        for any worker count.  ``shard_rows`` sets the contiguous rows per
-        shard (default: an even split); it is a granularity knob for the
-        sharded plane only, so it has no effect unless ``row_workers`` (here
-        or in the config) exceeds 1.  Zero/negative values are rejected
-        eagerly.  Fits whose compiled objective cannot shard (``engine=
-        "table"``, table-fallback compilations, non-exportable state) fall
-        back to in-process execution — same results, no parallelism.
-
-        ``plane_cache`` (a :class:`~repro.core.parallel.PlaneCache`) makes
-        plane construction shareable: instead of building and tearing down
-        its own plane + worker pool, the fit leases one from the cache, and
-        later fits with the same signature on the same population reuse it
-        — the pool stays resident across jobs.  The cache owns the leased
-        planes; close it when the batch is done.  :meth:`fit_many` passes
-        one automatically to every row-sharded job.
-        """
+    def fit(self, table: Table) -> DCAResult:
+        """Fit bonus points on ``table`` (the training cohort / distribution sample)."""
         start = time.perf_counter()
-        row_workers = validate_worker_count(
-            "row_workers", row_workers if row_workers is not None else self.config.row_workers
-        )
-        shard_rows = validate_worker_count(
-            "shard_rows", shard_rows if shard_rows is not None else self.config.shard_rows
-        )
         self.objective.fit(table)
         # The search owns the sample stream and cached arrays; both phases
         # (and the result assembly in _finish_fit) share it.
@@ -628,65 +555,7 @@ class DCA:
             self.config,
             objective_cache=self.objective_cache,
         )
-        if row_workers is not None and row_workers > 1:
-            plane, owned = self._build_sharded_plane(
-                search, row_workers, shard_rows, plane_cache
-            )
-            if plane is not None:
-                try:
-                    sharded = _ShardedBonusSearch(search, plane)
-                    return _finish_fit(sharded, self.fairness_attributes, self.config, start)
-                finally:
-                    if owned:
-                        plane.close()
         return _finish_fit(search, self.fairness_attributes, self.config, start)
-
-    def _build_sharded_plane(
-        self,
-        search: _BonusSearch,
-        row_workers: int,
-        shard_rows: int | None,
-        plane_cache: PlaneCache | None = None,
-    ) -> tuple[ShardedFitPlane | None, bool]:
-        """A sharded plane for ``search``, or ``None`` when it cannot shard.
-
-        Returns ``(plane, owned)``: ``owned`` is True when the caller must
-        close the plane (no cache, or the objective has no signature to key
-        a cache entry on), False when ``plane_cache`` keeps it alive for
-        reuse by later same-signature fits.
-        """
-        compiled = search._compiled
-        if compiled is None:  # engine="table": no array plane to shard
-            return None, True
-        if compiled.shard_fields() is None or compiled.export_state() is None:
-            return None, True
-
-        def build() -> ShardedFitPlane:
-            return ShardedFitPlane(
-                base_scores=search._base_scores,
-                attribute_matrix=search._attribute_matrix,
-                compiled=compiled,
-                sample_size=search.sample_size,
-                k=search.k,
-                row_workers=row_workers,
-                shard_rows=shard_rows,
-                step_dispatch=search.config.step_dispatch,
-            )
-
-        signature = search.objective.signature()
-        if plane_cache is None or signature is None:
-            return build(), True
-        # Everything the plane bakes in besides the population and scorer:
-        # equal keys on the same table get bitwise-identical planes.
-        key = (
-            signature,
-            search.k,
-            search.sample_size,
-            row_workers,
-            shard_rows,
-            search.config.step_dispatch,
-        )
-        return plane_cache.lease(search.table, self.score_function, key, build), False
 
     def fit_many(
         self,
@@ -698,8 +567,6 @@ class DCA:
         specs: Sequence[FitSpec] | None = None,
         max_workers: int | None = None,
         executor: str | None = None,
-        row_workers: int | None = None,
-        plane_cache: PlaneCache | None = None,
     ) -> list[BatchFitResult]:
         """Fit a batch of bonus vectors on ``table`` in one call.
 
@@ -714,45 +581,30 @@ class DCA:
         ``executor`` picks the backend:
 
         * ``"serial"`` — jobs run one after another in the calling thread;
-        * ``"thread"`` — a thread pool; the NumPy kernels release the GIL
-          for part of each step, so speedups are modest;
-        * ``"process"`` — a process pool over a shared-memory population
-          plane (:mod:`repro.core.parallel`): base scores, attribute
-          matrices, and compiled objective state are placed in
-          ``multiprocessing.shared_memory`` once, and workers receive only
-          tiny shard descriptors — the cohort is never pickled per job.
+        * ``"process"`` — a :class:`concurrent.futures.ProcessPoolExecutor`
+          over a shared-memory population plane (:mod:`repro.core.parallel`):
+          base scores, attribute matrices, and compiled objective state are
+          placed in ``multiprocessing.shared_memory`` once, and workers
+          receive only tiny job descriptors — the cohort is never pickled
+          per job.
           Jobs that cannot run on the plane (``engine="table"`` configs, or
           custom objectives without a
           :meth:`~repro.core.objectives.FairnessObjective.signature`) fall
           back to in-parent serial execution, preserving result order and
           values.
-        * ``None`` (default) — ``"thread"`` when ``max_workers`` asks for
-          parallelism, else ``"serial"`` (the pre-``executor`` behaviour).
+        * ``None`` (default) — ``"process"`` when ``max_workers`` asks for
+          parallelism, else ``"serial"``.
 
-        ``max_workers`` sizes the pool; for the parallel backends it
-        defaults to ``min(len(jobs), os.cpu_count())``.  Zero or negative
-        ``max_workers``/``row_workers`` are rejected eagerly, before any
-        pool or shared-memory segment is created.  Compiled objectives
-        are cached per population (see
+        ``max_workers`` sizes the pool; for the process backend it defaults
+        to ``min(len(jobs), os.cpu_count())``.  Zero or negative
+        ``max_workers`` is rejected eagerly, before any pool or
+        shared-memory segment is created.  A job that raises inside a worker
+        re-raises its own exception here; a worker process that dies
+        mid-job raises :class:`concurrent.futures.process.BrokenProcessPool`.
+        Compiled objectives are cached per population (see
         :func:`repro.core.parallel.default_objective_cache`), so sweeps that
         share a cohort and an objective signature — within one call or
         across calls — compile it once.
-
-        ``row_workers`` applies row sharding (see :meth:`fit`) to every job
-        in the batch; job sharding and row sharding compose.  With the
-        serial executor each job simply runs its own sharded plane, one
-        after another.  Under ``executor="thread"`` row-sharded jobs run
-        after the thread pool has drained, in the calling thread (forking
-        a worker pool while sibling threads hold locks would deadlock the
-        children); under ``executor="process"`` they run in the parent
-        rather than nesting pools inside pool workers.  Results are
-        identical on every path.  Row-sharded jobs share planes through a
-        :class:`~repro.core.parallel.PlaneCache`: same-signature jobs reuse
-        one plane + resident worker pool instead of each building (and
-        tearing down) its own.  Pass ``plane_cache`` to extend that reuse
-        across ``fit_many`` calls (the caller then owns the cache and must
-        close it); by default an internal cache lives for exactly this
-        call.
 
         Examples
         --------
@@ -780,80 +632,29 @@ class DCA:
             return []
 
         max_workers = validate_worker_count("max_workers", max_workers)
-        row_workers = validate_worker_count("row_workers", row_workers)
         if executor is None:
-            executor = "thread" if (max_workers is not None and max_workers > 1) else "serial"
+            executor = "process" if (max_workers is not None and max_workers > 1) else "serial"
         if executor not in _EXECUTORS:
             raise ValueError(f"executor must be one of {_EXECUTORS}, got {executor!r}")
-        if max_workers is None:
-            workers = min(len(jobs), os.cpu_count() or 1)
-        else:
-            workers = int(max_workers)
         # Explicit None check: an empty cache is falsy (it has __len__).
         cache = (
             self.objective_cache
             if self.objective_cache is not None
             else default_objective_cache()
         )
-        # Same pattern for the plane cache: when the caller passed one, they
-        # own its lifetime (reuse across fit_many calls); otherwise this
-        # call owns an internal cache and closes it — and with it every
-        # leased plane + worker pool — on the way out.
-        owns_planes = plane_cache is None
-        planes = PlaneCache() if plane_cache is None else plane_cache
-
-        try:
-            if executor == "process":
-                return self._fit_many_process(
-                    table, jobs, cache, workers, row_workers, planes
-                )
-
-            def run_one(spec: FitSpec) -> BatchFitResult:
-                return self._run_single_spec(table, spec, cache, row_workers, planes)
-
-            if executor == "thread" and workers > 1 and len(jobs) > 1:
-                # Row-sharded jobs fork a process pool of their own; forking
-                # while sibling pool threads run (and hold locks) deadlocks the
-                # children, so those jobs wait for the thread pool to drain and
-                # then run in the calling thread — same results, same ordering.
-                pooled: list[int] = []
-                deferred: list[int] = []
-                for index, spec in enumerate(jobs):
-                    config, _, _ = self._resolve_spec(spec, row_workers)
-                    (deferred if (config.row_workers or 0) > 1 else pooled).append(index)
-                results: dict[int, BatchFitResult] = {}
-                if pooled:
-                    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                        for index, result in zip(
-                            pooled, pool.map(run_one, [jobs[index] for index in pooled])
-                        ):
-                            results[index] = result
-                for index in deferred:
-                    results[index] = run_one(jobs[index])
-                return [results[index] for index in range(len(jobs))]
-            return [run_one(job) for job in jobs]
-        finally:
-            if owns_planes:
-                planes.close()
+        if executor == "process":
+            workers = max_workers if max_workers is not None else min(len(jobs), os.cpu_count() or 1)
+            return self._fit_many_process(table, jobs, cache, workers)
+        return [self._run_single_spec(table, spec, cache) for spec in jobs]
 
     # ------------------------------------------------------------------
     # fit_many internals
     # ------------------------------------------------------------------
-    def _resolve_spec(
-        self, spec: FitSpec, row_workers: int | None = None
-    ) -> tuple[DCAConfig, FairnessObjective, float]:
-        """Resolve a spec's config/objective/k against this instance's defaults.
-
-        ``row_workers`` is the batch-level override: it lands in the
-        resolved config only, never in the caller's spec, so
-        :attr:`BatchFitResult.spec` always echoes exactly what was passed
-        in.
-        """
+    def _resolve_spec(self, spec: FitSpec) -> tuple[DCAConfig, FairnessObjective, float]:
+        """Resolve a spec's config/objective/k against this instance's defaults."""
         config = spec.config if spec.config is not None else self.config
         if spec.seed is not None:
             config = replace(config, seed=spec.seed)
-        if row_workers is not None:
-            config = replace(config, row_workers=row_workers)
         objective = spec.objective if spec.objective is not None else self.objective
         k = self.k if spec.k is None else float(spec.k)
         return config, objective, k
@@ -863,11 +664,9 @@ class DCA:
         table: Table,
         spec: FitSpec,
         cache: CompiledObjectiveCache,
-        row_workers: int | None = None,
-        plane_cache: PlaneCache | None = None,
     ) -> BatchFitResult:
-        """Run one batch job in this process (the serial/thread backends)."""
-        config, objective_template, k = self._resolve_spec(spec, row_workers)
+        """Run one batch job in this process (the serial backend, and process fallbacks)."""
+        config, objective_template, k = self._resolve_spec(spec)
         # Fresh objective per job: fit() mutates normalizer state, and
         # concurrent jobs must not share it.
         objective = copy.deepcopy(objective_template)
@@ -883,7 +682,7 @@ class DCA:
             spec=spec,
             k=k,
             seed=config.seed,
-            result=job_dca.fit(table, plane_cache=plane_cache),
+            result=job_dca.fit(table),
         )
 
     def _fit_many_process(
@@ -892,8 +691,6 @@ class DCA:
         jobs: Sequence[FitSpec],
         cache: CompiledObjectiveCache,
         max_workers: int,
-        row_workers: int | None = None,
-        plane_cache: PlaneCache | None = None,
     ) -> list[BatchFitResult]:
         """The shared-memory process backend of :meth:`fit_many`.
 
@@ -901,7 +698,7 @@ class DCA:
         attribute matrix per distinct attribute set, one compiled state per
         distinct objective signature — inside a single shared-memory
         segment, then dispatches :class:`~repro.core.parallel.PlaneJob`
-        shard descriptors to the pool.  Jobs the plane cannot serve (table
+        job descriptors to the pool.  Jobs the plane cannot serve (table
         engine, signature-less objectives) run in the parent instead.
         """
         num_rows = table.num_rows
@@ -914,19 +711,13 @@ class DCA:
         job_meta: dict[int, tuple[FitSpec, float, int | None]] = {}
 
         for index, spec in enumerate(jobs):
-            config, objective_template, k = self._resolve_spec(spec, row_workers)
+            config, objective_template, k = self._resolve_spec(spec)
             signature = objective_template.signature()
             # Jobs the plane cannot serve run in the parent: the table
             # engine has no array state to share, signature-less objectives
-            # cannot be cached or exported, stratified sampling needs the
-            # table's group masks, and row-sharded jobs own a worker pool of
-            # their own (pools must not nest inside pool workers).
-            if (
-                config.engine != "array"
-                or signature is None
-                or config.stratified_sampling
-                or (config.row_workers or 0) > 1
-            ):
+            # cannot be cached or exported, and stratified sampling needs the
+            # table's group masks.
+            if config.engine != "array" or signature is None or config.stratified_sampling:
                 parent_jobs.append((index, spec))
                 continue
             if signature not in signature_keys:
@@ -970,21 +761,14 @@ class DCA:
             arrays["base"] = np.asarray(self.score_function.scores(table), dtype=float)
             plane = SharedPopulationPlane(arrays)
             try:
-                # Pool workers inherit the parent's resource tracker (under
-                # fork and spawn alike), so the parent's registration is the
-                # one canonical one and workers must not unregister it.
-                payload = PlanePayload(
-                    plane.name, num_rows, plane.refs, objective_states, untrack_on_attach=False
-                )
+                payload = PlanePayload(plane.name, num_rows, plane.refs, objective_states)
                 for index, result in execute_process_jobs(payload, plane_jobs, max_workers):
                     spec, k, seed = job_meta[index]
                     results[index] = BatchFitResult(spec=spec, k=k, seed=seed, result=result)
             finally:
                 plane.close()
         for index, spec in parent_jobs:
-            results[index] = self._run_single_spec(
-                table, spec, cache, row_workers, plane_cache
-            )
+            results[index] = self._run_single_spec(table, spec, cache)
         return [results[index] for index in range(len(jobs))]
 
     def compensated_scores(self, table: Table, bonus: BonusVector) -> np.ndarray:

@@ -1,7 +1,6 @@
 """Shared-memory population planes and compiled-objective caching.
 
-This module is the scaling substrate behind :meth:`repro.core.DCA.fit_many`
-and the row-sharded :meth:`repro.core.DCA.fit`:
+This module is the scaling substrate behind :meth:`repro.core.DCA.fit_many`:
 
 * :class:`CompiledObjectiveCache` — a per-population cache of compiled
   objective state.  Batched fits repeatedly compile the same objective
@@ -22,70 +21,46 @@ and the row-sharded :meth:`repro.core.DCA.fit`:
   segment: dataset generators write synthetic columns straight into it, so
   a scale-bench cohort exists exactly once, already mapped for workers.
 * :func:`execute_process_jobs` — runs :class:`PlaneJob` descriptors on a
-  process pool whose workers attach the plane once (in the pool
-  initializer) and then serve jobs from lightweight shard descriptors.
-  This is *job sharding*: many independent fits over one population.
-* :class:`ShardedFitPlane` — *row sharding*: ONE fit whose per-step
-  objective evaluation is mapped over contiguous row shards by long-lived
-  workers and reduced in the parent, via the
-  :meth:`~repro.core.objectives.CompiledObjective.partial` /
-  :meth:`~repro.core.objectives.CompiledObjective.merge` map-reduce
-  contract.
+  plain :class:`concurrent.futures.ProcessPoolExecutor` whose workers
+  attach the plane once (in the pool initializer) and then serve jobs from
+  lightweight job descriptors: many independent fits over one population.
 
-The process backends trade a one-time plane construction + worker start-up
-cost for true multi-core execution of the Python-level DCA step loop, which
-the thread backend cannot parallelize (the loop holds the GIL between NumPy
-kernels).  Results are bitwise identical to the serial paths because
-workers consume exactly the arrays the serial path would compute, every
-job owns its own seeded generator, and (for row sharding) every
-floating-point reduction happens in the parent on the sample reassembled
-in its original order.
+One fit always runs in one process: a step scores a sample of a few hundred
+rows, milliseconds of NumPy work, so splitting a step across processes
+costs more than it saves.  The process backend trades a one-time plane
+construction + worker start-up cost for multi-core execution of whole fits.
+Results are bitwise identical to the serial path because workers consume
+exactly the arrays the serial path would compute and every job owns its own
+seeded generator.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import multiprocessing
 import threading
 import time
 import weakref
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..analysis import race_sanitizer
-from ..ranking import selection_size
 from ..tabular import Table
-from .bonus import compensate_scores
-from .config import DCAConfig, validate_worker_count
+from .config import DCAConfig
 from .objectives import CompiledObjective, FairnessObjective
 
 __all__ = [
     "CompiledObjectiveCache",
-    "PlaneCache",
     "default_objective_cache",
     "SharedPopulationPlane",
     "SharedColumnStore",
-    "ShardedFitPlane",
-    "ShardPayload",
     "PlanePayload",
     "PlaneJob",
-    "compute_shard_bounds",
     "execute_process_jobs",
-    "local_topk_positions",
-    "merge_topk_selection",
     "process_start_method",
-    "record_topk_candidates",
-    "scatter_fields",
-    "shard_sample_positions",
-    "validate_worker_count",
 ]
-
-#: Step-dispatch modes of the sharded fit plane: the persistent
-#: doorbell scheduler (default) or the legacy per-step ``pool.map``.
-STEP_DISPATCH_MODES = ("doorbell", "pool")
 
 
 # ----------------------------------------------------------------------
@@ -236,9 +211,9 @@ class SharedPopulationPlane:
         """Create a plane of empty (zero-filled) arrays from dtype/shape specs.
 
         ``specs`` maps each array key to ``(dtype string, shape)``.  Fill the
-        arrays through :meth:`view` — this is how cohort generators and the
-        sharded fit plane write population-sized data into shared memory
-        without a second private-heap copy.
+        arrays through :meth:`view` — this is how cohort generators write
+        population-sized data into shared memory without a second
+        private-heap copy.
         """
         plane = cls.__new__(cls)
         plane._allocate_segment({key: (dtype, tuple(shape)) for key, (dtype, shape) in specs.items()})
@@ -361,25 +336,17 @@ class PlanePayload:
     objective_states:
         Per distinct objective signature: the compiled class, a mapping from
         its state-array names to plane keys, and its small metadata dict.
-    untrack_on_attach:
-        Whether the attaching process must unregister the segment from its
-        resource tracker.  Pool workers inherit the parent's tracker (under
-        ``fork`` and ``spawn`` alike), where registration is idempotent and
-        the parent unregisters once at unlink — so pool payloads pass
-        False.  Only an independent attacher with a private tracker (which
-        would otherwise report a bogus leak at exit) should pass True.
     """
 
     shm_name: str
     num_rows: int
     refs: dict[str, _ArrayRef]
     objective_states: dict[int, tuple[type, dict[str, str], dict]]
-    untrack_on_attach: bool = False
 
 
 @dataclass(frozen=True)
 class PlaneJob:
-    """One shard descriptor for a process-pool fit — a few hundred bytes.
+    """One job descriptor for a process-pool fit — a few hundred bytes.
 
     ``config`` carries the job's already-resolved seed; ``objective_key``
     points into the payload's ``objective_states``.
@@ -393,47 +360,31 @@ class PlaneJob:
     objective_key: int
 
 
-def _attach_shared_memory(name: str, untrack: bool) -> shared_memory.SharedMemory:
-    """Attach a segment without tripping the resource tracker on exit.
+def _attach_shared_memory(name: str) -> shared_memory.SharedMemory:
+    """Attach a segment without registering it with a resource tracker.
 
-    On Python < 3.13 attaching registers the segment with the process's
-    ``resource_tracker``; a spawn worker's private tracker would then report
-    a bogus "leak" when it exits while the parent still owns the segment.
-    Use ``track=False`` where available, otherwise unregister manually —
-    but only when ``untrack`` says this process must (never under ``fork``,
-    where the tracker is shared and unregistering here would erase the
-    parent's one canonical registration).
+    Pool workers inherit the parent's resource tracker (under ``fork`` and
+    ``spawn`` alike), and the parent unregisters the segment once at
+    unlink, so a worker must not touch the registration: ``track=False``
+    where available (Python >= 3.13); older versions register idempotently
+    with the shared tracker.
     """
     try:
         return shared_memory.SharedMemory(name=name, track=False)
     except TypeError:  # Python < 3.13: no ``track`` parameter
-        segment = shared_memory.SharedMemory(name=name)
-        if untrack:
-            try:
-                from multiprocessing import resource_tracker
-
-                resource_tracker.unregister(segment._name, "shared_memory")
-            except Exception:  # pragma: no cover - tracker internals moved
-                pass
-        return segment
+        return shared_memory.SharedMemory(name=name)
 
 
 def _map_refs(
-    shm: shared_memory.SharedMemory,
-    refs: Mapping[str, _ArrayRef],
-    writable: frozenset[str] = frozenset(),
+    shm: shared_memory.SharedMemory, refs: Mapping[str, _ArrayRef]
 ) -> dict[str, np.ndarray]:
-    """Map every referenced array out of an attached segment.
-
-    Views are read-only unless their key is in ``writable`` (the sharded fit
-    plane's scratch arrays are the one place workers write).
-    """
+    """Map every referenced array out of an attached segment, read-only."""
     arrays: dict[str, np.ndarray] = {}
     for key, ref in refs.items():
         view = np.ndarray(
             ref.shape, dtype=np.dtype(ref.dtype), buffer=shm.buf, offset=ref.offset
         )
-        view.flags.writeable = key in writable
+        view.flags.writeable = False
         arrays[key] = view
     return arrays
 
@@ -443,7 +394,7 @@ class _AttachedPlane:
 
     def __init__(self, payload: PlanePayload) -> None:
         # The attached segment reference keeps the mapped buffer alive.
-        self._shm = _attach_shared_memory(payload.shm_name, payload.untrack_on_attach)
+        self._shm = _attach_shared_memory(payload.shm_name)
         self.num_rows = payload.num_rows
         self.arrays = _map_refs(self._shm, payload.refs)
         self._objective_states = payload.objective_states
@@ -464,15 +415,13 @@ def _plane_worker_init(payload: PlanePayload) -> None:
     _WORKER_PLANE = _AttachedPlane(payload)
 
 
-def _plane_worker_serve(plane: _AttachedPlane, job: PlaneJob):
-    """Run one fit entirely from an attached plane (no table in sight).
+def _plane_worker_fit(job: PlaneJob):
+    """Pool entry: run one fit entirely from the initializer-attached plane."""
+    from .dca import _BonusSearch, _finish_fit  # deferred: dca imports this module
 
-    The job-grain kernel shared by the legacy pool path
-    (:func:`_plane_worker_fit`) and the scheduler's job queue
-    (:func:`repro.core.scheduler._scheduler_worker_loop`).
-    """
-    from .dca import _BonusSearch, _finish_fit  # deferred: dca imports this module lazily
-
+    plane = _WORKER_PLANE
+    if plane is None:  # pragma: no cover - initializer always runs first
+        raise RuntimeError("worker has no attached population plane")
     start = time.perf_counter()
     search = _BonusSearch.from_arrays(
         base_scores=plane.arrays["base"],
@@ -485,14 +434,6 @@ def _plane_worker_serve(plane: _AttachedPlane, job: PlaneJob):
         config=job.config,
     )
     return job.index, _finish_fit(search, job.attribute_names, job.config, start)
-
-
-def _plane_worker_fit(job: PlaneJob):
-    """Pool-path entry: serve one job from the initializer-attached plane."""
-    plane = _WORKER_PLANE
-    if plane is None:  # pragma: no cover - initializer always runs first
-        raise RuntimeError("worker has no attached population plane")
-    return _plane_worker_serve(plane, job)
 
 
 def matrix_key(attribute_names: Sequence[str]) -> str:
@@ -515,701 +456,19 @@ def execute_process_jobs(
     jobs: Sequence[PlaneJob],
     max_workers: int,
 ) -> list[tuple[int, object]]:
-    """Run plane jobs on a scheduler pool; returns ``(job index, DCAResult)`` pairs.
+    """Run plane jobs on a process pool; returns ``(job index, DCAResult)`` pairs in job order.
 
-    Workers attach the shared plane once (at scheduler start-up) and each
-    job ships only its :class:`PlaneJob` descriptor through the scheduler's
-    job queue (:meth:`repro.core.scheduler.FitScheduler.run_jobs`).  The
-    caller must keep the plane alive until this returns and close it
-    afterwards.
+    Workers attach the shared plane once (in the pool initializer) and each
+    job ships only its :class:`PlaneJob` descriptor.  A job that raises
+    re-raises its own exception here; a worker that dies mid-job raises
+    :class:`concurrent.futures.process.BrokenProcessPool`.  The caller must
+    keep the plane alive until this returns and close it afterwards.
     """
-    from .scheduler import FitScheduler  # deferred: scheduler imports this module
-
     workers = max(1, min(int(max_workers), len(jobs)))
-    scheduler = FitScheduler(num_workers=workers, plane_payload=payload)
-    try:
-        return scheduler.run_jobs(jobs)
-    finally:
-        scheduler.close()
-
-
-# ----------------------------------------------------------------------
-# Row-sharded single-fit execution (map-reduce over the population rows)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ShardPayload:
-    """Everything a row-shard worker needs to serve one sharded fit.
-
-    Sent once per worker through the pool initializer, never per step.
-
-    Attributes
-    ----------
-    shm_name:
-        Shared-memory segment holding the population arrays *and* the
-        per-step scratch (sample indices plus one array per accumulator
-        field).
-    refs:
-        Array locations inside the segment.
-    objective_class, objective_arrays, objective_metadata:
-        The compiled objective's class, a mapping from its state-array names
-        to plane keys, and its small metadata dict — enough for each worker
-        to rebuild a private :class:`~repro.core.objectives.CompiledObjective`
-        around the mapped arrays.
-    scratch_keys:
-        Accumulator field name (``"scores"`` included) → plane key of the
-        sample-sized scratch array the worker scatters that field into.
-    shard_bounds:
-        Per-shard contiguous row ranges ``(lo, hi)``; a step task for shard
-        ``s`` handles exactly the sampled indices falling in its range.
-    k:
-        The fit's selection fraction (constant across steps).
-    """
-
-    shm_name: str
-    refs: dict[str, _ArrayRef]
-    objective_class: type
-    objective_arrays: dict[str, str]
-    objective_metadata: dict
-    scratch_keys: dict[str, str]
-    shard_bounds: tuple[tuple[int, int], ...]
-    k: float
-    #: Plane keys of the write-race ledger (``positions`` / ``counts``)
-    #: when :mod:`repro.analysis.race_sanitizer` is armed, else ``None``.
-    sanitizer_keys: dict[str, str] | None = None
-    #: Plane keys of the distributed top-k candidate region (``scores`` /
-    #: ``positions`` / ``counts``) when the objective supports selection
-    #: pre-computation, else ``None``.
-    topk_keys: dict[str, str] | None = None
-    #: The selection fraction the top-k candidates are recorded for.
-    topk_fraction: float | None = None
-
-
-class _ShardWorkerState:
-    """A row-shard worker's mapped arrays plus its rebuilt compiled objective."""
-
-    def __init__(self, payload: ShardPayload) -> None:
-        self._shm = _attach_shared_memory(payload.shm_name, untrack=False)
-        writable = frozenset(payload.scratch_keys.values())
-        if payload.sanitizer_keys is not None:
-            writable |= frozenset(payload.sanitizer_keys.values())
-        if payload.topk_keys is not None:
-            writable |= frozenset(payload.topk_keys.values())
-        arrays = _map_refs(self._shm, payload.refs, writable=writable)
-        self.base = arrays["base"]
-        self.matrix = arrays["matrix"]
-        self.indices = arrays["indices"]
-        self.scratch = {
-            field: arrays[key] for field, key in payload.scratch_keys.items()
-        }
-        if payload.sanitizer_keys is not None:
-            self.sanitizer: tuple[np.ndarray, np.ndarray] | None = (
-                arrays[payload.sanitizer_keys["positions"]],
-                arrays[payload.sanitizer_keys["counts"]],
-            )
-        else:
-            self.sanitizer = None
-        if payload.topk_keys is not None:
-            self.topk: tuple[np.ndarray, np.ndarray, np.ndarray] | None = (
-                arrays[payload.topk_keys["scores"]],
-                arrays[payload.topk_keys["positions"]],
-                arrays[payload.topk_keys["counts"]],
-            )
-        else:
-            self.topk = None
-        self.topk_fraction = payload.topk_fraction
-        state_arrays = {
-            name: arrays[key] for name, key in payload.objective_arrays.items()
-        }
-        self.compiled: CompiledObjective = payload.objective_class.from_state(
-            state_arrays, payload.objective_metadata
-        )
-        self.bounds = payload.shard_bounds
-        self.k = payload.k
-
-
-#: Worker-global shard state, set once per worker by the pool initializer.
-_SHARD_STATE: _ShardWorkerState | None = None
-
-
-def _shard_worker_init(payload: ShardPayload) -> None:
-    global _SHARD_STATE
-    _SHARD_STATE = _ShardWorkerState(payload)
-
-
-def compute_shard_bounds(num_rows: int, shard_rows: int) -> tuple[tuple[int, int], ...]:
-    """Contiguous ``(lo, hi)`` row ranges covering ``[0, num_rows)``.
-
-    The single source of shard descriptors for the sharded fit plane: the
-    ranges tile the population exactly — pairwise disjoint, no gaps — which
-    is the property the write-race sanitizer re-proves numerically at every
-    step (and what its injected-race test breaks on purpose).
-    """
-    return tuple(
-        (start, min(start + shard_rows, num_rows))
-        for start in range(0, num_rows, shard_rows)
-    )
-
-
-def shard_sample_positions(indices: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Sample positions whose row index falls in the shard's ``[lo, hi)``.
-
-    The nameable shard filter repro-lint R6 anchors on: every worker write
-    is indexed by this function's result (or a bounds-derived slice), which
-    is what makes per-shard scatters provably descriptor-indexed.
-    """
-    return np.flatnonzero((indices >= lo) & (indices < hi))
-
-
-def scatter_fields(
-    scratch: Mapping[str, np.ndarray],
-    positions: np.ndarray,
-    accumulator: Mapping[str, np.ndarray],
-) -> None:
-    """Scatter accumulator fields into shared scratch at sample positions.
-
-    The one write path from a shard worker into shared memory.  ``positions``
-    must come from :func:`shard_sample_positions` over the worker's own
-    bounds — R6 flags any call whose positions are not shard-derived.
-    """
-    for field, block in accumulator.items():
-        scratch[field][positions] = block
-
-
-def local_topk_positions(scores: np.ndarray, limit: int) -> np.ndarray:
-    """Positions (ascending) of a shard's ``limit`` best scores.
-
-    The shard-local half of the distributed top-k.  The candidate *set*
-    matches what :func:`repro.ranking.selection_mask` admits at this
-    shard's granularity: the boundary tie-break is lowest position first,
-    and a NaN-bearing score vector falls back to the exact lexsort ordering
-    (NaN last), mirroring ``selection_mask``'s own fallback.  Returning
-    positions in ascending order keeps candidate recording bit-exact and
-    sample-ordered.
-    """
-    n = scores.shape[0]
-    if limit >= n:
-        return np.arange(n)
-    low = scores.min()
-    if low != low:  # NaN present: exact lexsort fallback, like selection_mask
-        order = np.lexsort((np.arange(n), -scores))
-        return np.sort(order[:limit])
-    threshold = scores[scores.argpartition(n - limit)[n - limit]]
-    mask = scores > threshold
-    remaining = limit - int(np.count_nonzero(mask))
-    if remaining > 0:
-        ties = np.flatnonzero(scores == threshold)
-        mask[ties[:remaining]] = True
-    return np.flatnonzero(mask)
-
-
-def record_topk_candidates(
-    topk: tuple[np.ndarray, np.ndarray, np.ndarray],
-    shard: int,
-    positions: np.ndarray,
-    scores: np.ndarray,
-    num_sampled: int,
-    fraction: float,
-) -> None:
-    """Write one shard's top-k candidate ``(score, position)`` pairs.
-
-    Every global selection winner inside this shard is necessarily among
-    the shard's own best ``min(|shard sample|, global selection size)``
-    scores (dominance: anything better than a winner is itself a winner),
-    so recording exactly that many candidates preserves bitwise identity
-    while the parent merges ``shards × k`` candidates instead of
-    argpartitioning the full sample.  Each shard writes only its own row of
-    the candidate region — the same disjointness contract as the scratch
-    scatters, and what :func:`repro.analysis.race_sanitizer.verify_topk`
-    re-proves numerically.
-    """
-    scores_log, positions_log, counts = topk
-    limit = min(positions.shape[0], selection_size(num_sampled, fraction))
-    local = local_topk_positions(scores, limit)
-    counts[shard] = limit
-    scores_log[shard, :limit] = scores[local]
-    positions_log[shard, :limit] = positions[local]
-
-
-def merge_topk_selection(
-    scores_log: np.ndarray,
-    positions_log: np.ndarray,
-    counts: np.ndarray,
-    num_sampled: int,
-    fraction: float,
-) -> np.ndarray:
-    """Fold shard-local top-k candidates into the exact global selection mask.
-
-    Bitwise identical to ``selection_mask(scores, fraction)`` over the full
-    sample: the candidate pool provably contains every winner (see
-    :func:`record_topk_candidates`), so the size-th largest candidate *is*
-    the serial threshold, every above-threshold score is a candidate, and
-    every tie the serial pass admits (lowest sample position first) is a
-    candidate too.  The merge therefore replays ``selection_mask``'s own
-    threshold-plus-ties algorithm over the candidate pool — ``O(shards × k)``
-    plus a sort of the tie class, instead of ``O(sample)``.  A NaN-bearing
-    pool falls back to the exact lexsort ordering, like ``selection_mask``;
-    a NaN-free pool cannot correspond to a serial selection that admitted
-    NaN rows (any admitted row is a candidate), so the fast path is safe
-    even when unseen shard scores hold NaN.
-    """
-    size = selection_size(num_sampled, fraction)
-    cand_scores = np.concatenate(
-        [scores_log[shard, : int(counts[shard])] for shard in range(counts.shape[0])]
-    )
-    cand_positions = np.concatenate(
-        [positions_log[shard, : int(counts[shard])] for shard in range(counts.shape[0])]
-    )
-    selection = np.zeros(num_sampled, dtype=bool)
-    total = cand_positions.shape[0]
-    if total <= size:
-        # Only possible at exact equality (every shard contributed fewer
-        # candidates than the global size only when all were winners).
-        selection[cand_positions] = True
-        return selection
-    low = cand_scores.min()
-    if low != low:  # NaN present: exact lexsort fallback, like selection_mask
-        order = np.lexsort((cand_positions, -cand_scores))
-        selection[cand_positions[order[:size]]] = True
-        return selection
-    threshold = cand_scores[cand_scores.argpartition(total - size)[total - size]]
-    above = cand_scores > threshold
-    selection[cand_positions[above]] = True
-    remaining = size - int(np.count_nonzero(above))
-    if remaining > 0:
-        ties = np.sort(cand_positions[cand_scores == threshold])
-        selection[ties[:remaining]] = True
-    return selection
-
-
-def _shard_worker_serve(
-    state: _ShardWorkerState, shard: int, bonus_values: np.ndarray, num_sampled: int
-) -> int:
-    """Serve one shard's share of one DCA step; returns rows written.
-
-    The map step of the objective's map-reduce contract, shared by the
-    legacy pool path (:func:`_shard_worker_step`) and the scheduler's
-    doorbell loop: filter the current sample to this shard's row range,
-    compensate those rows' scores under the broadcast bonus vector, gather
-    the objective's per-row accumulator
-    (:meth:`~repro.core.objectives.CompiledObjective.partial`), and scatter
-    every field into the shared scratch at the rows' *sample positions* —
-    so the parent merges arrays already in the exact order a serial
-    evaluation would have seen.  When the distributed top-k is armed, the
-    shard's candidate pairs are additionally recorded
-    (:func:`record_topk_candidates`).
-    """
-    lo, hi = state.bounds[shard]
-    indices = state.indices[:num_sampled]
-    positions = shard_sample_positions(indices, lo, hi)
-    if state.sanitizer is not None:
-        positions_log, counts = state.sanitizer
-        race_sanitizer.record_shard_write(positions_log, counts, shard, positions)
-    if positions.size == 0:
-        if state.topk is not None:
-            state.topk[2][shard] = 0
-        return 0
-    sub = indices[positions]
-    scores = compensate_scores(state.matrix[sub], state.base[sub], bonus_values)
-    accumulator = state.compiled.partial(sub, scores, state.k)
-    scatter_fields(state.scratch, positions, accumulator)
-    if state.topk is not None:
-        record_topk_candidates(
-            state.topk, shard, positions, scores, num_sampled, state.topk_fraction
-        )
-    return int(positions.size)
-
-
-def _shard_worker_step(job: tuple[int, tuple[float, ...], int]) -> int:
-    """Pool-path entry: serve one shard job from the initializer-attached state."""
-    shard, bonus_values, num_sampled = job
-    state = _SHARD_STATE
-    if state is None:  # pragma: no cover - initializer always runs first
-        raise RuntimeError("worker has no attached shard state")
-    return _shard_worker_serve(
-        state, shard, np.asarray(bonus_values, dtype=float), num_sampled
-    )
-
-
-class ShardedFitPlane:
-    """Row-sharded execution of one fit's sampled objective evaluations.
-
-    The population plane (base scores, raw attribute matrix ``A_f``, the
-    compiled objective's exported state) and the per-step scratch (sample
-    indices, compensated scores, one array per accumulator field) live in a
-    single shared-memory segment.  Long-lived workers each serve contiguous
-    row shards; every :meth:`step` broadcasts only the current bonus vector
-    and the sample length, workers map their shard
-    (:meth:`~repro.core.objectives.CompiledObjective.partial` after a
-    bit-exact gather + score compensation), and the parent reduces the
-    reassembled sample with
-    :meth:`~repro.core.objectives.CompiledObjective.merge`.
-
-    Because workers only *gather* (row indexing is exact) and scatter into
-    the sample's original positions, while every floating-point reduction
-    runs in the parent on the full sample-ordered arrays, a sharded step is
-    **bitwise identical** to the serial ``evaluate`` — for any number of
-    workers and any shard boundaries.
-
-    Parameters
-    ----------
-    base_scores, attribute_matrix:
-        The fit's precomputed population arrays (copied into the segment).
-    compiled:
-        The parent's compiled objective; must support the map-reduce
-        contract (``shard_fields()`` not ``None``) and ``export_state``.
-    sample_size:
-        Rows per sampled step; sizes the scratch arrays.
-    k:
-        The fit's selection fraction.
-    row_workers:
-        Pool size.  Validated eagerly: zero/negative raise ``ValueError``
-        before any segment or pool exists.
-    shard_rows:
-        Rows per shard; defaults to an even split over ``row_workers``.
-        Smaller shards than workers are allowed (workers then serve several
-        shards per step); results are identical for any value.
-    step_dispatch:
-        How steps reach the workers.  ``"doorbell"`` (the default) keeps
-        one persistent :class:`~repro.core.scheduler.FitScheduler` pool
-        whose workers block on a shared-memory barrier and read each step's
-        ``(bonus, sample_len, step_id)`` from a control block — no per-step
-        pickling or task-queue hop — and additionally pre-computes the
-        selection mask from distributed per-shard top-k candidates when the
-        objective supports it.  ``"pool"`` is the legacy per-step
-        ``pool.map`` path, kept for verification and benchmarking.  Results
-        are bitwise identical under both.
-    """
-
-    def __init__(
-        self,
-        *,
-        base_scores: np.ndarray,
-        attribute_matrix: np.ndarray,
-        compiled: CompiledObjective,
-        sample_size: int,
-        k: float,
-        row_workers: int,
-        shard_rows: int | None = None,
-        step_dispatch: str | None = None,
-    ) -> None:
-        row_workers = validate_worker_count("row_workers", row_workers)
-        shard_rows = validate_worker_count("shard_rows", shard_rows)
-        step_dispatch = step_dispatch if step_dispatch is not None else "doorbell"
-        if step_dispatch not in STEP_DISPATCH_MODES:
-            raise ValueError(
-                f"step_dispatch must be one of {STEP_DISPATCH_MODES}, got {step_dispatch!r}"
-            )
-        fields = compiled.shard_fields()
-        if fields is None:
-            raise ValueError(
-                "this compiled objective does not support map-reduce evaluation "
-                "(shard_fields() is None)"
-            )
-        exported = compiled.export_state()
-        if exported is None:
-            raise ValueError(
-                "this compiled objective cannot export shard state (export_state() is None)"
-            )
-        state_arrays, metadata = exported
-        num_rows = int(base_scores.shape[0])
-        sample_size = int(sample_size)
-        if shard_rows is None:
-            shard_rows = -(-num_rows // row_workers)  # ceil: one shard per worker
-        bounds = compute_shard_bounds(num_rows, shard_rows)
-
-        base_scores = np.ascontiguousarray(base_scores, dtype=float)
-        attribute_matrix = np.ascontiguousarray(attribute_matrix)
-        specs: dict[str, tuple[str, tuple[int, ...]]] = {
-            "base": (base_scores.dtype.str, base_scores.shape),
-            "matrix": (attribute_matrix.dtype.str, attribute_matrix.shape),
-            "indices": ("<i8", (sample_size,)),
-            "scratch:scores": ("<f8", (sample_size,)),
-        }
-        scratch_keys = {"scores": "scratch:scores"}
-        for field, (dtype, columns) in fields.items():
-            shape = (sample_size,) if columns == 0 else (sample_size, int(columns))
-            key = f"scratch:{field}"
-            specs[key] = (dtype, shape)
-            scratch_keys[field] = key
-        objective_arrays: dict[str, str] = {}
-        for name, value in state_arrays.items():
-            key = f"objective:{name}"
-            specs[key] = (value.dtype.str, tuple(value.shape))
-            objective_arrays[name] = key
-        # Opt-in write-race ledger: lives inside the same segment, each
-        # worker writes only its own row (see repro.analysis.race_sanitizer).
-        sanitizer_keys: dict[str, str] | None = None
-        if race_sanitizer.enabled():
-            specs.update(race_sanitizer.ledger_specs(len(bounds), sample_size))
-            sanitizer_keys = {
-                "positions": "sanitizer:positions",
-                "counts": "sanitizer:counts",
-            }
-        # Distributed top-k candidate region: one row per shard, sized for
-        # the global selection.  Only the doorbell scheduler consumes it
-        # (the pool path keeps the historical full-vector argpartition).
-        topk_keys: dict[str, str] | None = None
-        topk_fraction = (
-            compiled.topk_fraction(float(k)) if step_dispatch == "doorbell" else None
-        )
-        if topk_fraction is not None:
-            limit_max = selection_size(sample_size, topk_fraction)
-            specs["topk:scores"] = ("<f8", (len(bounds), limit_max))
-            specs["topk:positions"] = ("<i8", (len(bounds), limit_max))
-            specs["topk:counts"] = ("<i8", (len(bounds),))
-            topk_keys = {
-                "scores": "topk:scores",
-                "positions": "topk:positions",
-                "counts": "topk:counts",
-            }
-
-        self._plane = SharedPopulationPlane.allocate(specs)
-        self._pool = None
-        self._scheduler = None
-        try:
-            self._plane.view("base")[...] = base_scores
-            self._plane.view("matrix")[...] = attribute_matrix
-            for name, key in objective_arrays.items():
-                self._plane.view(key)[...] = state_arrays[name]
-
-            self._compiled = compiled
-            self.k = float(k)
-            self.num_shards = len(bounds)
-            self._bounds = bounds
-            self._indices = self._plane.view("indices")
-            self._scratch = {
-                field: self._plane.view(key) for field, key in scratch_keys.items()
-            }
-            if sanitizer_keys is not None:
-                self._sanitizer: tuple[np.ndarray, np.ndarray] | None = (
-                    self._plane.view(sanitizer_keys["positions"]),
-                    self._plane.view(sanitizer_keys["counts"]),
-                )
-            else:
-                self._sanitizer = None
-            if topk_keys is not None:
-                self._topk: tuple[np.ndarray, np.ndarray, np.ndarray] | None = (
-                    self._plane.view(topk_keys["scores"]),
-                    self._plane.view(topk_keys["positions"]),
-                    self._plane.view(topk_keys["counts"]),
-                )
-            else:
-                self._topk = None
-            self._topk_fraction = topk_fraction
-            payload = ShardPayload(
-                shm_name=self._plane.name,
-                refs=self._plane.refs,
-                objective_class=type(compiled),
-                objective_arrays=objective_arrays,
-                objective_metadata=metadata,
-                scratch_keys=scratch_keys,
-                shard_bounds=bounds,
-                k=self.k,
-                sanitizer_keys=sanitizer_keys,
-                topk_keys=topk_keys,
-                topk_fraction=topk_fraction,
-            )
-            if step_dispatch == "doorbell":
-                from .scheduler import FitScheduler  # deferred: scheduler imports this module
-
-                self._scheduler = FitScheduler(
-                    num_workers=min(row_workers, self.num_shards),
-                    shard_payload=payload,
-                    num_attrs=int(attribute_matrix.shape[1]),
-                )
-            else:
-                context = multiprocessing.get_context(process_start_method())
-                self._pool = concurrent.futures.ProcessPoolExecutor(
-                    max_workers=min(row_workers, self.num_shards),
-                    mp_context=context,
-                    initializer=_shard_worker_init,
-                    initargs=(payload,),
-                )
-        except BaseException:
-            # No caller holds the plane yet, so close() would be
-            # unreachable and the population-sized segment would leak.
-            self.close()
-            raise
-
-    def step(self, bonus_values: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        """One sampled objective evaluation, mapped over shards and reduced here.
-
-        ``indices`` is the step's sample (drawn by the parent, so the RNG
-        stream is exactly the serial one); ``bonus_values`` is the current
-        bonus vector.  Returns the raw signal vector.
-
-        Under the doorbell dispatch the step is one scheduler round — no
-        pickling — and, when the top-k region is armed, the parent merges
-        ``shards × k`` candidates into the exact selection mask instead of
-        argpartitioning the full sample inside ``merge``.
-        """
-        num_sampled = int(indices.shape[0])
-        self._indices[:num_sampled] = indices
-        if self._sanitizer is not None:
-            race_sanitizer.reset_step(self._sanitizer[1])
-        if self._topk is not None:
-            self._topk[2][...] = -1
-        if self._scheduler is not None:
-            written = self._scheduler.dispatch_step(
-                np.asarray(bonus_values, dtype=float), num_sampled
-            )
-        else:
-            bonus = tuple(float(value) for value in bonus_values)
-            jobs = [(shard, bonus, num_sampled) for shard in range(self.num_shards)]
-            written = sum(self._pool.map(_shard_worker_step, jobs))
-        if self._sanitizer is not None:
-            # Verify BEFORE consuming the scratch: on overlap or a missed
-            # region the scratch contents are garbage, and the attributable
-            # WriteRaceError must win over the generic count check below.
-            positions_log, counts = self._sanitizer
-            race_sanitizer.verify_step(positions_log, counts, num_sampled, self._bounds)
-        if written != num_sampled:  # pragma: no cover - guards shard-bound bugs
-            raise RuntimeError(
-                f"shard workers wrote {written} of {num_sampled} sampled rows"
-            )
-        selection = None
-        if self._topk is not None:
-            scores_log, positions_log, counts = self._topk
-            if self._sanitizer is not None:
-                race_sanitizer.verify_topk(
-                    self._sanitizer[0],
-                    self._sanitizer[1],
-                    positions_log,
-                    counts,
-                    selection_size(num_sampled, self._topk_fraction),
-                )
-            selection = merge_topk_selection(
-                scores_log, positions_log, counts, num_sampled, self._topk_fraction
-            )
-        accumulator = {
-            field: view[:num_sampled] for field, view in self._scratch.items()
-        }
-        return np.asarray(
-            self._compiled.merge([accumulator], self.k, selection=selection), dtype=float
-        )
-
-    def worker_pids(self) -> tuple[int, ...]:
-        """Worker process ids, when the doorbell scheduler runs the plane.
-
-        Stable for the plane's lifetime, so tests can assert that plane
-        reuse (:class:`PlaneCache`) really kept one pool alive.  The legacy
-        pool dispatch returns an empty tuple (its executor spawns lazily).
-        """
-        if self._scheduler is not None:
-            return self._scheduler.worker_pids()
-        return ()
-
-    def close(self) -> None:
-        """Shut the workers down and release the segment (idempotent)."""
-        if self._scheduler is not None:
-            self._scheduler.close()
-            self._scheduler = None
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-        self._plane.close()
-
-    def __enter__(self) -> "ShardedFitPlane":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-class PlaneCache:
-    """Cache of live :class:`ShardedFitPlane` instances, keyed by population.
-
-    ``fit_many(row_workers=N)`` runs many same-shaped fits against one
-    cohort; without reuse every job pays the full plane cost — copy the
-    population into a fresh segment, spawn a pool, replay shard state.  The
-    cache leases one plane per ``(population, job signature)`` so only the
-    first job builds it and the rest iterate against the already-resident
-    workers.
-
-    Populations are tracked by object identity through weak references,
-    mirroring :class:`CompiledObjectiveCache`: when a table dies, its entry
-    is evicted and every plane in it is closed, so holding a cache never
-    pins a cohort or leaks a segment.  Unlike the objective cache the
-    cached values own OS resources (shared memory + processes) — call
-    :meth:`close` when done with a batch; :meth:`repro.core.DCA.fit_many`
-    does this for the cache it creates internally.
-
-    Thread-safe; ``hits`` / ``planes_built`` count cache outcomes for
-    diagnostics and the pool-identity tests.
-    """
-
-    def __init__(self) -> None:
-        # Reentrant for the same reason as CompiledObjectiveCache: weakref
-        # eviction callbacks may fire while the lock is held on this thread.
-        self._lock = threading.RLock()
-        # id(table) -> (weakref to table, {key: (score_function, plane)})
-        self._populations: dict[int, tuple[weakref.ref, dict]] = {}
-        self.hits = 0
-        self.planes_built = 0
-
-    def _entry_for(self, table: Table) -> dict:
-        """The key->plane dict for ``table``, creating it if needed."""
-        key = id(table)
-        entry = self._populations.get(key)
-        if entry is not None and entry[0]() is not table:
-            entry = None  # a dead table's id() was recycled
-        if entry is None:
-            def _evict(_ref: weakref.ref, key: int = key) -> None:
-                with self._lock:
-                    evicted = self._populations.pop(key, None)
-                if evicted is not None:
-                    for _function, plane in evicted[1].values():
-                        try:
-                            plane.close()
-                        except Exception:  # pragma: no cover - best-effort GC path
-                            pass
-
-            entry = (weakref.ref(table, _evict), {})
-            self._populations[key] = entry
-        return entry[1]
-
-    def lease(self, table: Table, score_function, key, build):
-        """A live plane for ``(table, key)``, building via ``build()`` on miss.
-
-        ``key`` must capture everything the plane bakes in besides the
-        population: objective signature, ``k``, sample size, worker count,
-        shard size, dispatch mode.  ``score_function`` is compared by
-        identity as an extra guard — signatures do not cover custom
-        callables, and a plane compiled against one scorer must never serve
-        another.  The returned plane stays owned by the cache; callers must
-        not close it.
-        """
-        with self._lock:
-            planes = self._entry_for(table)
-            cached = planes.get(key)
-            if cached is not None and cached[0] is score_function:
-                self.hits += 1
-                return cached[1]
-        plane = build()
-        with self._lock:
-            planes = self._entry_for(table)
-            self.planes_built += 1
-            stale = planes.get(key)
-            planes[key] = (score_function, plane)
-        if stale is not None:
-            stale[1].close()  # replaced a plane leased for a different scorer
-        return plane
-
-    def close(self) -> None:
-        """Close every cached plane and drop all entries (idempotent)."""
-        with self._lock:
-            populations = list(self._populations.values())
-            self._populations.clear()
-        for _ref, planes in populations:
-            for _function, plane in planes.values():
-                plane.close()
-
-    def __enter__(self) -> "PlaneCache":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return sum(len(entry[1]) for entry in self._populations.values())
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context(process_start_method()),
+        initializer=_plane_worker_init,
+        initargs=(payload,),
+    ) as pool:
+        return list(pool.map(_plane_worker_fit, jobs))

@@ -14,11 +14,6 @@ Run a sweep-heavy experiment on the shared-memory process pool::
 
     repro-experiments run fig4 --executor process --workers 4
 
-Row-shard every fit of a sweep across shared-memory workers (bitwise
-identical results; pays off on large cohorts with large per-step samples)::
-
-    repro-experiments run fig4 --num-students 2000000 --row-workers 4
-
 Run the admissions match on the vectorized round-based engine, with schools
 proposing (the school-optimal matching)::
 
@@ -27,6 +22,10 @@ proposing (the school-optimal matching)::
 Run everything at reduced scale and write the formatted output to a file::
 
     repro-experiments run-all --num-students 10000 --output results.txt
+
+``run`` rejects (exit status 2) any option the experiment does not take, so
+a flag is never silently dropped; ``run-all`` forwards each option to the
+experiments that take it and rejects only an option none of them takes.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ import inspect
 import sys
 from typing import Sequence
 
-from ..core.parallel import STEP_DISPATCH_MODES
 from ..matching import ENGINES, PROPOSING_SIDES
 from . import EXPERIMENT_RUNNERS
 from .harness import ExperimentResult
@@ -44,7 +42,16 @@ from .harness import ExperimentResult
 __all__ = ["main", "build_parser"]
 
 #: Batch backends exposed on the command line (see repro.core.DCA.fit_many).
-EXECUTOR_CHOICES = ("serial", "thread", "process")
+EXECUTOR_CHOICES = ("serial", "process")
+
+#: Runner keyword of each forwarded option -> the flag that sets it.
+RUNNER_OPTION_FLAGS = {
+    "num_students": "--num-students",
+    "executor": "--executor",
+    "max_workers": "--workers",
+    "engine": "--engine",
+    "proposing": "--proposing",
+}
 
 
 def _positive_int(text: str) -> int:
@@ -71,37 +78,15 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         choices=EXECUTOR_CHOICES,
         default=None,
         help=(
-            "batch backend for experiments that sweep DCA fits: 'serial', "
-            "'thread', or 'process' (shared-memory process pool)"
+            "batch backend for experiments that sweep DCA fits: 'serial' or "
+            "'process' (shared-memory process pool)"
         ),
     )
     parser.add_argument(
         "--workers",
         type=_positive_int,
         default=None,
-        help="pool size for the thread/process executors (default: one per job, capped at CPUs)",
-    )
-    parser.add_argument(
-        "--row-workers",
-        type=_positive_int,
-        default=None,
-        dest="row_workers",
-        help=(
-            "row-shard every DCA fit across this many shared-memory worker "
-            "processes (bitwise identical to the in-process fit; pays off on "
-            "large cohorts with large per-step samples)"
-        ),
-    )
-    parser.add_argument(
-        "--step-dispatch",
-        choices=STEP_DISPATCH_MODES,
-        default=None,
-        dest="step_dispatch",
-        help=(
-            "how row-sharded fits hand each optimization step to the workers: "
-            "'doorbell' (persistent pool on a shared-memory doorbell, the "
-            "default) or 'pool' (per-step pool.map, the pre-scheduler path)"
-        ),
+        help="pool size for the process executor (default: one per job, capped at CPUs)",
     )
     parser.add_argument(
         "--engine",
@@ -144,40 +129,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_one(
-    name: str,
-    num_students: int | None,
-    executor: str | None = None,
-    workers: int | None = None,
-    engine: str | None = None,
-    proposing: str | None = None,
-    row_workers: int | None = None,
-    step_dispatch: str | None = None,
-) -> ExperimentResult:
-    """Invoke a runner, forwarding only the options its signature supports.
+def _runner_options(args: argparse.Namespace) -> dict[str, object]:
+    """The runner options set on the command line, keyed by runner keyword."""
+    values = {
+        "num_students": args.num_students,
+        "executor": args.executor,
+        "max_workers": args.workers,
+        "engine": args.engine,
+        "proposing": args.proposing,
+    }
+    return {key: value for key, value in values.items() if value is not None}
+
+
+def _accepts(name: str, key: str) -> bool:
+    return key in inspect.signature(EXPERIMENT_RUNNERS[name]).parameters
+
+
+def _unaccepted_flags(names: Sequence[str], options: dict[str, object]) -> list[str]:
+    """Flags in ``options`` that none of the experiments ``names`` takes."""
+    return [
+        RUNNER_OPTION_FLAGS[key]
+        for key in options
+        if not any(_accepts(name, key) for name in names)
+    ]
+
+
+def _run_one(name: str, options: dict[str, object]) -> ExperimentResult:
+    """Invoke a runner with the options its signature takes.
 
     Experiments differ in what they can vary (the COMPAS figures have no
     ``num_students``; single-fit experiments have no batch backend; only the
-    matching experiment runs deferred acceptance), so the CLI inspects each
+    matching experiments run deferred acceptance), so the CLI inspects each
     runner instead of forcing one signature on all of them.
     """
-    runner = EXPERIMENT_RUNNERS[name]
-    parameters = inspect.signature(runner).parameters
-    options = {
-        "num_students": num_students,
-        "executor": executor,
-        "max_workers": workers,
-        "engine": engine,
-        "proposing": proposing,
-        "row_workers": row_workers,
-        "step_dispatch": step_dispatch,
-    }
-    kwargs = {
-        key: value
-        for key, value in options.items()
-        if value is not None and key in parameters
-    }
-    return runner(**kwargs)
+    return EXPERIMENT_RUNNERS[name](
+        **{key: value for key, value in options.items() if _accepts(name, key)}
+    )
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -193,6 +180,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         for name in sorted(EXPERIMENT_RUNNERS):
             print(name)
         return 0
+    options = _runner_options(args)
     if args.command == "run":
         if args.experiment not in EXPERIMENT_RUNNERS:
             print(
@@ -200,33 +188,22 @@ def main(argv: Sequence[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 2
-        result = _run_one(
-            args.experiment,
-            args.num_students,
-            args.executor,
-            args.workers,
-            args.engine,
-            args.proposing,
-            args.row_workers,
-            args.step_dispatch,
-        )
-        _emit(result.format(), args.output)
+        unaccepted = _unaccepted_flags([args.experiment], options)
+        if unaccepted:
+            print(
+                f"experiment {args.experiment!r} does not take {', '.join(unaccepted)}",
+                file=sys.stderr,
+            )
+            return 2
+        _emit(_run_one(args.experiment, options).format(), args.output)
         return 0
     if args.command == "run-all":
-        outputs = []
-        for name in sorted(EXPERIMENT_RUNNERS):
-            outputs.append(
-                _run_one(
-                    name,
-                    args.num_students,
-                    args.executor,
-                    args.workers,
-                    args.engine,
-                    args.proposing,
-                    args.row_workers,
-                    args.step_dispatch,
-                ).format()
-            )
+        names = sorted(EXPERIMENT_RUNNERS)
+        unaccepted = _unaccepted_flags(names, options)
+        if unaccepted:
+            print(f"no experiment takes {', '.join(unaccepted)}", file=sys.stderr)
+            return 2
+        outputs = [_run_one(name, options).format() for name in names]
         _emit("\n\n".join(outputs), args.output)
         return 0
     return 2

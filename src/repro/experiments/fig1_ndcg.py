@@ -23,8 +23,6 @@ def run(
     k_values: Sequence[float] = DEFAULT_K_SWEEP,
     max_workers: int | None = None,
     executor: str | None = None,
-    row_workers: int | None = None,
-    step_dispatch: str | None = None,
 ) -> ExperimentResult:
     """Regenerate the Figure 1 series (k, nDCG@k)."""
     setting = SchoolSetting(num_students=num_students)
@@ -36,8 +34,6 @@ def run(
         k_values,
         max_workers=max_workers,
         executor=executor,
-        row_workers=row_workers,
-        step_dispatch=step_dispatch,
     )
     base = setting.base_scores("test")
     rows: list[dict[str, object]] = []

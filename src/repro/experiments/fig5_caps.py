@@ -27,8 +27,6 @@ def run(
     max_k: float = 0.5,
     max_workers: int | None = None,
     executor: str | None = None,
-    row_workers: int | None = None,
-    step_dispatch: str | None = None,
 ) -> ExperimentResult:
     """Regenerate the Figure 5 series (max bonus cap vs discounted disparity)."""
     setting = SchoolSetting(num_students=num_students)
@@ -54,8 +52,6 @@ def run(
         specs,
         max_workers=max_workers,
         executor=executor,
-        row_workers=row_workers,
-        step_dispatch=step_dispatch,
     )
     for cap, fitted in zip(caps, batch):
         scores = setting.compensated_scores("test", fitted.bonus)

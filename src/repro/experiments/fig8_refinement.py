@@ -27,8 +27,6 @@ def run(
     use_rule_based_sample_size: bool = True,
     max_workers: int | None = None,
     executor: str | None = None,
-    row_workers: int | None = None,
-    step_dispatch: str | None = None,
 ) -> ExperimentResult:
     """Regenerate the Figure 8a (disparity) and 8b (runtime) series."""
     setting = SchoolSetting(num_students=num_students)
@@ -55,8 +53,6 @@ def run(
         specs,
         max_workers=max_workers,
         executor=executor,
-        row_workers=row_workers,
-        step_dispatch=step_dispatch,
     )
 
     disparity_rows: list[dict[str, object]] = []

@@ -8,7 +8,7 @@ keeps every experiment module focused on the one thing it varies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,19 +43,6 @@ DEFAULT_K: float = 0.05
 DEFAULT_K_SWEEP: tuple[float, ...] = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5)
 
 
-def _resolve_config(config: DCAConfig, step_dispatch: str | None) -> DCAConfig:
-    """The experiment's config, with an optional step-dispatch override.
-
-    ``step_dispatch`` only matters for row-sharded fits; it rides on the
-    config (validated by :class:`repro.core.DCAConfig`) so the CLI's
-    ``--step-dispatch`` flag reaches every fit of a sweep without widening
-    each runner's signature beyond one optional string.
-    """
-    if step_dispatch is None:
-        return config
-    return replace(config, step_dispatch=step_dispatch)
-
-
 def _sweep_fits(
     default_attributes,
     score_function: ScoreFunction,
@@ -65,27 +52,20 @@ def _sweep_fits(
     objective: FairnessObjective | None,
     max_workers: int | None,
     executor: str | None = None,
-    row_workers: int | None = None,
-    step_dispatch: str | None = None,
 ) -> dict[float, DCAResult]:
     """One fit per selection fraction via ``fit_many``, keyed by ``k``.
 
     Shared by the school and COMPAS settings: both sweep helpers only differ
     in which score function / attribute set they default to.  ``executor``
-    selects the :meth:`repro.core.DCA.fit_many` backend (``"serial"``,
-    ``"thread"``, or the shared-memory ``"process"`` pool); ``row_workers``
-    additionally row-shards each fit (see :meth:`repro.core.DCA.fit`), and
-    ``step_dispatch`` picks how sharded steps reach the workers.
+    selects the :meth:`repro.core.DCA.fit_many` backend (``"serial"`` or
+    the shared-memory ``"process"`` pool).
     """
-    config = _resolve_config(config, step_dispatch)
     ks = tuple(float(k) for k in ks)  # materialize once: ks may be a generator
     if not ks:
         raise ValueError("at least one selection fraction is required")
     attributes = objective.attribute_names if objective is not None else default_attributes
     dca = DCA(attributes, score_function, k=max(ks), objective=objective, config=config)
-    fits = dca.fit_many(
-        table, ks=ks, max_workers=max_workers, executor=executor, row_workers=row_workers
-    )
+    fits = dca.fit_many(table, ks=ks, max_workers=max_workers, executor=executor)
     return {fit.k: fit.result for fit in fits}
 
 
@@ -125,17 +105,13 @@ class SchoolSetting:
         k: float,
         objective: FairnessObjective | None = None,
         config: DCAConfig | None = None,
-        row_workers: int | None = None,
-        step_dispatch: str | None = None,
     ):
         """Fit DCA on the training cohort at selection fraction ``k``.
 
         When an objective over a subset of the fairness attributes is given
         (e.g. the binary-only attributes used by the disparate-impact and
         exposure experiments), the bonus vector is fitted over exactly those
-        attributes.  ``row_workers`` row-shards the single fit across
-        shared-memory workers (see :meth:`repro.core.DCA.fit`), and
-        ``step_dispatch`` picks how sharded steps reach them.
+        attributes.
         """
         attributes = objective.attribute_names if objective is not None else self.fairness_attributes
         dca = DCA(
@@ -143,9 +119,9 @@ class SchoolSetting:
             self.rubric,
             k=k,
             objective=objective,
-            config=_resolve_config(config or self.dca_config, step_dispatch),
+            config=config or self.dca_config,
         )
-        return dca.fit(self.train.table, row_workers=row_workers)
+        return dca.fit(self.train.table)
 
     def fit_dca_sweep(
         self,
@@ -154,16 +130,13 @@ class SchoolSetting:
         config: DCAConfig | None = None,
         max_workers: int | None = None,
         executor: str | None = None,
-        row_workers: int | None = None,
-        step_dispatch: str | None = None,
     ) -> dict[float, DCAResult]:
         """Fit one bonus vector per selection fraction in ``ks`` in a single batch.
 
         This is the Figure 1 / Figure 4a "k known in advance" workload routed
         through :meth:`repro.core.DCA.fit_many`; results are keyed by ``k``.
         ``executor``/``max_workers`` select and size the batch backend
-        (``"process"`` runs the fits on the shared-memory process pool);
-        ``row_workers`` row-shards each individual fit.
+        (``"process"`` runs the fits on the shared-memory process pool).
         """
         return _sweep_fits(
             self.fairness_attributes,
@@ -174,8 +147,6 @@ class SchoolSetting:
             objective,
             max_workers,
             executor,
-            row_workers,
-            step_dispatch,
         )
 
     def fit_dca_batch(
@@ -183,26 +154,22 @@ class SchoolSetting:
         specs: list[FitSpec],
         max_workers: int | None = None,
         executor: str | None = None,
-        row_workers: int | None = None,
-        step_dispatch: str | None = None,
     ) -> list[BatchFitResult]:
         """Run a heterogeneous batch of DCA fits (the ablation workloads).
 
-        ``executor`` selects the :meth:`repro.core.DCA.fit_many` backend;
-        ``row_workers`` row-shards each individual fit.
+        ``executor`` selects the :meth:`repro.core.DCA.fit_many` backend.
         """
         dca = DCA(
             self.fairness_attributes,
             self.rubric,
             k=DEFAULT_K,
-            config=_resolve_config(self.dca_config, step_dispatch),
+            config=self.dca_config,
         )
         return dca.fit_many(
             self.train.table,
             specs=specs,
             max_workers=max_workers,
             executor=executor,
-            row_workers=row_workers,
         )
 
     def compensated_scores(self, which: str, bonus: BonusVector) -> np.ndarray:
@@ -247,8 +214,6 @@ class CompasSetting:
         k: float,
         objective: FairnessObjective | None = None,
         config: DCAConfig | None = None,
-        row_workers: int | None = None,
-        step_dispatch: str | None = None,
     ):
         attributes = objective.attribute_names if objective is not None else self.race_attributes
         dca = DCA(
@@ -256,9 +221,9 @@ class CompasSetting:
             self.ranking_function,
             k=k,
             objective=objective,
-            config=_resolve_config(config or self.dca_config, step_dispatch),
+            config=config or self.dca_config,
         )
-        return dca.fit(self.table, row_workers=row_workers)
+        return dca.fit(self.table)
 
     def fit_dca_sweep(
         self,
@@ -267,15 +232,12 @@ class CompasSetting:
         config: DCAConfig | None = None,
         max_workers: int | None = None,
         executor: str | None = None,
-        row_workers: int | None = None,
-        step_dispatch: str | None = None,
     ) -> dict[float, DCAResult]:
         """Fit one bonus vector per selection fraction in ``ks`` in a single batch.
 
         The per-k COMPAS workloads (Figure 10a/10b) routed through
         :meth:`repro.core.DCA.fit_many`; results are keyed by ``k``.
-        ``executor``/``max_workers`` select and size the batch backend;
-        ``row_workers`` row-shards each individual fit.
+        ``executor``/``max_workers`` select and size the batch backend.
         """
         return _sweep_fits(
             self.race_attributes,
@@ -286,8 +248,6 @@ class CompasSetting:
             objective,
             max_workers,
             executor,
-            row_workers,
-            step_dispatch,
         )
 
     def fit_dca_batch(
@@ -295,24 +255,20 @@ class CompasSetting:
         specs: list[FitSpec],
         max_workers: int | None = None,
         executor: str | None = None,
-        row_workers: int | None = None,
-        step_dispatch: str | None = None,
     ) -> list[BatchFitResult]:
         """Run a heterogeneous batch of DCA fits against the release ranking.
 
-        ``executor`` selects the :meth:`repro.core.DCA.fit_many` backend;
-        ``row_workers`` row-shards each individual fit.
+        ``executor`` selects the :meth:`repro.core.DCA.fit_many` backend.
         """
         dca = DCA(
             self.race_attributes,
             self.ranking_function,
             k=DEFAULT_K,
-            config=_resolve_config(self.dca_config, step_dispatch),
+            config=self.dca_config,
         )
         return dca.fit_many(
             self.table,
             specs=specs,
             max_workers=max_workers,
             executor=executor,
-            row_workers=row_workers,
         )

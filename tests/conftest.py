@@ -43,22 +43,6 @@ def shm_sanitizer():
     assert not leaked, f"test leaked shared-memory segments: {leaked}"
 
 
-@pytest.fixture
-def race_sanitizer(monkeypatch):
-    """Arm the write-race sanitizer for planes built inside the test.
-
-    The :mod:`~repro.analysis.race_sanitizer` env knob is read once per
-    :class:`~repro.core.parallel.ShardedFitPlane` construction, so setting
-    it here (via monkeypatch, so it never leaks) arms exactly the planes
-    the test builds.  Yields the module so tests can reference
-    :class:`~repro.analysis.race_sanitizer.WriteRaceError` directly.
-    """
-    from repro.analysis import race_sanitizer as sanitizer_module
-
-    monkeypatch.setenv(sanitizer_module.ENV_FLAG, "1")
-    yield sanitizer_module
-
-
 @pytest.fixture(scope="session")
 def school_cohorts():
     """A (train, test) pair of reduced-size synthetic school cohorts."""

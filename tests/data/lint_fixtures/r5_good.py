@@ -1,8 +1,8 @@
 """Known-good R5 fixture: lineage threaded from a seeded root generator.
 
 The same call-graph shape as ``r5_bad.py``, but every stream derives from
-a seed or a ``Generator`` parameter, and the row-shard worker consumes
-only the arrays it was handed — it never mints RNG state of its own.
+a seed or a ``Generator`` parameter.  The pool worker re-mints each job's
+generator from the job's own seed — one fit per job — which is allowed.
 """
 
 import numpy as np
@@ -21,8 +21,6 @@ def fit(values, seed):
     return _draw(rng, len(values))
 
 
-def _shard_worker_step(state, shard, sample):
-    lo, hi = state.bounds[shard]
-    positions = shard_sample_positions(state.indices, lo, hi)
-    state.scratch[positions] = sample[positions]
-    return positions.shape[0]
+def _plane_worker_fit(job):
+    rng = _config_stream(job.seed)
+    return _draw(rng, job.num_rows)

@@ -1,4 +1,4 @@
-"""Unit suite for the project call graph behind R5/R6.
+"""Unit suite for the project call graph behind R5.
 
 The graph is built from in-memory ``{path: source}`` projects
 (:meth:`~repro.analysis.lint.LintProject.from_sources`), so every

@@ -1,7 +1,10 @@
-"""Tests for the batched DCA.fit_many API and its execution backends."""
+"""Tests for the batched DCA.fit_many API, its execution backends and shared-memory planes."""
 
 from __future__ import annotations
 
+import os
+import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 
 from repro.core import (
     DCA,
+    CompiledObjective,
     CompiledObjectiveCache,
     DCAConfig,
     DisparityObjective,
@@ -16,6 +20,7 @@ from repro.core import (
     ExposureGapObjective,
     FairnessObjective,
     FitSpec,
+    SharedColumnStore,
 )
 from repro.ranking import ColumnScore, selection_mask
 from repro.tabular import Table
@@ -140,17 +145,30 @@ class TestExecutors:
         with pytest.raises(ValueError, match="executor"):
             _dca().fit_many(population, seeds=(1, 2), executor="gpu")
 
+    def test_thread_executor_rejected(self, population):
+        with pytest.raises(ValueError, match=r"\('serial', 'process'\).*'thread'"):
+            _dca().fit_many(population, seeds=(1, 2), executor="thread")
+
+    def test_max_workers_alone_selects_process(self, population, monkeypatch):
+        calls = []
+        original = DCA._fit_many_process
+
+        def spy(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(DCA, "_fit_many_process", spy)
+        _dca().fit_many(population, seeds=(1, 2), max_workers=2)
+        assert len(calls) == 1
+        _dca().fit_many(population, seeds=(1, 2))
+        assert len(calls) == 1  # no max_workers: serial
+
     def test_named_executors_match_serial(self, population):
         dca = _dca()
         serial = dca.fit_many(population, seeds=(1, 2, 3), executor="serial")
-        for executor in ("thread", "process"):
-            batch = dca.fit_many(
-                population, seeds=(1, 2, 3), executor=executor, max_workers=2
-            )
-            for left, right in zip(serial, batch):
-                assert np.array_equal(
-                    left.result.raw_bonus.values, right.result.raw_bonus.values
-                ), executor
+        batch = dca.fit_many(population, seeds=(1, 2, 3), executor="process", max_workers=2)
+        for left, right in zip(serial, batch):
+            assert np.array_equal(left.result.raw_bonus.values, right.result.raw_bonus.values)
 
     def test_process_eight_job_grid_bitwise_identical(self, population):
         """The acceptance grid: 8 seeded jobs, process == serial bitwise."""
@@ -220,6 +238,81 @@ class TestExecutors:
         assert np.array_equal(
             process[0].result.raw_bonus.values, process[1].result.raw_bonus.values
         )
+
+
+class _WorkerFault(Exception):
+    """Raised by :class:`_FaultyCompiled` inside a pool worker."""
+
+
+class _FaultyCompiled(CompiledObjective):
+    """An exportable compiled objective whose evaluate fails in the worker.
+
+    ``fault="raise"`` raises :class:`_WorkerFault`; ``fault="exit"`` kills
+    the worker process outright.  The parent only compiles and exports it,
+    so the fault fires on the pool side.
+    """
+
+    def __init__(self, membership: np.ndarray, fault: str) -> None:
+        self._membership = membership
+        self._fault = fault
+
+    def evaluate(self, indices, scores, k):
+        if self._fault == "exit":
+            os._exit(3)
+        raise _WorkerFault(f"evaluate failed on {len(scores)} rows")
+
+    def export_state(self):
+        return {"membership": self._membership}, {"fault": self._fault}
+
+    @classmethod
+    def from_state(cls, arrays, metadata):
+        return cls(arrays["membership"], metadata["fault"])
+
+
+class _FaultyObjective(FairnessObjective):
+    def __init__(self, attribute_names, fault: str) -> None:
+        super().__init__(attribute_names)
+        self.fault = fault
+
+    def evaluate(self, table, scores, k):
+        raise AssertionError("the faulty objective only runs compiled, in a worker")
+
+    def compile(self, table):
+        membership = np.column_stack([table.numeric(name) > 0.5 for name in self.attribute_names])
+        return _FaultyCompiled(membership, self.fault)
+
+    def signature(self):
+        return ("faulty", self.attribute_names, self.fault)
+
+
+class TestProcessFailures:
+    """The process backend's failure contract.
+
+    The autouse shm sanitizer additionally proves the plane is unlinked on
+    both failure paths.
+    """
+
+    def _faulty_batch(self, population, fault: str):
+        dca = DCA(
+            ["protected"],
+            ColumnScore("score"),
+            k=0.2,
+            objective=_FaultyObjective(("protected",), fault),
+            config=FAST,
+        )
+        return dca.fit_many(population, seeds=(1, 2, 3), executor="process", max_workers=2)
+
+    def test_job_exception_reraised_with_its_own_type(self, population):
+        with pytest.raises(_WorkerFault, match="evaluate failed"):
+            self._faulty_batch(population, "raise")
+
+    def test_dead_worker_breaks_the_pool_without_hanging(self, population):
+        start = time.perf_counter()
+        with pytest.raises(BrokenProcessPool) as raised:
+            self._faulty_batch(population, "exit")
+        assert isinstance(raised.value, RuntimeError)
+        # A hang guard, not a speed floor: detection takes well under a second.
+        assert time.perf_counter() - start < 60.0
 
 
 class TestObjectiveCache:
@@ -336,3 +429,72 @@ class TestObjectiveCache:
         assert np.array_equal(compiled._matrix, expected)
         if collided:  # the recycled id really did point at different data
             assert not np.array_equal(compiled._matrix, dead_matrix)
+
+
+class TestEagerValidation:
+    """Zero/negative worker counts fail fast, before any pool exists."""
+
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_fit_many_rejects_bad_max_workers(self, school_train, rubric, school_attributes, bad):
+        dca = DCA(school_attributes, rubric, k=0.05, config=FAST)
+        with pytest.raises(ValueError, match="max_workers"):
+            dca.fit_many(school_train.table, seeds=(1, 2), max_workers=bad)
+
+
+class TestSharedColumnStore:
+    def test_round_trip_and_table_views(self):
+        with SharedColumnStore(100, ("a", "b")) as store:
+            store.view("a")[...] = np.arange(100, dtype=float)
+            store.view("b")[...] = np.ones(100)
+            table = store.table()
+            assert np.array_equal(table.numeric("a"), np.arange(100, dtype=float))
+            # Continuous float columns are zero-copy views into the segment.
+            store.view("a")[0] = 41.0
+            assert table.numeric("a")[0] == 41.0
+
+    def test_validation(self):
+        # Both constructors raise before any segment exists, so there is
+        # nothing to close — statically unverifiable, hence the disables.
+        with pytest.raises(ValueError, match="num_rows"):
+            SharedColumnStore(0, ("a",))  # repro-lint: disable=R2
+        with pytest.raises(ValueError, match="column name"):
+            SharedColumnStore(10, ())  # repro-lint: disable=R2
+
+    def test_shared_cohort_bitwise_identical_to_plain(self):
+        from repro.datasets import SchoolGeneratorConfig, generate_school_cohort
+
+        config = SchoolGeneratorConfig(num_students=2000)
+        plain = generate_school_cohort("store-test", config, seed=13)
+        shared = generate_school_cohort("store-test", config, seed=13, shared=True)
+        try:
+            assert shared.store is not None
+            for name in (
+                "student_id", "gpa", "test_scores", "grade_ela", "test_math",
+                "absences", "district", "low_income", "ell", "special_ed", "eni",
+            ):
+                assert np.array_equal(plain.table.numeric(name), shared.table.numeric(name)), name
+        finally:
+            shared.close()
+        plain.close()  # no-op for unshared cohorts
+
+    def test_copula_sample_into_matches_sample(self):
+        from repro.datasets.copula import GaussianCopula, binary_marginal, uniform_marginal
+
+        copula = GaussianCopula(
+            [binary_marginal("flag", 0.3), uniform_marginal("level", 0.0, 2.0)],
+            np.array([[1.0, 0.4], [0.4, 1.0]]),
+        )
+        direct = copula.sample(500, np.random.default_rng(21))
+        out = {"flag": np.empty(500), "level": np.empty(500)}
+        copula.latent_and_sample_into(500, np.random.default_rng(21), out)
+        assert np.array_equal(direct["flag"], out["flag"])
+        assert np.array_equal(direct["level"], out["level"])
+
+    def test_sample_into_rejects_bad_buffer_shape(self):
+        from repro.datasets.copula import GaussianCopula, binary_marginal
+
+        copula = GaussianCopula([binary_marginal("flag", 0.3)], np.eye(1))
+        with pytest.raises(ValueError, match="shape"):
+            copula.latent_and_sample_into(
+                100, np.random.default_rng(0), {"flag": np.empty(99)}
+            )

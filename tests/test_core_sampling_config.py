@@ -2,11 +2,33 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.core import DCAConfig, SampleStream, rarest_group_frequency, recommended_sample_size
+from repro.core import (
+    DCA,
+    DCAConfig,
+    SampleStream,
+    rarest_group_frequency,
+    recommended_sample_size,
+)
+from repro.ranking import ColumnScore
 from repro.tabular import Table
+
+FAST = DCAConfig(seed=17, iterations=20, refinement_iterations=30, sample_size=400)
+
+
+def _assert_fit_identical(left, right) -> None:
+    assert np.array_equal(left.raw_bonus.values, right.raw_bonus.values)
+    assert np.array_equal(left.core_bonus.values, right.core_bonus.values)
+    assert np.array_equal(left.bonus.values, right.bonus.values)
+    assert left.sample_size == right.sample_size
+    for trace_l, trace_r in zip(left.traces, right.traces):
+        assert trace_l.phase == trace_r.phase
+        assert np.array_equal(trace_l.bonus_history, trace_r.bonus_history)
+        assert np.array_equal(trace_l.objective_norms, trace_r.objective_norms)
 
 
 class TestRarestGroupFrequency:
@@ -295,3 +317,132 @@ class TestDCAConfig:
             DCAConfig(engine="pandas").validate()
         DCAConfig(engine="array").validate()
         DCAConfig(engine="table").validate()
+
+
+class TestRngBatching:
+    """The opt-in per-phase RNG batching mode (satellite)."""
+
+    def test_default_mode_is_per_step(self):
+        assert DCAConfig().rng_batching == "per_step"
+
+    def test_per_phase_is_deterministic(self, school_train, rubric, school_attributes):
+        config = replace(FAST, rng_batching="per_phase")
+        dca = DCA(school_attributes, rubric, k=0.05, config=config)
+        first = dca.fit(school_train.table)
+        second = dca.fit(school_train.table)
+        _assert_fit_identical(first, second)
+
+    def test_per_phase_differs_from_per_step(self, school_train, rubric, school_attributes):
+        """The documented history break: batched draws change the stream."""
+        per_step = DCA(school_attributes, rubric, k=0.05, config=FAST).fit(school_train.table)
+        per_phase = DCA(
+            school_attributes, rubric, k=0.05, config=replace(FAST, rng_batching="per_phase")
+        ).fit(school_train.table)
+        assert not np.array_equal(per_step.raw_bonus.values, per_phase.raw_bonus.values)
+
+    def test_per_phase_engines_agree(self, school_train, rubric, school_attributes):
+        """Both engines consume the batched stream identically."""
+        results = {}
+        for engine in ("array", "table"):
+            config = replace(FAST, rng_batching="per_phase", engine=engine)
+            results[engine] = DCA(school_attributes, rubric, k=0.05, config=config).fit(
+                school_train.table
+            )
+        _assert_fit_identical(results["array"], results["table"])
+
+    def test_draw_phase_indices_one_matrix(self):
+        stream = SampleStream(1000, 50, rng=np.random.default_rng(3))
+        matrix = stream.draw_phase_indices(7)
+        assert matrix.shape == (7, 50)
+        assert matrix.dtype == np.int64
+        assert matrix.min() >= 0 and matrix.max() < 1000
+        # Same seed, same single generator call -> same matrix.
+        again = SampleStream(1000, 50, rng=np.random.default_rng(3)).draw_phase_indices(7)
+        assert np.array_equal(matrix, again)
+
+    def test_draw_phase_indices_full_population_consumes_no_rng(self):
+        rng = np.random.default_rng(3)
+        stream = SampleStream(40, 40, rng=rng)
+        matrix = stream.draw_phase_indices(3)
+        assert matrix.shape == (3, 40)
+        assert np.array_equal(matrix[0], np.arange(40))
+        # The RNG state is untouched, mirroring draw_indices.
+        assert np.array_equal(
+            rng.integers(0, 100, size=4), np.random.default_rng(3).integers(0, 100, size=4)
+        )
+
+    def test_invalid_mode_rejected(self):
+        with pytest.raises(ValueError, match="rng_batching"):
+            DCAConfig(rng_batching="per_fit").validate()
+
+
+class TestStratifiedSampling:
+    def _rare_population(self, n: int = 20_000, frequency: float = 0.005) -> Table:
+        rng = np.random.default_rng(7)
+        rare = np.zeros(n)
+        members = rng.choice(n, size=max(1, int(round(n * frequency))), replace=False)
+        rare[members] = 1.0
+        score = rng.normal(10.0, 2.0, size=n) - rare
+        return Table({"score": score, "rare": rare})
+
+    def test_rare_group_guaranteed_per_draw(self):
+        """The 0.5%-frequency regression: every stratified draw has >= 1 member."""
+        table = self._rare_population()
+        member_mask = table.numeric("rare") > 0.5
+        plain = SampleStream(table, 500, rng=np.random.default_rng(1))
+        missing = sum(
+            1 for _ in range(200) if not member_mask[plain.draw_indices()].any()
+        )
+        assert missing > 0  # uniform draws really do miss the group
+        stratified = SampleStream(
+            table, 500, rng=np.random.default_rng(1), stratify=("rare",)
+        )
+        for _ in range(200):
+            indices = stratified.draw_indices()
+            assert member_mask[indices].any()
+            assert indices.size == 500
+            assert np.unique(indices).size == 500  # still a without-replacement draw
+
+    def test_majority_one_attribute_protects_complement(self):
+        """The rarest *side* is protected: a 99.5%-mean attribute guards its 0s."""
+        table = self._rare_population()
+        inverted = Table(
+            {"score": table.numeric("score"), "rare": 1.0 - table.numeric("rare")}
+        )
+        complement = inverted.numeric("rare") < 0.5
+        stream = SampleStream(
+            inverted, 500, rng=np.random.default_rng(2), stratify=("rare",)
+        )
+        for _ in range(100):
+            assert complement[stream.draw_indices()].any()
+
+    def test_stratify_requires_table(self):
+        with pytest.raises(TypeError, match="table-backed"):
+            SampleStream(1000, 50, stratify=("rare",))
+
+    def test_continuous_and_degenerate_attributes_skipped(self):
+        rng = np.random.default_rng(5)
+        table = Table(
+            {
+                "score": rng.normal(size=400),
+                "eni": rng.uniform(size=400),
+                "all_ones": np.ones(400),
+            }
+        )
+        stream = SampleStream(
+            table, 50, rng=np.random.default_rng(5), stratify=("eni", "all_ones")
+        )
+        assert stream.draw_indices().size == 50  # no strata built, plain uniform
+
+    def test_dca_config_knob_and_process_fallback(self):
+        """stratified_sampling threads through fit and falls back under 'process'."""
+        table = self._rare_population(n=4000, frequency=0.01)
+        config = DCAConfig(
+            seed=11, iterations=15, refinement_iterations=15, sample_size=150,
+            stratified_sampling=True,
+        )
+        dca = DCA(["rare"], ColumnScore("score"), k=0.2, config=config)
+        serial = dca.fit_many(table, seeds=(1, 2))
+        process = dca.fit_many(table, seeds=(1, 2), executor="process")
+        for left, right in zip(serial, process):
+            _assert_fit_identical(left.result, right.result)

@@ -342,3 +342,47 @@ class TestCLI:
             cli_main(["run", "matching", "--engine", "quantum"])
         with pytest.raises(SystemExit):
             cli_main(["run", "matching", "--proposing", "teachers"])
+
+    def test_cli_rejects_bad_worker_flags(self):
+        from repro.experiments.cli import build_parser
+
+        parser = build_parser()
+        for argv in (
+            ["run", "fig4", "--workers", "0"],
+            ["run", "fig4", "--executor", "thread"],
+            ["run", "fig4", "--row-workers", "2"],
+            ["run", "fig4", "--step-dispatch", "pool"],
+        ):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+
+    def test_run_rejects_a_flag_the_experiment_does_not_take(self, capsys):
+        assert cli_main(["run", "fig7", "--engine", "vector"]) == 2
+        err = capsys.readouterr().err
+        assert "fig7" in err and "--engine" in err
+        assert cli_main(["run", "fig10", "--num-students", "500", "--workers", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "--num-students" in err and "--workers" not in err
+
+    def test_run_all_forwards_each_flag_to_the_runners_that_take_it(
+        self, monkeypatch, capsys
+    ):
+        from repro.experiments import cli
+
+        calls = {}
+
+        def matcher(engine=None):
+            calls["matcher"] = {"engine": engine}
+            return ExperimentResult(name="matcher", description="takes --engine")
+
+        def plain():
+            calls["plain"] = {}
+            return ExperimentResult(name="plain", description="takes nothing")
+
+        monkeypatch.setattr(cli, "EXPERIMENT_RUNNERS", {"matcher": matcher, "plain": plain})
+        assert cli_main(["run-all", "--engine", "vector"]) == 0
+        assert calls == {"matcher": {"engine": "vector"}, "plain": {}}
+        calls.clear()
+        assert cli_main(["run-all", "--engine", "vector", "--proposing", "schools"]) == 2
+        assert calls == {}  # rejected before any runner ran
+        assert "--proposing" in capsys.readouterr().err

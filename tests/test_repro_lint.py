@@ -66,10 +66,8 @@ def test_fixture_corpus_is_complete() -> None:
     assert {
         "r1_good.py",
         "r2_good.py",
-        "r3_good.py",
         "r4_good.py",
         "r5_good.py",
-        "r6_good.py",
     } <= {path.name for path in good}
 
 
@@ -115,20 +113,18 @@ def test_hot_path_gating() -> None:
 
 
 def test_interprocedural_findings_carry_call_chains() -> None:
-    """R5/R6 messages name the path that connects entry to violation."""
+    """R5 messages name the path that connects entry to violation."""
     r5 = {f.line: f.message for f in run_lint([FIXTURES / "r5_bad.py"])}
     assert "[reached via r5_bad.fit -> r5_bad._entropy_stream]" in r5[19]
-    assert "[reached via r5_bad._shard_worker_step -> r5_bad._fork_stream]" in r5[39]
-    r6 = {f.line: f.message for f in run_lint([FIXTURES / "r6_bad.py"])}
-    assert "[write path: _shard_worker_step]" in r6[14]
-    assert "[write path: _shard_worker_step -> _flush]" in r6[22]
+    assert "[reached via r5_bad._plane_worker_fit -> r5_bad._worker_noise]" in r5[37]
 
 
 def test_rule_selection_and_registry() -> None:
-    assert [rule.id for rule in DEFAULT_RULES] == ["R1", "R2", "R3", "R4", "R5", "R6"]
-    assert [rule.id for rule in rules_by_id(["R3", "R1"])] == ["R3", "R1"]
-    with pytest.raises(KeyError):
-        rules_by_id(["R9"])
+    assert [rule.id for rule in DEFAULT_RULES] == ["R1", "R2", "R4", "R5"]
+    assert [rule.id for rule in rules_by_id(["R4", "R1"])] == ["R4", "R1"]
+    for unknown in ("R9", "R3", "R6"):  # R3 and R6 are retired, not reused
+        with pytest.raises(KeyError):
+            rules_by_id([unknown])
     # Selecting only R2 must silence the R1 fixture entirely.
     r1_bad = FIXTURES / "core" / "r1_bad.py"
     assert run_lint([r1_bad], rules=rules_by_id(["R2"])) == []
@@ -172,7 +168,7 @@ def test_cli_sarif_format() -> None:
     assert log["version"] == "2.1.0"
     run = log["runs"][0]
     assert run["tool"]["driver"]["name"] == "repro-lint"
-    assert {rule["id"] for rule in run["tool"]["driver"]["rules"]} >= {"R5", "R6"}
+    assert {rule["id"] for rule in run["tool"]["driver"]["rules"]} >= {"R5"}
     assert run["results"], "expected findings in the SARIF log"
     sample = run["results"][0]
     assert sample["ruleId"] == "R5"
@@ -188,7 +184,7 @@ def test_cli_sarif_format() -> None:
 def test_cli_baseline_round_trip(tmp_path: Path) -> None:
     """--write-baseline records findings; --baseline suppresses exactly those."""
     baseline = tmp_path / "baseline.json"
-    bad = str(FIXTURES / "r6_bad.py")
+    bad = str(FIXTURES / "r2_bad.py")
     wrote = _cli(bad, "--write-baseline", str(baseline))
     assert wrote.returncode == 0
     assert baseline.exists()
@@ -198,13 +194,13 @@ def test_cli_baseline_round_trip(tmp_path: Path) -> None:
     # A file with findings NOT in the baseline still fails.
     fresh = _cli(bad, str(FIXTURES / "r5_bad.py"), "--baseline", str(baseline))
     assert fresh.returncode == 1
-    assert "R5" in fresh.stdout and " R6 " not in fresh.stdout
+    assert "R5" in fresh.stdout and " R2 " not in fresh.stdout
 
 
 def test_cli_baseline_rejects_bad_file(tmp_path: Path) -> None:
     bogus = tmp_path / "bogus.json"
     bogus.write_text('{"schema": 99, "findings": []}')
-    result = _cli(str(FIXTURES / "r6_bad.py"), "--baseline", str(bogus))
+    result = _cli(str(FIXTURES / "r2_bad.py"), "--baseline", str(bogus))
     assert result.returncode == 2
     assert "baseline" in result.stderr
 

@@ -6,9 +6,7 @@ proving ground: every instance is replayed on every tier-1 run, asserting
 * the golden numbers still hold (bonus vector, disparity/DDP, assignments);
 * ``vector == heap == reference`` matchings on **both** proposing sides for
   every generated market shape (heavy tails, tie storms, zero/oversized
-  capacities, ...);
-* a ``row_workers=2`` fit is **bitwise identical** to the serial fit on
-  every shape.
+  capacities, ...).
 
 Regenerate after an intentional behaviour change::
 
@@ -27,14 +25,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import DCA, DisparityObjective
 from repro.matching import ENGINES, PROPOSING_SIDES, deferred_acceptance
 from repro.scenarios import (
     CORPUS_K,
     ScenarioConfig,
     build_instance,
     builtin_scenarios,
-    corpus_fit_config,
     corpus_scenarios,
     generate_market,
     get_scenario,
@@ -115,27 +111,6 @@ class TestCorpusReplay:
                 assert np.array_equal(
                     assignments[ENGINES[0]], assignments[engine]
                 ), f"{config.name}: {engine} differs from {ENGINES[0]} ({proposing=})"
-
-    def test_row_sharded_fit_bitwise_equals_serial(self, path: Path):
-        golden = json.loads(path.read_text())
-        config = ScenarioConfig.from_dict(golden["scenario"])
-        market = generate_market(config, trial=0)
-        attributes = market.fairness_attributes
-
-        def fresh_dca():
-            return DCA(
-                attributes,
-                market.score_function(),
-                CORPUS_K,
-                objective=DisparityObjective(attributes),
-                config=replace(corpus_fit_config(), seed=config.seed * 1_000),
-            )
-
-        serial = fresh_dca().fit(market.table)
-        sharded = fresh_dca().fit(market.table, row_workers=2)
-        assert np.array_equal(serial.raw_bonus.values, sharded.raw_bonus.values)
-        assert np.array_equal(serial.core_bonus.values, sharded.core_bonus.values)
-        assert np.array_equal(serial.bonus.values, sharded.bonus.values)
 
 
 class TestScenarioConfig:
@@ -235,19 +210,20 @@ class TestDriver:
             config,
             trials=2,
             engines=("heap", "vector"),
-            row_workers=2,
+            executors=("serial", "process"),
+            max_workers=2,
         )
         assert envelope.trials == 2
         assert envelope.all_identical()
         assert envelope.identity == {
             "engines_identical": 1,
-            "sharded_bitwise_identical": 1,
+            "process_bitwise_identical": 1,
         }
         for key in ("disparity_norm_before", "ddp_after", "match_share_gap"):
             stats = envelope.fairness[key]
             assert stats["min"] <= stats["mean"] <= stats["max"]
         assert "fit_serial_seconds" in envelope.runtime
-        assert "fit_sharded_seconds" in envelope.runtime
+        assert "fit_process_seconds" in envelope.runtime
         assert "match_heap_seconds" in envelope.runtime
 
     def test_compensation_reduces_disparity(self):
