@@ -28,10 +28,18 @@ import os
 from pathlib import Path
 from typing import Any, Mapping
 
-__all__ = ["BENCH_DIR", "SCHEMA", "bench_path", "record_bench"]
+__all__ = ["BENCH_DIR", "SCHEMA", "bench_path", "record_bench", "usable_cores"]
 
 BENCH_DIR = Path(__file__).resolve().parent
 SCHEMA = 1
+
+
+def usable_cores() -> int:
+    """Cores this process may run on (the ``cores`` a payload records)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
 
 
 def bench_path(name: str, directory: Path | None = None) -> Path:

@@ -16,14 +16,13 @@ the test.
 from __future__ import annotations
 
 import importlib.util
-import os
 import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-from _bench_record import record_bench
+from _bench_record import record_bench, usable_cores
 from repro.baselines import DeltaTwoReranker, augment_with_complements, constraints_from_selection
 from repro.core import DisparityObjective
 from repro.core.calibration import proportion_sweep
@@ -34,13 +33,6 @@ _ORACLE_PATH = Path(__file__).resolve().parent.parent / "tests" / "_delta_two_or
 _spec = importlib.util.spec_from_file_location("_delta_two_oracle", _ORACLE_PATH)
 _oracle = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(_oracle)
-
-
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def _fig7_instance(num_students: int):
@@ -96,7 +88,7 @@ def test_delta_two_by_type_identical_to_reference_loop(bench_students):
             "groups": len(constraints.group_names),
             "types": len(np.unique(bits, axis=0)),
             "proportion": 1.0,
-            "cores": _usable_cores(),
+            "cores": usable_cores(),
         },
     )
     print(

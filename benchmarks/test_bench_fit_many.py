@@ -27,6 +27,7 @@ import time
 import numpy as np
 import pytest
 
+from _bench_record import usable_cores
 from repro.core import DCA, DCAConfig
 from repro.datasets import (
     SCHOOL_FAIRNESS_ATTRIBUTES,
@@ -45,13 +46,6 @@ FITMANY_JOBS = int(os.environ.get("REPRO_BENCH_FITMANY_JOBS", "8"))
 #: samples and a longer refinement make the per-step loop the dominant cost,
 #: which is exactly the regime the process backend exists for.
 FITMANY_CONFIG = DCAConfig(seed=1, sample_size=4000, iterations=150, refinement_iterations=300)
-
-
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +102,7 @@ def test_process_backend_bitwise_identical_to_serial(dca, cohort):
 
 
 @pytest.mark.skipif(
-    _usable_cores() < 2,
+    usable_cores() < 2,
     reason="process-vs-serial comparison needs at least two usable cores",
 )
 def test_process_backend_beats_serial_backend(dca, cohort):
@@ -118,7 +112,7 @@ def test_process_backend_beats_serial_backend(dca, cohort):
     runners; the assertion stays relative, so absolute machine speed does
     not matter.
     """
-    workers = min(_usable_cores(), FITMANY_JOBS)
+    workers = min(usable_cores(), FITMANY_JOBS)
     serial_seconds, serial_batch = min(
         (_run(dca, cohort.table, "serial") for _ in range(2)),
         key=lambda pair: pair[0],
@@ -135,7 +129,7 @@ def test_process_backend_beats_serial_backend(dca, cohort):
 
 
 @pytest.mark.skipif(
-    _usable_cores() < 2,
+    usable_cores() < 2,
     reason="process-vs-thread comparison needs at least two usable cores",
 )
 def test_process_backend_beats_thread_backend(dca, cohort):
@@ -145,7 +139,7 @@ def test_process_backend_beats_thread_backend(dca, cohort):
     runners; the assertion stays relative, so absolute machine speed does
     not matter.
     """
-    workers = min(_usable_cores(), FITMANY_JOBS)
+    workers = min(usable_cores(), FITMANY_JOBS)
     thread_seconds, thread_batch = min(
         (_run_threaded(dca, cohort.table, workers) for _ in range(2)),
         key=lambda pair: pair[0],

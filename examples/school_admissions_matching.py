@@ -9,9 +9,9 @@ fitted with the **log-discounted** objective.
 The pipeline itself is a first-class experiment
 (:mod:`repro.experiments.matching_admissions`, ``repro-experiments run
 matching``): per-school bonus vectors batched through ``DCA.fit_many``, a
-district of screened schools with noisy rubrics, and the heap-engine
-deferred-acceptance match.  This example runs it on a small district and
-prints the resulting tables.
+district of screened schools with noisy rubrics, and the round-based
+(vector-engine) deferred-acceptance match.  This example runs it on a small
+district and prints the resulting tables.
 
 Run with::
 
@@ -33,14 +33,12 @@ def main() -> None:
     print(result.format())
 
     # The same pipeline with schools proposing (the school-optimal stable
-    # matching) on the vectorized round-based engine: comparing the two
-    # rank-of-match tables shows what the choice of proposing side costs
-    # students.
+    # matching): comparing the two rank-of-match tables shows what the
+    # choice of proposing side costs students.
     school_optimal = matching_admissions.run(
         num_students=NUM_APPLICANTS,
         num_schools=NUM_SCHOOLS,
         list_length=4,
-        engine="vector",
         proposing="schools",
     )
     print()

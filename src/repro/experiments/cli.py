@@ -94,8 +94,8 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         help=(
             "deferred-acceptance engine for experiments that run a match: "
-            "'heap' (sequential), 'vector' (round-based, fastest at district "
-            "scale), or 'reference' (slow pure-Python twin)"
+            "'vector' (round-based, the default) or 'reference' (slow "
+            "pure-Python oracle, identical matchings)"
         ),
     )
     parser.add_argument(

@@ -18,14 +18,14 @@ Pipeline
    — the shared admission rubric plus a small per-school screening noise,
    with and without each school's bonus points;
 3. generate student preference lists (vectorized popularity + Gumbel model)
-   and run the heap-engine match on both planes;
+   and run the round-based vector-engine match on both planes;
 4. report per-school admitted-class demographics, the per-attribute
    representation gap against the population shares, and the rank-of-match
    distribution of both matches.
 
 The experiment runs under the CLI as ``repro-experiments run matching`` and
-scales to 100k+ students (the matching benchmark drives the same pipeline's
-engines at that size).
+scales to district size: the ``district_match`` workload of the repo
+benchmark (``perfbench/``) runs this pipeline at 200k students × 8 schools.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class MatchingSetting:
         seat_fraction: float = DEFAULT_SEAT_FRACTION,
         screening_noise: float = 0.05,
         seed: int = 11,
-        engine: str = "heap",
+        engine: str = "vector",
         proposing: str = "students",
     ) -> None:
         if num_schools <= 0:
@@ -201,16 +201,16 @@ def run(
     list_length: int = 5,
     max_k: float = 0.5,
     seat_fraction: float = DEFAULT_SEAT_FRACTION,
-    engine: str = "heap",
+    engine: str = "vector",
     proposing: str = "students",
     max_workers: int | None = None,
     executor: str | None = None,
 ) -> ExperimentResult:
     """Run the full DCA → deferred-acceptance → demographics pipeline.
 
-    ``engine`` selects the deferred-acceptance engine (``"heap"``,
-    ``"vector"``, or ``"reference"`` — identical matchings, different
-    speed), and ``proposing`` the side that proposes: ``"students"``
+    ``engine`` selects the deferred-acceptance engine (``"vector"``, the
+    default, or the slow ``"reference"`` oracle — identical matchings),
+    and ``proposing`` the side that proposes: ``"students"``
     (default, the student-optimal matching — what the NYC match runs) or
     ``"schools"`` (the school-optimal matching, useful for quantifying how
     much the choice of proposing side costs students).

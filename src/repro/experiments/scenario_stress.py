@@ -1,7 +1,7 @@
 """Scenario stress sweep: fairness/runtime envelopes across market shapes.
 
 Runs every built-in scenario of :mod:`repro.scenarios` through the
-Monte-Carlo driver — by default all six shapes x all three matching engines
+Monte-Carlo driver — by default all six shapes x both matching engines
 x both proposing sides x two DCA objectives — and reports three tables:
 
 * **fairness envelopes** — min/mean/max over trials of the disparity norm,
@@ -66,7 +66,7 @@ def run(
     """Sweep every built-in scenario and report its envelopes.
 
     ``engine``/``proposing`` restrict the matching grid to one engine or
-    side (default: all three engines on both sides — the full differential
+    side (default: both engines on both sides — the full differential
     grid).  ``executor`` adds a ``fit_many`` backend to check bitwise against
     the serial batch.  ``num_students`` rescales every scenario to one size,
     and ``trials`` overrides each scenario's Monte-Carlo trial count.

@@ -17,19 +17,12 @@ demographics of each school's admitted class.
 Engines
 -------
 
-``deferred_acceptance`` accepts an ``engine`` argument:
+All ranking forms are normalized **once** into a
+``(num_schools, num_students)`` float score plane (``NaN`` marks a student a
+school finds unacceptable) before any engine runs.  ``deferred_acceptance``
+then accepts an ``engine`` argument:
 
-``"heap"`` (default)
-    The array-plane engine.  All ranking forms are normalized **once** into a
-    ``(num_schools, num_students)`` float score plane (``NaN`` marks a
-    student a school finds unacceptable), and each school's tentative roster
-    is a binary min-heap keyed by ``(score, -student)`` so the weakest held
-    student sits at the top.  A proposal to a full school is an O(log c)
-    ``heapreplace`` instead of an O(c) roster rescan, making the whole match
-    O(P log c) for P proposals.  It still executes one Python iteration per
-    proposal.
-
-``"vector"``
+``"vector"`` (default)
     The round-based engine: no per-proposal Python loop at all.  Each round
     gathers **every** unmatched student's next listed school through a
     pointer array, filters the proposals against per-school admission
@@ -37,18 +30,26 @@ Engines
     holders) into per-school segments with one ``np.lexsort``, and admits the
     top ``capacity`` of each segment.  Per-round cost is a handful of NumPy
     kernels over the active students, so district-scale matches are bound by
-    memory bandwidth rather than interpreter overhead (several times faster
-    than ``"heap"`` from ~100k students up; see
-    ``benchmarks/test_bench_matching.py``).  On adversarially serial
-    instances (one long bump chain, one proposer per round) the heap engine
-    remains the better complexity, which is why both are first-class.
+    memory bandwidth rather than interpreter overhead.
 
 ``"reference"``
     The original pure-Python implementation: per-school ``dict`` rosters and
-    a full ``min()`` rescan on every bump, i.e. O(P × c).  It is kept as a
-    readable reference.
+    a full ``min()`` rescan on every bump, i.e. O(P × c).  It is kept as the
+    readable oracle the tests pin ``"vector"`` to.
 
-All three engines produce the **identical** matching: the proposing side's
+There is no sequential fast engine, because it does not pay.  A min-heap
+engine (O(P log c), one Python iteration per proposal) measured on 2 cores
+against ``"vector"``, on a 200k-student × 8-school district with
+bitwise-equal matchings: 2.37–2.57 s against 0.33–0.38 s
+student-proposing, 0.67–0.78 s against 0.33–0.34 s school-proposing.  It
+led only on one-proposer-per-round bump chains (18 ms against 56 ms at
+length 500, yet 2.43 s against 0.62 s at length 6000), which no experiment
+or benchmark builds, and on tiny markets (0.26 ms against 0.39 ms at 90
+students).  It is deleted; ``engine="heap"`` is still accepted, with a
+``DeprecationWarning``, and runs ``"vector"``, which returns the same
+matching.
+
+Both engines produce the **identical** matching: the proposing side's
 optimal stable matching is unique once both sides' preferences are strict
 (see *Tie-breaking* below), so the randomized differential suite in
 ``tests/test_matching.py`` and the axiom suite in
@@ -78,7 +79,7 @@ break in favour of the **lower student index**, i.e. school ``j`` prefers
 student ``a`` to student ``b`` iff ``(score[j, a], -a) > (score[j, b], -b)``.
 Student preferences are strict by construction (a preference list is an
 order).  Every engine and both proposing sides implement this identically —
-the heap engine keys its heaps on ``(score, -student)``, the vector engine
+the reference engine compares ``(score, -student)`` keys, the vector engine
 sorts segments by ``(-score, student)``, and the school-proposing variants
 issue proposals in exactly that order — so results are deterministic and
 bitwise-identical across engines even on heavily tied integer scores
@@ -102,7 +103,7 @@ the same count.
 
 from __future__ import annotations
 
-import heapq
+import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -110,8 +111,13 @@ import numpy as np
 
 __all__ = ["ENGINES", "PROPOSING_SIDES", "MatchResult", "deferred_acceptance"]
 
-#: Valid ``engine`` arguments, fastest-typical first.
-ENGINES = ("heap", "vector", "reference")
+#: Valid ``engine`` arguments, the default first.
+ENGINES = ("vector", "reference")
+#: Retired engine names that ``deferred_acceptance`` still accepts, with a
+#: ``DeprecationWarning``, and the engine each now runs.  The retired heap
+#: engine produced the same matching as ``"vector"``, so old calls keep
+#: their results.
+_ENGINE_ALIASES = {"heap": "vector"}
 #: Valid ``proposing`` arguments.
 PROPOSING_SIDES = ("students", "schools")
 
@@ -178,7 +184,7 @@ class MatchResult:
 class _Preferences:
     """Validated student preference lists, in list and padded-matrix form.
 
-    The sequential engines iterate per-student Python lists; the vector
+    The reference engine iterates per-student Python lists; the vector
     engine indexes a ``(num_students, width)`` ``int64`` matrix right-padded
     with ``-1``.  Whichever form the caller supplied is kept as-is and the
     other is built lazily, so a padded-matrix input (the form
@@ -240,12 +246,24 @@ def _normalize_preferences(
 
     A 2-D integer array is accepted as a padded preference matrix: each row is
     one student's list, right-padded with ``-1``.  Padding must be trailing —
-    a ``-1`` followed by a school index is rejected.
+    a ``-1`` followed by a school index is rejected.  School indices must be
+    integers: a float or bool matrix, or a float or bool list entry, is
+    rejected rather than truncated to a school index.
     """
     if isinstance(student_preferences, np.ndarray):
         if student_preferences.ndim != 2:
             raise ValueError(
                 f"preference matrix must be 2-D, got shape {student_preferences.shape}"
+            )
+        if not np.issubdtype(student_preferences.dtype, np.integer):
+            where = (
+                f": student 0 lists {student_preferences[0].tolist()}"
+                if student_preferences.size
+                else ""
+            )
+            raise ValueError(
+                "preference matrix must hold integer school indices, got dtype "
+                f"{student_preferences.dtype}{where}"
             )
         matrix = student_preferences.astype(np.int64, copy=False)
         if matrix.size and (matrix.max() >= num_schools or matrix.min() < -1):
@@ -257,6 +275,10 @@ def _normalize_preferences(
         return _Preferences(matrix=matrix)
     for student, preferences in enumerate(student_preferences):
         for school in preferences:
+            if not isinstance(school, (int, np.integer)) or isinstance(school, bool):
+                raise ValueError(
+                    f"student {student} lists {school!r}: school indices must be integers"
+                )
             if not 0 <= school < num_schools:
                 raise ValueError(
                     f"student {student} lists unknown school {school} (num_schools={num_schools})"
@@ -339,72 +361,6 @@ def _build_rosters(
 # ----------------------------------------------------------------------
 # Student-proposing engines
 # ----------------------------------------------------------------------
-def _run_heap(
-    preferences: list[Sequence[int]],
-    score_plane: np.ndarray,
-    capacities: list[int],
-) -> MatchResult:
-    """Heap-engine match: O(log c) bumps over precomputed score rows."""
-    num_students = len(preferences)
-    num_schools = len(capacities)
-    # Python lists of floats index ~5x faster than NumPy scalar access in the
-    # per-proposal loop, and NaN survives the conversion (score != score).
-    score_rows: list[list[float]] = score_plane.tolist()
-    assignment = [-1] * num_students
-    matched_rank = [-1] * num_students
-    next_choice = [0] * num_students
-    heaps: list[list[tuple[float, int]]] = [[] for _ in range(num_schools)]
-    heappush, heapreplace = heapq.heappush, heapq.heapreplace
-
-    stack = [s for s in range(num_students) if preferences[s]]
-    proposals = 0
-    while stack:
-        student = stack.pop()
-        prefs = preferences[student]
-        ptr = next_choice[student]
-        length = len(prefs)
-        while ptr < length:
-            school = prefs[ptr]
-            ptr += 1
-            capacity = capacities[school]
-            if capacity == 0:
-                continue
-            proposals += 1
-            score = score_rows[school][student]
-            if score != score:  # NaN: unacceptable to this school
-                continue
-            heap = heaps[school]
-            entry = (score, -student)
-            if len(heap) < capacity:
-                heappush(heap, entry)
-                assignment[student] = school
-                matched_rank[student] = ptr - 1
-                break
-            weakest = heap[0]
-            if entry > weakest:
-                heapreplace(heap, entry)
-                bumped = -weakest[1]
-                assignment[bumped] = -1
-                matched_rank[bumped] = -1
-                if next_choice[bumped] < len(preferences[bumped]):
-                    stack.append(bumped)
-                assignment[student] = school
-                matched_rank[student] = ptr - 1
-                break
-        next_choice[student] = ptr
-
-    rosters = tuple(
-        tuple(-neg for _, neg in sorted(heap, key=lambda entry: (-entry[0], -entry[1])))
-        for heap in heaps
-    )
-    return MatchResult(
-        assignment=np.asarray(assignment, dtype=np.int64),
-        rosters=rosters,
-        proposals_made=proposals,
-        matched_rank=np.asarray(matched_rank, dtype=np.int64),
-    )
-
-
 class _RosterRuns:
     """Per-school tentative rosters as two sorted runs each.
 
@@ -720,75 +676,6 @@ def _schools_result(
     )
 
 
-def _run_heap_schools(
-    preferences: _Preferences,
-    score_plane: np.ndarray,
-    capacities: list[int],
-) -> MatchResult:
-    """Fast sequential school-proposing match.
-
-    The per-school proposal order and the per-student rank lookup are
-    precomputed on the array plane (one stable argsort of the score plane,
-    one scatter of the preference matrix), so the proposal loop itself is
-    all O(1) list operations: schools with free seats pop off a work stack
-    and walk their ranked applicant list; a student accepts when the
-    proposing school sits strictly earlier in their preference list than the
-    offer they currently hold, which frees a seat at — and re-activates —
-    their previous school.
-    """
-    num_students = len(preferences)
-    num_schools = len(capacities)
-    order, counts = _school_proposal_order(score_plane)
-    # Convert only each row's acceptable prefix: the NaN tail past counts[j]
-    # is never proposed to, so it never needs to exist as Python ints.
-    order_rows: list[list[int]] = [
-        order[school, : int(count)].tolist() for school, count in enumerate(counts)
-    ]
-    rank_rows: list[list[int]] = _student_rank_matrix(preferences, num_schools).tolist()
-    considers: list[int] = (preferences.lengths > 0).tolist()
-
-    assignment = [-1] * num_students
-    held_rank = [_NO_OFFER] * num_students
-    free = list(capacities)
-    ptr = [0] * num_schools
-    proposals = 0
-
-    stack = [j for j in range(num_schools) if free[j] > 0 and order_rows[j]]
-    while stack:
-        school = stack.pop()
-        row = order_rows[school]
-        length = len(row)
-        position = ptr[school]
-        seats = free[school]
-        while seats > 0 and position < length:
-            student = row[position]
-            position += 1
-            if not considers[student]:
-                continue  # a student listing nothing considers no offer
-            proposals += 1
-            rank = rank_rows[student][school]
-            if rank < 0 or rank >= held_rank[student]:
-                continue  # school unlisted, or no better than the held offer
-            previous = assignment[student]
-            if previous >= 0:
-                if free[previous] == 0 and ptr[previous] < len(order_rows[previous]):
-                    stack.append(previous)  # regains a seat: resume proposing
-                free[previous] += 1
-            assignment[student] = school
-            held_rank[student] = rank
-            seats -= 1
-        ptr[school] = position
-        free[school] = seats
-
-    return _schools_result(
-        np.asarray(assignment, dtype=np.int64),
-        np.asarray(held_rank, dtype=np.int64),
-        score_plane,
-        num_schools,
-        proposals,
-    )
-
-
 def _run_vector_schools(
     preferences: _Preferences,
     score_plane: np.ndarray,
@@ -921,12 +808,10 @@ def _run_reference_schools(
 
 
 _RUNNERS = {
-    ("students", "heap"): lambda prefs, plane, caps: _run_heap(prefs.lists, plane, caps),
     ("students", "vector"): _run_vector,
     ("students", "reference"): lambda prefs, plane, caps: _run_reference(
         prefs.lists, plane, caps
     ),
-    ("schools", "heap"): _run_heap_schools,
     ("schools", "vector"): _run_vector_schools,
     ("schools", "reference"): lambda prefs, plane, caps: _run_reference_schools(
         prefs.lists, plane, caps
@@ -938,7 +823,7 @@ def deferred_acceptance(
     student_preferences: Sequence[Sequence[int]] | np.ndarray,
     school_rankings: Sequence[Mapping[int, float] | Sequence[float]] | np.ndarray,
     capacities: Sequence[int],
-    engine: str = "heap",
+    engine: str = "vector",
     proposing: str = "students",
 ) -> MatchResult:
     """Run deferred acceptance (student- or school-proposing).
@@ -962,10 +847,11 @@ def deferred_acceptance(
     capacities:
         Number of seats at each school.
     engine:
-        ``"heap"`` (default; sequential, O(P log c)), ``"vector"`` (the
-        round-based batched engine — fastest at district scale), or
+        ``"vector"`` (default; the round-based batched engine) or
         ``"reference"`` (the original pure-Python O(P × c) implementation).
-        All three produce the identical stable matching.
+        Both produce the identical stable matching.  The retired name
+        ``"heap"`` is still accepted with a ``DeprecationWarning`` and runs
+        ``"vector"``.
     proposing:
         ``"students"`` (default) returns the student-optimal stable
         matching; ``"schools"`` runs school-proposing deferred acceptance
@@ -976,6 +862,14 @@ def deferred_acceptance(
     MatchResult
         The stable matching with respect to the given preferences/rankings.
     """
+    if engine in _ENGINE_ALIASES:
+        warnings.warn(
+            f"engine={engine!r} is deprecated; it runs the identical "
+            f"{_ENGINE_ALIASES[engine]!r} engine",
+            DeprecationWarning,
+            stacklevel=2,
+        )
+        engine = _ENGINE_ALIASES[engine]
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if proposing not in PROPOSING_SIDES:

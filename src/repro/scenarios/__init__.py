@@ -1,7 +1,7 @@
 """Scenario simulation harness: Monte-Carlo market-shape stress engine.
 
 The harness stresses the whole stack — cohort generation, DCA fits (serial
-and process-pool), and all three deferred-acceptance engines on
+and process-pool), and both deferred-acceptance engines on
 both proposing sides — across synthetic market shapes far beyond the two
 calibrated cohorts: heavy-tailed capacities, clustered preferences,
 intersectional protected groups, tiny districts, zero/oversized-capacity

@@ -10,7 +10,7 @@ under ``tests/data/scenarios/``.
 Tier-1 tests replay every committed instance on every run
 (``tests/test_scenarios.py``): they recompute the instance from its embedded
 config, assert the golden numbers still hold, and additionally run the full
-engine grid (``vector == heap == reference`` on both sides).  Regenerate
+engine grid (``vector == reference`` on both sides).  Regenerate
 after an intentional behaviour change with::
 
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_scenarios.py -q
@@ -72,8 +72,8 @@ def build_instance(config: ScenarioConfig) -> dict:
 
     The fit seed matches the Monte-Carlo driver's trial-0 first-objective
     spec (``config.seed * 1000``), so the corpus pins exactly the numbers the
-    sweep produces.  Matches use the heap engine; the differential tests are
-    what prove the other engines agree.
+    sweep produces.  Matches use the default (vector) engine; the
+    differential tests are what prove the reference engine agrees.
     """
     market = generate_market(config, trial=0)
     table = market.table
@@ -104,7 +104,6 @@ def build_instance(config: ScenarioConfig) -> dict:
             market.preferences,
             compensated_plane,
             list(market.capacities),
-            engine="heap",
             proposing=side,
         )
         matches[side] = {

@@ -342,6 +342,10 @@ class TestCLI:
             cli_main(["run", "matching", "--engine", "quantum"])
         with pytest.raises(SystemExit):
             cli_main(["run", "matching", "--proposing", "teachers"])
+        # The deleted sequential engine is no longer a choice.
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["run", "matching", "--engine", "heap"])
+        assert excinfo.value.code == 2
 
     def test_cli_rejects_bad_worker_flags(self):
         from repro.experiments.cli import build_parser

@@ -1,25 +1,34 @@
 """Tests for the deferred-acceptance matching substrate.
 
-Covers all three engines (``heap``, ``vector``, ``reference``), both
-proposing sides, the normalized ranking forms (score matrix / mapping /
-sequence), the padded preference-matrix input, the pinned
-``proposals_made`` accounting, the pinned tie-break (equal scores break by
-the lower student index, identically everywhere), and — because the
-proposing side's optimal stable matching is unique once school tie-breaks
-make preferences strict — exact three-way engine equivalence on randomized
+Covers both engines (``vector`` and its ``reference`` oracle) and the
+deprecated ``heap`` name that now runs ``vector``, both proposing sides, the normalized ranking forms (score matrix / mapping /
+sequence), the padded preference-matrix input and its validation, the
+pinned ``proposals_made`` accounting, the pinned tie-break (equal scores
+break by the lower student index, identically everywhere), and — because
+the proposing side's optimal stable matching is unique once school
+tie-breaks make preferences strict — exact engine equivalence on randomized
 adversarial instances: zero-capacity schools, fully-unacceptable students,
-duplicate scores/ties, empty preference lists, empty districts, and
-capacities exceeding the cohort.  The DA axioms themselves (stability,
-optimality, rural hospitals) live in ``tests/test_matching_properties.py``.
+duplicate scores/ties, empty preference lists, empty districts, capacities
+exceeding the cohort, and a long one-proposer-per-round bump chain.  The DA
+axioms themselves (stability, optimality, rural hospitals) live in
+``tests/test_matching_properties.py``.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
 
 from repro.matching import deferred_acceptance, generate_student_preferences
 
+pytestmark = pytest.mark.filterwarnings(
+    "ignore:engine='heap' is deprecated:DeprecationWarning"
+)
+
+# "heap" is the retired engine's name; it still runs, as ``vector``, so
+# callers that pass it get the same checks.
 ENGINES = ("heap", "vector", "reference")
 PROPOSING = ("students", "schools")
 
@@ -215,6 +224,32 @@ class TestPreferenceMatrixInput:
             deferred_acceptance(np.array([[3]]), [[1.0]], [1])
         with pytest.raises(ValueError):
             deferred_acceptance(np.array([[-2]]), [[1.0]], [1])
+
+    def test_float_matrix_rejected_not_truncated(self, engine):
+        # Truncation would read [0.9, 1.7] as schools [0, 1].
+        matrix = np.array([[0.9, 1.7], [1.0, 0.0]])
+        with pytest.raises(ValueError, match=r"student 0 lists \[0\.9, 1\.7\]"):
+            deferred_acceptance(matrix, [[1.0, 2.0]] * 2, [1, 1], engine=engine)
+
+    def test_bool_matrix_rejected(self, engine):
+        with pytest.raises(ValueError, match=r"dtype bool: student 0 lists \[True\]"):
+            deferred_acceptance(
+                np.array([[True], [False]]), [[1.0, 2.0]] * 2, [1, 1], engine=engine
+            )
+
+    @pytest.mark.parametrize(
+        "entry",
+        [0.5, 1.0, np.float64(0.0), True, np.bool_(False)],
+        ids=["float", "integral-float", "np-float64", "bool", "np-bool"],
+    )
+    def test_non_integer_list_entry_rejected(self, engine, entry):
+        with pytest.raises(ValueError, match=re.escape(f"student 1 lists {entry!r}")):
+            deferred_acceptance([[0], [entry]], [[1.0, 2.0]] * 2, [1, 1], engine=engine)
+
+    def test_numpy_integer_list_entries_accepted(self, engine):
+        lists = [[np.int64(1), np.int32(0)], [np.uint8(0)]]
+        match = deferred_acceptance(lists, [[1.0, 2.0]] * 2, [1, 1], engine=engine)
+        assert match.assignment.tolist() == [1, 0]
 
 
 class TestProposalAccounting:
@@ -491,9 +526,39 @@ def _random_instance(rng: np.random.Generator):
     return preferences, rankings, capacities
 
 
+def _bump_chain(n: int, proposing: str):
+    """A bump chain of length ``n`` with one proposer per round after the first.
+
+    In round one ``n`` regular proposers each reach their first choice and an
+    intruder displaces proposer 0.  Proposer 0's next proposal displaces
+    proposer 1, whose next displaces proposer 2, and so on: ``n + 1``
+    proposals in round one, then ``n - 1`` rounds of exactly one, ``2n`` in
+    all.  Every receiver has one seat.
+    """
+    if proposing == "students":
+        # n schools.  Student i < n - 1 lists [i, i + 1], student n - 1 lists
+        # [n - 1], the intruder n lists [0].  School j prefers student j - 1
+        # (score 2) to student j (score 1); school 0 prefers the intruder.
+        preferences = [[i, i + 1] for i in range(n - 1)] + [[n - 1], [0]]
+        plane = np.full((n, n + 1), np.nan)
+        plane[np.arange(n), np.arange(n)] = 1.0
+        plane[np.arange(1, n), np.arange(n - 1)] = 2.0
+        plane[0, n] = 2.0
+        return preferences, plane, [1] * n
+    # The mirror image: n students and n + 1 schools.  School j < n offers
+    # to student j, then j + 1; the intruder school n offers to student 0
+    # only.  Student 0 lists [n, 0], student j >= 1 lists [j - 1, j].
+    preferences = [[n, 0]] + [[j - 1, j] for j in range(1, n)]
+    plane = np.full((n + 1, n), np.nan)
+    plane[np.arange(n), np.arange(n)] = 2.0
+    plane[np.arange(n - 1), np.arange(1, n)] = 1.0
+    plane[n, 0] = 2.0
+    return preferences, plane, [1] * (n + 1)
+
+
 class TestEngineEquivalence:
     """The proposing side's optimal stable matching is unique (school
-    preferences are made strict by the ``-student`` tie-break), so all three
+    preferences are made strict by the ``-student`` tie-break), so both
     engines must agree *exactly* — assignment, rosters, matched ranks, and
     the proposal count, which is order-independent for deferred acceptance."""
 
@@ -508,6 +573,17 @@ class TestEngineEquivalence:
         }
         _assert_matches_equal(results["heap"], results["reference"])
         _assert_matches_equal(results["vector"], results["reference"])
+
+    def test_heap_name_warns_and_runs_vector(self, proposing):
+        preferences, rankings, capacities = _random_instance(np.random.default_rng(3))
+        with pytest.warns(DeprecationWarning, match="engine='heap' is deprecated"):
+            heap = deferred_acceptance(
+                preferences, rankings, capacities, engine="heap", proposing=proposing
+            )
+        vector = deferred_acceptance(
+            preferences, rankings, capacities, engine="vector", proposing=proposing
+        )
+        _assert_matches_equal(heap, vector)
 
     @pytest.mark.parametrize(
         "capacities",
@@ -548,6 +624,26 @@ class TestEngineEquivalence:
         ]
         for other in results[1:]:
             _assert_matches_equal(results[0], other)
+
+    def test_long_bump_chain(self, proposing):
+        # The serial regime: after round one, every round of the vector
+        # engine holds a single proposal.
+        n = 300
+        preferences, plane, capacities = _bump_chain(n, proposing)
+        vector, reference = (
+            deferred_acceptance(
+                preferences, plane, capacities, engine=engine, proposing=proposing
+            )
+            for engine in ("vector", "reference")
+        )
+        _assert_matches_equal(vector, reference)
+        assert vector.proposals_made == 2 * n
+        if proposing == "students":
+            # Everyone moved one school along; the chain's end fell off.
+            expected = list(range(1, n)) + [-1, 0]
+        else:
+            expected = [n] + list(range(n - 1))
+        assert vector.assignment.tolist() == expected
 
 
 class TestPreferenceGeneration:

@@ -4,7 +4,7 @@ The committed corpus under ``tests/data/scenarios/`` is the differential
 proving ground: every instance is replayed on every tier-1 run, asserting
 
 * the golden numbers still hold (bonus vector, disparity/DDP, assignments);
-* ``vector == heap == reference`` matchings on **both** proposing sides for
+* ``vector == reference`` matchings on **both** proposing sides for
   every generated market shape (heavy tails, tie storms, zero/oversized
   capacities, ...).
 
@@ -92,7 +92,7 @@ class TestCorpusReplay:
             assert observed[key] == pytest.approx(expected[key], rel=1e-9, abs=1e-12)
 
     def test_cross_engine_matchings_identical(self, path: Path):
-        """vector == heap == reference, both proposing sides, on the raw plane."""
+        """vector == reference, both proposing sides, on the raw plane."""
         golden = json.loads(path.read_text())
         config = ScenarioConfig.from_dict(golden["scenario"])
         market = generate_market(config, trial=0)
@@ -209,7 +209,7 @@ class TestDriver:
         envelope = run_scenario(
             config,
             trials=2,
-            engines=("heap", "vector"),
+            engines=("vector", "reference"),
             executors=("serial", "process"),
             max_workers=2,
         )
@@ -224,7 +224,7 @@ class TestDriver:
             assert stats["min"] <= stats["mean"] <= stats["max"]
         assert "fit_serial_seconds" in envelope.runtime
         assert "fit_process_seconds" in envelope.runtime
-        assert "match_heap_seconds" in envelope.runtime
+        assert "match_vector_seconds" in envelope.runtime
 
     def test_compensation_reduces_disparity(self):
         envelope = run_scenario(
