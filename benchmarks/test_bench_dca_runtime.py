@@ -10,11 +10,13 @@ samples retain a mild dependence).
 
 from __future__ import annotations
 
+import importlib.util
 import time
+from pathlib import Path
 
 import numpy as np
 
-from repro.core import DCA, DCAConfig
+from repro.core import DCA, DCAConfig, DisparityObjective
 from repro.datasets import (
     SCHOOL_FAIRNESS_ATTRIBUTES,
     SchoolGeneratorConfig,
@@ -24,32 +26,43 @@ from repro.datasets import (
 
 from conftest import run_once
 
+_ORACLE_PATH = Path(__file__).resolve().parent.parent / "tests" / "_dca_table_oracle.py"
+_spec = importlib.util.spec_from_file_location("_dca_table_oracle", _ORACLE_PATH)
+_oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_oracle)
 
-def _fit_once(num_students: int, seed: int = 7, engine: str = "array"):
+
+def _fit_once(num_students: int, seed: int = 7, oracle: bool = False):
     cohort = generate_school_cohort("bench", SchoolGeneratorConfig(num_students=num_students), seed=3)
-    dca = DCA(
-        SCHOOL_FAIRNESS_ATTRIBUTES,
-        school_admission_rubric(),
-        k=0.05,
-        config=DCAConfig(seed=seed, engine=engine),
-    )
+    config = DCAConfig(seed=seed)
     start = time.perf_counter()
-    result = dca.fit(cohort.table)
+    if oracle:
+        result = _oracle.oracle_fit(
+            cohort.table,
+            school_admission_rubric(),
+            DisparityObjective(SCHOOL_FAIRNESS_ATTRIBUTES),
+            0.05,
+            config,
+        )
+    else:
+        dca = DCA(SCHOOL_FAIRNESS_ATTRIBUTES, school_admission_rubric(), k=0.05, config=config)
+        result = dca.fit(cohort.table)
     return time.perf_counter() - start, result
 
 
 def test_dca_array_engine_quick_profile_5k():
     """Quick-profile smoke on the paper's 5k-student cohort (the CI perf canary).
 
-    The array engine must beat the legacy table engine by a clear margin on
-    the very same fit — a relative assertion, so it stays meaningful on slow
-    CI runners — while producing bitwise identical bonus vectors.
+    The array step loop must beat the table-slicing test oracle
+    (``tests/_dca_table_oracle.py``) by a clear margin on the very same fit
+    — a relative assertion, so it stays meaningful on slow CI runners —
+    while producing bitwise identical bonus vectors.
     """
     array_seconds, array_result = min(
-        (_fit_once(5_000, engine="array") for _ in range(3)), key=lambda pair: pair[0]
+        (_fit_once(5_000) for _ in range(3)), key=lambda pair: pair[0]
     )
     table_seconds, table_result = min(
-        (_fit_once(5_000, engine="table") for _ in range(3)), key=lambda pair: pair[0]
+        (_fit_once(5_000, oracle=True) for _ in range(3)), key=lambda pair: pair[0]
     )
     assert np.array_equal(array_result.raw_bonus.values, table_result.raw_bonus.values)
     assert array_seconds * 1.5 < table_seconds

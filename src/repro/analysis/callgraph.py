@@ -14,10 +14,13 @@ Resolution rules (documented limits in ``docs/contracts.md``):
   dotted-suffix match against every indexed definition;
 * ``self.method()`` / ``cls.method()`` resolve within the enclosing class
   (base classes are not searched);
-* ``ClassName(...)`` adds an edge to ``ClassName.__init__`` when one exists;
+* ``ClassName(...)`` adds an edge to ``ClassName.__init__`` when one exists,
+  and so does ``cls(...)`` inside a method of ``ClassName``;
 * local variables and parameters resolve through one level of type
-  inference: ``obj = ClassName(...)`` assignments and ``param: ClassName``
-  annotations make ``obj.method()`` resolve to ``ClassName.method``;
+  inference: ``obj = ClassName(...)`` and ``obj = ClassName.from_x(...)``
+  (``from_x`` a classmethod: an alternate constructor) assignments and
+  ``param: ClassName`` annotations make ``obj.method()`` resolve to
+  ``ClassName.method``;
 * anything else — dynamic dispatch, containers of callables, attributes of
   unknown objects — stays *unresolved* and produces no edge.
 
@@ -194,13 +197,28 @@ class CallGraph:
             if callee is None:
                 continue
             resolved = self._resolve_through_imports(info.module, callee)
-            classes = self._match_classes(resolved)
+            classes = self._match_classes(resolved) or self._constructed_by(resolved)
             if not classes:
                 continue
             for target in node.targets:
                 if isinstance(target, ast.Name):
                     types[target.id] = classes[0]
         return types
+
+    def _constructed_by(self, dotted: str) -> list[str]:
+        """Classes ``dotted`` names a classmethod of (``Cls.from_x``): alternate constructors."""
+        owner, _, method = dotted.rpartition(".")
+        if not owner:
+            return []
+        return [
+            class_qual
+            for class_qual in self._match_classes(owner)
+            if method in self.classes[class_qual]
+            and any(
+                dotted_name(decorator) == "classmethod"
+                for decorator in self.functions[f"{class_qual}.{method}"].node.decorator_list
+            )
+        ]
 
     @staticmethod
     def _resolve_through_imports(module: LintModule, dotted: str) -> str:
@@ -230,6 +248,10 @@ class CallGraph:
         if name is None:
             return []
         parts = name.split(".")
+        # cls(...) inside a classmethod constructs the enclosing class.
+        if parts == ["cls"] and info.class_name:
+            init = f"{module_name}.{info.class_name}.__init__"
+            return [init] if init in self.functions else []
         # self.method() / cls.method(): resolve within the enclosing class.
         if parts[0] in ("self", "cls") and len(parts) == 2 and info.class_name:
             candidate = f"{module_name}.{info.class_name}.{parts[1]}"

@@ -1,6 +1,6 @@
 """R2 — shared-memory lifecycle: every allocation is dominated by cleanup.
 
-``SharedMemory`` segments (and the plane/store wrappers built on them) are
+``SharedMemory`` segments (and the plane wrapper built on them) are
 kernel objects: a Python-level leak leaves a file in ``/dev/shm`` until
 reboot.  The contract is that every allocation must be *dominated* by a
 ``close()``/``unlink()`` on all paths.  Statically we accept the shapes the
@@ -8,7 +8,7 @@ codebase actually uses:
 
 * the allocation is a ``with`` item (directly, or the bound name is later
   used as one);
-* the allocation is returned directly (``return SharedColumnStore(...)``) —
+* the allocation is returned directly (``return SharedPopulationPlane(...)``) —
   ownership transfers to the caller;
 * the allocation is stored on ``self`` inside a class that defines
   ``close`` — the instance owns the segment;
@@ -29,12 +29,12 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..lint import Finding, LintModule, Rule, ancestors, dotted_name
+from ..lint import Finding, LintModule, Rule, ancestors
 
 __all__ = ["ShmLifecycleRule"]
 
 #: Constructor terminals that allocate (or wrap) a shared-memory segment.
-_ALLOCATORS = frozenset({"SharedMemory", "SharedColumnStore", "SharedPopulationPlane"})
+_ALLOCATORS = frozenset({"SharedMemory", "SharedPopulationPlane"})
 
 _CLEANUP_METHODS = frozenset({"close", "unlink", "shutdown"})
 
@@ -50,25 +50,6 @@ def _call_terminal(call: ast.Call) -> str | None:
     if isinstance(call.func, ast.Attribute):
         return call.func.attr
     return None
-
-
-def _is_allocation(call: ast.Call) -> bool:
-    terminal = _call_terminal(call)
-    if terminal in _ALLOCATORS:
-        return True
-    if terminal == "allocate" and isinstance(call.func, ast.Attribute):
-        owner = dotted_name(call.func.value)
-        if owner is not None and "Plane" in owner:
-            return True
-    if terminal in {"generate_school_cohort", "generate_compas_cohort"}:
-        for keyword in call.keywords:
-            if (
-                keyword.arg == "shared"
-                and isinstance(keyword.value, ast.Constant)
-                and keyword.value.value is True
-            ):
-                return True
-    return False
 
 
 def _assignment_target(call: ast.Call) -> ast.AST | None:
@@ -114,7 +95,7 @@ def _name_is_cleaned(scope: ast.AST, name: str) -> bool:
                 if _calls_cleanup_on(handler.body, name):
                     return True
         elif isinstance(node, ast.Call):
-            # ``stack.enter_context(store)`` / ``stack.callback(store.close)``
+            # ``stack.enter_context(plane)`` / ``stack.callback(plane.close)``
             terminal = _call_terminal(node)
             if terminal in _REGISTRARS and any(
                 _mentions_name(arg, name) for arg in node.args
@@ -139,7 +120,7 @@ class ShmLifecycleRule(Rule):
 
     def check(self, module: LintModule) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call) or not _is_allocation(node):
+            if not isinstance(node, ast.Call) or _call_terminal(node) not in _ALLOCATORS:
                 continue
             finding = self._classify(module, node)
             if finding is not None:

@@ -36,7 +36,7 @@ from .objectives import (
     FalsePositiveRateObjective,
     LogDiscountedDisparityObjective,
 )
-from .parallel import CompiledObjectiveCache, SharedColumnStore, default_objective_cache
+from .parallel import CompiledObjectiveCache, default_objective_cache
 from .result import DCAResult, DCATrace
 from .sampling import SampleStream, rarest_group_frequency, recommended_sample_size
 
@@ -57,7 +57,6 @@ __all__ = [
     "DCATrace",
     "CompiledObjective",
     "CompiledObjectiveCache",
-    "SharedColumnStore",
     "default_objective_cache",
     "AttributeNormalizer",
     "DisparityCalculator",

@@ -67,14 +67,6 @@ class DCAConfig:
         RNG seed controlling the random initialization and all samples.
     initial_bonus_scale:
         The random initial bonus vector is uniform on [0, initial_bonus_scale].
-    engine:
-        How per-step objective evaluations are executed.  ``"array"`` (the
-        default) runs on the vectorized array plane: attribute matrices,
-        base scores, and group masks are gathered once per fit and every
-        sampled step works on integer-indexed NumPy arrays.  ``"table"`` is
-        the legacy reference path that materializes a
-        :class:`~repro.tabular.Table` slice per step; it produces bitwise
-        identical results and exists for verification and debugging.
     rng_batching:
         ``"per_step"`` (the default) draws each step's sample in its own
         generator call, preserving seed-for-seed history.  ``"per_phase"``
@@ -106,7 +98,6 @@ class DCAConfig:
     seed: int | None = None
     initial_bonus_scale: float = 1.0
     min_group_count: int = 30
-    engine: str = "array"
     rng_batching: str = "per_step"
     stratified_sampling: bool = False
 
@@ -147,8 +138,6 @@ class DCAConfig:
             )
         if self.min_group_count <= 0:
             raise ValueError(f"min_group_count must be positive, got {self.min_group_count}")
-        if self.engine not in ("array", "table"):
-            raise ValueError(f"engine must be 'array' or 'table', got {self.engine!r}")
         if self.rng_batching not in ("per_step", "per_phase"):
             raise ValueError(
                 "rng_batching must be 'per_step' or 'per_phase', "

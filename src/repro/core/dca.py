@@ -22,12 +22,12 @@ Definition 3 disparity at a known selection fraction ``k``, but the same
 machinery optimizes the log-discounted disparity, disparate impact, false
 positive rate gaps, or exposure gaps.
 
-Array-plane engine
-------------------
+Array-plane step loop
+---------------------
 
 The optimization loop runs thousands of sampled steps, so the per-step cost
-dominates the fit time.  The default ``engine="array"`` keeps the hot loop
-entirely on NumPy arrays:
+dominates the fit time.  The hot loop therefore runs entirely on NumPy
+arrays:
 
 1. at ``fit`` time the base scores, the raw fairness-attribute matrix
    ``A_f``, and the objective's compiled population state (normalized
@@ -41,12 +41,12 @@ entirely on NumPy arrays:
    no shadow index column, no :class:`~repro.core.bonus.BonusVector`
    boxing.
 
-``engine="table"`` (:class:`~repro.core.config.DCAConfig`) preserves the
-legacy reference path that slices a table per step; both engines consume the
-RNG identically and produce bitwise identical results for the same seed,
-which the equivalence tests pin.  Custom objectives that only implement the
-table-path ``evaluate`` are handled transparently through the compiled
-fallback wrapper.
+Custom objectives that only implement the table-path ``evaluate`` run
+through the compiled fallback wrapper.  The per-step table-slicing
+evaluation this loop replaced is kept as a test oracle
+(``tests/_dca_table_oracle.py``); it consumes the RNG through the same
+sample stream, and the equivalence tests pin every fit entry point to it
+bitwise.
 
 Batched execution
 -----------------
@@ -131,11 +131,11 @@ def _resolve_sample_size(
 ) -> int:
     """Per-step sample size for a population of ``num_rows`` rows.
 
-    Single source of truth for the table-backed :class:`_BonusSearch` and
-    the parent-side planner of the process backend — the two must agree
-    exactly or the backends stop being bitwise identical.
-    ``rarest_frequency`` is a thunk so callers only pay for the group scan
-    when ``config.sample_size`` is unset.
+    Single source of truth for :meth:`_BonusSearch.from_table` and the
+    parent-side planner of the process backend — the two must agree exactly
+    or the backends stop being bitwise identical.  ``rarest_frequency`` is a
+    thunk so callers only pay for the group scan when ``config.sample_size``
+    is unset.
     """
     if config.sample_size is not None:
         return int(min(config.sample_size, num_rows))
@@ -144,60 +144,77 @@ def _resolve_sample_size(
     )
 
 
+def _check_fraction(k: float) -> None:
+    if not 0.0 < float(k) <= 1.0:
+        raise ValueError(f"selection fraction k must be in (0, 1], got {k}")
+
+
+def _fit_target(
+    fairness_attributes: Sequence[str],
+    k: float,
+    objective: FairnessObjective | None,
+    config: DCAConfig | None,
+) -> tuple[tuple[str, ...], float, FairnessObjective, DCAConfig]:
+    """Validate the arguments :class:`DCA` and :class:`FullDCA` share.
+
+    Returns ``(attributes, k, objective, config)`` with the defaults filled
+    in.  An explicit objective must list exactly the fairness attributes, in
+    the same order: the fitted values follow the objective's order and are
+    published under the fairness attributes' names.
+    """
+    attributes = tuple(fairness_attributes)
+    if not attributes:
+        raise ValueError("at least one fairness attribute is required")
+    _check_fraction(k)
+    config = config or DCAConfig()
+    config.validate()
+    if objective is not None and tuple(objective.attribute_names) != attributes:
+        raise ValueError(
+            "the objective's attributes must match the fairness attributes: "
+            f"{objective.attribute_names} vs {attributes}"
+        )
+    return attributes, float(k), objective or DisparityObjective(attributes), config
+
+
 class _BonusSearch:
     """Shared state and helpers for the Core DCA and refinement phases.
 
-    The search owns everything both engines need: the per-fit precomputed
+    The search owns everything both phases need: the per-fit precomputed
     arrays (base scores, raw attribute matrix, the objective compiled against
     the population), the sample stream, and the RNG.  ``step_signal`` is the
     hot path — one sampled objective evaluation per call.
+
+    The constructor is the one assembly path.  :meth:`from_table` computes
+    the arrays from a table and hands them over; the process-backend workers
+    hand over the same arrays mapped out of shared memory, with the row
+    count as ``population`` (only stratified draws need the table itself,
+    for its group masks).  Either way the search consumes the RNG
+    identically, so a worker fit is bitwise identical to a serial
+    :meth:`DCA.fit` with the same seed.
     """
 
     def __init__(
         self,
-        table: Table,
-        score_function: ScoreFunction,
-        objective: FairnessObjective,
+        *,
+        base_scores: np.ndarray,
+        attribute_matrix: np.ndarray,
+        compiled: CompiledObjective,
+        population: Table | int,
+        sample_size: int,
+        attribute_names: Sequence[str],
         k: float,
         config: DCAConfig,
-        objective_cache: CompiledObjectiveCache | None = None,
     ) -> None:
-        if not 0.0 < k <= 1.0:
-            raise ValueError(f"selection fraction k must be in (0, 1], got {k}")
-        config.validate()
-        if table.num_rows == 0:
-            raise ValueError("cannot fit bonus points on an empty table")
-        self.table = table
-        self.score_function = score_function
-        self.objective = objective
         self.k = float(k)
         self.config = config
-        self.attribute_names = tuple(objective.attribute_names)
+        self.attribute_names = tuple(attribute_names)
         self.rng = config.rng()
-
-        # Per-fit precomputation: base scores over the full table and, for
-        # the array engine, the raw fairness-attribute matrix A_f plus the
-        # objective compiled against this population (through the cache when
-        # one is provided, so batched jobs share one compilation).
-        self._base_scores = np.asarray(score_function.scores(table), dtype=float)
-        if config.engine == "array":
-            self._attribute_matrix = table.matrix(list(self.attribute_names))
-            if objective_cache is not None:
-                self._compiled = objective_cache.compile(objective, table)
-            else:
-                self._compiled = objective.compile(table)
-        else:
-            self._attribute_matrix = None
-            self._compiled = None
-
-        self.sample_size = _resolve_sample_size(
-            config,
-            self.k,
-            table.num_rows,
-            lambda: rarest_group_frequency(table, self.attribute_names),
-        )
+        self._base_scores = base_scores
+        self._attribute_matrix = attribute_matrix
+        self._compiled = compiled
+        self.sample_size = int(sample_size)
         self._stream = SampleStream(
-            table,
+            population,
             self.sample_size,
             rng=self.rng,
             stratify=self.attribute_names if config.stratified_sampling else None,
@@ -206,50 +223,46 @@ class _BonusSearch:
         self._phase_cursor = 0
 
     @classmethod
-    def from_arrays(
+    def from_table(
         cls,
-        *,
-        base_scores: np.ndarray,
-        attribute_matrix: np.ndarray,
-        compiled: CompiledObjective,
-        num_rows: int,
-        sample_size: int,
-        attribute_names: Sequence[str],
+        table: Table,
+        score_function: ScoreFunction,
+        objective: FairnessObjective,
         k: float,
         config: DCAConfig,
+        objective_cache: CompiledObjectiveCache | None = None,
     ) -> "_BonusSearch":
-        """Assemble a search from precomputed arrays — no table required.
+        """Compute the per-fit arrays from ``table`` and assemble the search.
 
-        This is the shared-memory worker path of the process backend: the
-        parent computed ``base_scores``, the raw attribute matrix, the
-        compiled objective state, and the sample size once, and the worker
-        maps them out of shared memory.  The search consumes the RNG exactly
-        like the table-backed constructor, so the resulting fit is bitwise
-        identical to a serial :meth:`DCA.fit` with the same seed.
+        Base scores over the full table, the raw fairness-attribute matrix
+        ``A_f``, and the objective compiled against this population (through
+        ``objective_cache`` when one is given, so batched jobs share one
+        compilation).
         """
-        if compiled is None:
-            raise ValueError("from_arrays requires a compiled objective")
-        if config.stratified_sampling:
-            raise ValueError(
-                "stratified sampling needs the population table for its group "
-                "masks; table-less searches cannot stratify"
-            )
-        search = cls.__new__(cls)
-        search.table = None
-        search.score_function = None
-        search.objective = None
-        search.k = float(k)
-        search.config = config
-        search.attribute_names = tuple(attribute_names)
-        search.rng = config.rng()
-        search._base_scores = base_scores
-        search._attribute_matrix = attribute_matrix
-        search._compiled = compiled
-        search.sample_size = int(sample_size)
-        search._stream = SampleStream(int(num_rows), search.sample_size, rng=search.rng)
-        search._phase_indices = None
-        search._phase_cursor = 0
-        return search
+        _check_fraction(k)
+        config.validate()
+        if table.num_rows == 0:
+            raise ValueError("cannot fit bonus points on an empty table")
+        attribute_names = tuple(objective.attribute_names)
+        if objective_cache is not None:
+            compiled = objective_cache.compile(objective, table)
+        else:
+            compiled = objective.compile(table)
+        return cls(
+            base_scores=np.asarray(score_function.scores(table), dtype=float),
+            attribute_matrix=table.matrix(list(attribute_names)),
+            compiled=compiled,
+            population=table,
+            sample_size=_resolve_sample_size(
+                config,
+                k,
+                table.num_rows,
+                lambda: rarest_group_frequency(table, attribute_names),
+            ),
+            attribute_names=attribute_names,
+            k=k,
+            config=config,
+        )
 
     # ------------------------------------------------------------------
     def initial_bonus(self) -> np.ndarray:
@@ -284,25 +297,21 @@ class _BonusSearch:
         """Draw the next sample and evaluate the objective under ``bonus_values``."""
         indices = self._next_indices()
         base = self._base_scores[indices]
-        if self._compiled is not None:
-            scores = compensate_scores(self._attribute_matrix[indices], base, bonus_values)
-            return np.asarray(self._compiled.evaluate(indices, scores, self.k), dtype=float)
-        if indices.shape[0] == self.table.num_rows:
-            sample = self.table  # sample covers the table: no per-step copy
-        else:
-            sample = self.table.take(indices)
-        bonus = BonusVector(attribute_names=self.attribute_names, values=bonus_values)
-        scores = bonus.apply(sample, base)
-        return self.objective.evaluate(sample, scores, self.k).vector
+        scores = compensate_scores(self._attribute_matrix[indices], base, bonus_values)
+        return np.asarray(self._compiled.evaluate(indices, scores, self.k), dtype=float)
 
     def objective_on_full(self, bonus_values: np.ndarray) -> np.ndarray:
-        """Evaluate the objective on the entire table (Full DCA / reporting)."""
-        if self._compiled is not None:
-            scores = compensate_scores(self._attribute_matrix, self._base_scores, bonus_values)
-            return np.asarray(self._compiled.evaluate(None, scores, self.k), dtype=float)
-        bonus = BonusVector(attribute_names=self.attribute_names, values=bonus_values)
-        scores = bonus.apply(self.table, self._base_scores)
-        return self.objective.evaluate(self.table, scores, self.k).vector
+        """Evaluate the objective on the entire population (Full DCA / reporting)."""
+        scores = compensate_scores(self._attribute_matrix, self._base_scores, bonus_values)
+        return np.asarray(self._compiled.evaluate(None, scores, self.k), dtype=float)
+
+
+def _publish(raw_bonus: BonusVector, config: DCAConfig) -> BonusVector:
+    """The published bonus: clip to the feasible box, round to the granularity, clip again."""
+    final = raw_bonus.clipped(config.min_bonus, config.max_bonus)
+    if config.granularity > 0:
+        final = final.rounded(config.granularity).clipped(config.min_bonus, config.max_bonus)
+    return final
 
 
 def _finish_fit(
@@ -312,8 +321,8 @@ def _finish_fit(
 
     The shared tail of :meth:`DCA.fit` and the process-backend workers: both
     phases reuse the same search (sample stream, cached arrays), and the
-    final bonus is clipped and rounded exactly as the facade documents.
-    ``start`` is the fit's ``perf_counter`` origin for ``elapsed_seconds``.
+    final bonus is published by :func:`_publish`.  ``start`` is the fit's
+    ``perf_counter`` origin for ``elapsed_seconds``.
     """
     attribute_names = tuple(attribute_names)
     core = CoreDCA(None, None, None, search.k, config, search=search)
@@ -328,10 +337,7 @@ def _finish_fit(
         raw_values = core_values
 
     raw_bonus = BonusVector(attribute_names=attribute_names, values=raw_values)
-    final = raw_bonus.clipped(config.min_bonus, config.max_bonus)
-    if config.granularity > 0:
-        final = final.rounded(config.granularity)
-        final = final.clipped(config.min_bonus, config.max_bonus)
+    final = _publish(raw_bonus, config)
     elapsed = time.perf_counter() - start
     return DCAResult(
         bonus=final,
@@ -356,7 +362,9 @@ class CoreDCA:
         search: _BonusSearch | None = None,
     ) -> None:
         self.config = config or DCAConfig()
-        self._search = search or _BonusSearch(table, score_function, objective, k, self.config)
+        self._search = search or _BonusSearch.from_table(
+            table, score_function, objective, k, self.config
+        )
 
     @property
     def sample_size(self) -> int:
@@ -398,7 +406,9 @@ class DCARefinement:
         search: _BonusSearch | None = None,
     ) -> None:
         self.config = config or DCAConfig()
-        self._search = search or _BonusSearch(table, score_function, objective, k, self.config)
+        self._search = search or _BonusSearch.from_table(
+            table, score_function, objective, k, self.config
+        )
 
     def run(self, initial: np.ndarray) -> tuple[np.ndarray, DCATrace]:
         """Refine ``initial`` and return (raw averaged bonus values, trace)."""
@@ -524,21 +534,10 @@ class DCA:
         config: DCAConfig | None = None,
         objective_cache: CompiledObjectiveCache | None = None,
     ) -> None:
-        self.fairness_attributes = tuple(fairness_attributes)
-        if not self.fairness_attributes:
-            raise ValueError("at least one fairness attribute is required")
-        if not 0.0 < float(k) <= 1.0:
-            raise ValueError(f"selection fraction k must be in (0, 1], got {k}")
+        self.fairness_attributes, self.k, self.objective, self.config = _fit_target(
+            fairness_attributes, k, objective, config
+        )
         self.score_function = score_function
-        self.k = float(k)
-        self.config = config or DCAConfig()
-        self.config.validate()
-        if objective is not None and tuple(objective.attribute_names) != self.fairness_attributes:
-            raise ValueError(
-                "the objective's attributes must match the fairness attributes: "
-                f"{objective.attribute_names} vs {self.fairness_attributes}"
-            )
-        self.objective = objective or DisparityObjective(self.fairness_attributes)
         self.objective_cache = objective_cache
 
     def fit(self, table: Table) -> DCAResult:
@@ -547,7 +546,7 @@ class DCA:
         self.objective.fit(table)
         # The search owns the sample stream and cached arrays; both phases
         # (and the result assembly in _finish_fit) share it.
-        search = _BonusSearch(
+        search = _BonusSearch.from_table(
             table,
             self.score_function,
             self.objective,
@@ -587,9 +586,9 @@ class DCA:
           placed in ``multiprocessing.shared_memory`` once, and workers
           receive only tiny job descriptors — the cohort is never pickled
           per job.
-          Jobs that cannot run on the plane (``engine="table"`` configs, or
-          custom objectives without a
-          :meth:`~repro.core.objectives.FairnessObjective.signature`) fall
+          Jobs that cannot run on the plane (custom objectives without a
+          :meth:`~repro.core.objectives.FairnessObjective.signature`, and
+          stratified sampling, which needs the table's group masks) fall
           back to in-parent serial execution, preserving result order and
           values.
         * ``None`` (default) — ``"process"`` when ``max_workers`` asks for
@@ -698,8 +697,9 @@ class DCA:
         attribute matrix per distinct attribute set, one compiled state per
         distinct objective signature — inside a single shared-memory
         segment, then dispatches :class:`~repro.core.parallel.PlaneJob`
-        job descriptors to the pool.  Jobs the plane cannot serve (table
-        engine, signature-less objectives) run in the parent instead.
+        job descriptors to the pool.  Jobs the plane cannot serve
+        (signature-less objectives, stratified sampling) run in the parent
+        instead.
         """
         num_rows = table.num_rows
         arrays: dict[str, np.ndarray] = {}
@@ -713,11 +713,10 @@ class DCA:
         for index, spec in enumerate(jobs):
             config, objective_template, k = self._resolve_spec(spec)
             signature = objective_template.signature()
-            # Jobs the plane cannot serve run in the parent: the table
-            # engine has no array state to share, signature-less objectives
-            # cannot be cached or exported, and stratified sampling needs the
-            # table's group masks.
-            if config.engine != "array" or signature is None or config.stratified_sampling:
+            # Jobs the plane cannot serve run in the parent: signature-less
+            # objectives cannot be cached or exported, and stratified
+            # sampling needs the table's group masks.
+            if signature is None or config.stratified_sampling:
                 parent_jobs.append((index, spec))
                 continue
             if signature not in signature_keys:
@@ -781,10 +780,9 @@ class FullDCA:
 
     Theorem 4.1 is stated for this variant.  It is deterministic given the
     initialization and is used in tests to check the descent property and as
-    an accuracy reference in the ablation benchmarks.  Under the array engine
-    the per-step full-population evaluation also runs on the precomputed
-    matrices, which removes the per-step normalization pass the table path
-    performs.
+    an accuracy reference in the ablation benchmarks.  The per-step
+    full-population evaluation runs on the same precomputed arrays as the
+    sampled fit.
     """
 
     def __init__(
@@ -795,24 +793,16 @@ class FullDCA:
         objective: FairnessObjective | None = None,
         config: DCAConfig | None = None,
     ) -> None:
-        self.fairness_attributes = tuple(fairness_attributes)
-        if not self.fairness_attributes:
-            raise ValueError("at least one fairness attribute is required")
-        if not 0.0 < float(k) <= 1.0:
-            raise ValueError(f"selection fraction k must be in (0, 1], got {k}")
+        self.fairness_attributes, self.k, self.objective, self.config = _fit_target(
+            fairness_attributes, k, objective, config
+        )
         self.score_function = score_function
-        self.k = float(k)
-        base = config or DCAConfig()
-        # Full DCA ignores the sampling machinery entirely.
-        self.config = base
-        self.objective = objective or DisparityObjective(self.fairness_attributes)
 
     def fit(self, table: Table) -> DCAResult:
         start = time.perf_counter()
         self.objective.fit(table)
         config = self.config
-        config.validate()
-        search = _BonusSearch(table, self.score_function, self.objective, self.k, config)
+        search = _BonusSearch.from_table(table, self.score_function, self.objective, self.k, config)
         bonus = search.initial_bonus()
         traces: list[DCATrace] = []
         for learning_rate in config.learning_rates:
@@ -829,9 +819,7 @@ class FullDCA:
                 )
             )
         raw = BonusVector(attribute_names=self.fairness_attributes, values=bonus)
-        final = raw.clipped(config.min_bonus, config.max_bonus)
-        if config.granularity > 0:
-            final = final.rounded(config.granularity).clipped(config.min_bonus, config.max_bonus)
+        final = _publish(raw, config)
         elapsed = time.perf_counter() - start
         return DCAResult(
             bonus=final,

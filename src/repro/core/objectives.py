@@ -37,7 +37,7 @@ indexing — no per-step :class:`~repro.tabular.Table` construction.  The
 built-in objectives provide exact array-plane compilations (bitwise identical
 to their table-path results); custom subclasses that only implement
 ``evaluate`` automatically fall back to a compiled wrapper that slices the
-table, so they keep working under the array engine unchanged.
+table, so they keep working in the DCA step loop unchanged.
 
 Sharing compiled state
 ----------------------
@@ -184,7 +184,7 @@ class FairnessObjective(abc.ABC):
         """Bind this objective to ``table`` for array-plane evaluation.
 
         The default compilation wraps the table path (slicing ``table`` per
-        call), so any subclass works under the array engine; the built-in
+        call), so any subclass works in the DCA step loop; the built-in
         objectives override this with exact vectorized versions.
         """
         return _CompiledTableFallback(self, table)

@@ -12,14 +12,10 @@ This module is the scaling substrate behind :meth:`repro.core.DCA.fit_many`:
   per job, so every job keeps private mutable scratch state while the
   population-sized arrays are computed exactly once.
 * :class:`SharedPopulationPlane` — one ``multiprocessing.shared_memory``
-  segment holding named NumPy arrays, either packed from existing arrays or
-  :meth:`~SharedPopulationPlane.allocate`-d empty and filled in place, so
+  segment holding named NumPy arrays packed from existing arrays, so
   process-pool workers can map the population (base scores, attribute
   matrices, compiled objective state) instead of receiving a pickled copy
   per job.
-* :class:`SharedColumnStore` — a cohort-shaped column store over one
-  segment: dataset generators write synthetic columns straight into it, so
-  a scale-bench cohort exists exactly once, already mapped for workers.
 * :func:`execute_process_jobs` — runs :class:`PlaneJob` descriptors on a
   plain :class:`concurrent.futures.ProcessPoolExecutor` whose workers
   attach the plane once (in the pool initializer) and then serve jobs from
@@ -55,7 +51,6 @@ __all__ = [
     "CompiledObjectiveCache",
     "default_objective_cache",
     "SharedPopulationPlane",
-    "SharedColumnStore",
     "PlanePayload",
     "PlaneJob",
     "execute_process_jobs",
@@ -188,45 +183,22 @@ class SharedPopulationPlane:
     The parent packs every array a batch of fits needs (base scores,
     per-attribute-set matrices, compiled objective state) into a single
     segment; workers attach it by name and serve every job through zero-copy
-    read-only views.  A plane can also be :meth:`allocate`-d from dtype/shape
-    specs and filled in place through :meth:`view`, so large arrays are
-    computed straight into the segment instead of being materialized on the
-    private heap first.  The plane owns the segment: call :meth:`close` (or
-    use the plane as a context manager) once the pool has shut down to
-    release and unlink it.
+    read-only views.  The plane owns the segment: call :meth:`close` (or use
+    the plane as a context manager) once the pool has shut down to release
+    and unlink it.
     """
 
     def __init__(self, arrays: Mapping[str, np.ndarray]) -> None:
         packed = {key: np.ascontiguousarray(value) for key, value in arrays.items()}
-        self._allocate_segment(
-            {key: (value.dtype.str, tuple(value.shape)) for key, value in packed.items()}
-        )
-        for key, value in packed.items():
-            self.view(key)[...] = value
-
-    @classmethod
-    def allocate(
-        cls, specs: Mapping[str, tuple[str, tuple[int, ...]]]
-    ) -> "SharedPopulationPlane":
-        """Create a plane of empty (zero-filled) arrays from dtype/shape specs.
-
-        ``specs`` maps each array key to ``(dtype string, shape)``.  Fill the
-        arrays through :meth:`view` — this is how cohort generators write
-        population-sized data into shared memory without a second
-        private-heap copy.
-        """
-        plane = cls.__new__(cls)
-        plane._allocate_segment({key: (dtype, tuple(shape)) for key, (dtype, shape) in specs.items()})
-        return plane
-
-    def _allocate_segment(self, specs: Mapping[str, tuple[str, tuple[int, ...]]]) -> None:
         total = 0
         self.refs: dict[str, _ArrayRef] = {}
-        for key, (dtype, shape) in specs.items():
+        for key, value in packed.items():
             total = -(-total // _ALIGNMENT) * _ALIGNMENT  # round up
-            self.refs[key] = _ArrayRef(dtype, shape, total)
-            total += int(np.dtype(dtype).itemsize) * int(np.prod(shape, dtype=np.int64))
+            self.refs[key] = _ArrayRef(value.dtype.str, tuple(value.shape), total)
+            total += value.nbytes
         self._shm = shared_memory.SharedMemory(create=True, size=max(total, 1))
+        for key, value in packed.items():
+            self.view(key)[...] = value
 
     def view(self, key: str) -> np.ndarray:
         """A writable ndarray view of one named array inside the segment."""
@@ -252,63 +224,6 @@ class SharedPopulationPlane:
         self._shm = None
 
     def __enter__(self) -> "SharedPopulationPlane":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-class SharedColumnStore:
-    """Equal-length named columns inside one shared-memory segment.
-
-    Synthetic-cohort generators write their columns straight into the store
-    (:meth:`columns` hands out writable views), so a multi-million-row
-    population is materialized exactly once — in pages any worker process
-    can map — instead of once on the parent heap and again for sharing.
-    Wrap the finished columns with :meth:`table`; the resulting
-    :class:`~repro.tabular.Table` keeps float64 columns as zero-copy views
-    into the segment (binary 0/1 columns are stored by the table layer as
-    compact ``bool`` copies).  The store owns the segment, and :meth:`close`
-    unmaps it — the standard ``multiprocessing.shared_memory`` contract
-    applies: close **last**, after every table, view, and fit over the
-    store is finished.  Touching a view after close is use-after-free (it
-    can crash the interpreter, not merely raise).
-    """
-
-    def __init__(self, num_rows: int, column_names: Sequence[str], dtype: str = "<f8") -> None:
-        if num_rows <= 0:
-            raise ValueError(f"num_rows must be positive, got {num_rows}")
-        names = tuple(column_names)
-        if not names:
-            raise ValueError("at least one column name is required")
-        self.num_rows = int(num_rows)
-        self.column_names = names
-        self._plane = SharedPopulationPlane.allocate(
-            {name: (dtype, (self.num_rows,)) for name in names}
-        )
-
-    def view(self, name: str) -> np.ndarray:
-        """Writable view of one column."""
-        return self._plane.view(name)
-
-    def columns(self) -> dict[str, np.ndarray]:
-        """Writable views of every column, keyed by name, in declared order."""
-        return {name: self._plane.view(name) for name in self.column_names}
-
-    def table(self) -> Table:
-        """Wrap the current column contents as a :class:`~repro.tabular.Table`."""
-        return Table(self.columns())
-
-    def close(self) -> None:
-        """Release and unlink the backing segment (idempotent).
-
-        Must be the store's last use: every column view — including those
-        inside tables built by :meth:`table` — becomes a dangling mapping
-        afterwards (see the class docstring).
-        """
-        self._plane.close()
-
-    def __enter__(self) -> "SharedColumnStore":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
@@ -423,11 +338,11 @@ def _plane_worker_fit(job: PlaneJob):
     if plane is None:  # pragma: no cover - initializer always runs first
         raise RuntimeError("worker has no attached population plane")
     start = time.perf_counter()
-    search = _BonusSearch.from_arrays(
+    search = _BonusSearch(
         base_scores=plane.arrays["base"],
         attribute_matrix=plane.arrays[matrix_key(job.attribute_names)],
         compiled=plane.compiled_for(job.objective_key),
-        num_rows=plane.num_rows,
+        population=plane.num_rows,
         sample_size=job.sample_size,
         attribute_names=job.attribute_names,
         k=job.k,

@@ -20,10 +20,10 @@ complement (value 0) — and either one can be the rare one.  An attribute with
 prevalence 0.9 therefore has a rarest-group frequency of 0.1, not 0.9:
 :func:`rarest_group_frequency` takes ``min(freq, 1 - freq)`` per attribute.
 
-The array-plane DCA engine (see :mod:`repro.core.dca`) draws *index arrays*
-via :meth:`SampleStream.draw_indices` instead of materialized
-:class:`~repro.tabular.Table` slices; :meth:`SampleStream.draw` remains for
-the legacy table path and for external callers.
+The DCA step loop (see :mod:`repro.core.dca`) draws *index arrays* via
+:meth:`SampleStream.draw_indices` instead of materialized
+:class:`~repro.tabular.Table` slices; :meth:`SampleStream.draw` serves
+callers that want the rows themselves.
 """
 
 from __future__ import annotations
@@ -136,13 +136,13 @@ class SampleStream:
     The stream has two faces over the same RNG state:
 
     * :meth:`draw_indices` returns an ``int64`` index array into the table —
-      the hot-path representation the array-plane DCA engine consumes without
-      ever materializing a table slice;
+      the hot-path representation the DCA step loop consumes without ever
+      materializing a table slice;
     * :meth:`draw` returns an actual :class:`~repro.tabular.Table` sample for
       callers that want one.
 
-    Both consume the RNG identically, so an array-plane run and a table-plane
-    run with the same seed see the same sample sequence.
+    Both consume the RNG identically, so a caller that slices the table per
+    draw sees the same sample sequence as one that works on the indices.
 
     ``population`` may also be a bare row count instead of a
     :class:`~repro.tabular.Table`.  Index draws are a function of the

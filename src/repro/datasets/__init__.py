@@ -6,7 +6,6 @@ from .compas import (
     CompasDataset,
     CompasGeneratorConfig,
     compas_release_ranking_function,
-    generate_compas_cohort,
     generate_compas_dataset,
     race_attribute_name,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "COMPAS_RACES",
     "COMPAS_RACE_ATTRIBUTES",
     "compas_release_ranking_function",
-    "generate_compas_cohort",
     "generate_compas_dataset",
     "race_attribute_name",
     "load_school_cohorts",

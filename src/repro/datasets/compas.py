@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.parallel import SharedColumnStore
 from ..ranking import NegatedColumnScore, ScoreFunction
 from ..tabular import Table
 
@@ -38,7 +37,6 @@ __all__ = [
     "COMPAS_RACES",
     "COMPAS_RACE_ATTRIBUTES",
     "compas_release_ranking_function",
-    "generate_compas_cohort",
     "generate_compas_dataset",
 ]
 
@@ -99,19 +97,11 @@ class CompasGeneratorConfig:
 
 @dataclass(frozen=True)
 class CompasDataset:
-    """The generated defendants plus metadata used by the experiments.
-
-    ``store`` is set when the cohort was generated with ``shared=True``: the
-    float columns are zero-copy views into one shared-memory segment (see
-    :class:`repro.core.parallel.SharedColumnStore`).  Such a dataset must be
-    :meth:`close`-d once it — and any fit running over it — is done.  The
-    ``race`` label column is object-dtype and always lives on the heap.
-    """
+    """The generated defendants plus metadata used by the experiments."""
 
     table: Table
     race_attributes: tuple[str, ...] = COMPAS_RACE_ATTRIBUTES
     config: CompasGeneratorConfig = field(default_factory=CompasGeneratorConfig)
-    store: SharedColumnStore | None = None
 
     @property
     def num_defendants(self) -> int:
@@ -120,15 +110,6 @@ class CompasDataset:
     @property
     def races(self) -> tuple[str, ...]:
         return tuple(self.config.race_proportions.keys())
-
-    def close(self) -> None:
-        """Release the shared-memory segment backing this dataset (no-op when unshared).
-
-        Reading any float column after close is use-after-free — see
-        :class:`repro.core.parallel.SharedColumnStore`.
-        """
-        if self.store is not None:
-            self.store.close()
 
 
 def race_attribute_name(race: str) -> str:
@@ -148,75 +129,19 @@ def compas_release_ranking_function() -> ScoreFunction:
     return NegatedColumnScore("decile_score")
 
 
-def _cohort_columns(config: CompasGeneratorConfig) -> tuple[str, ...]:
-    """Float columns of a generated cohort, in shared-store layout order."""
-    return (
-        "defendant_id",
-        "age",
-        "sex_male",
-        "priors_count",
-        "decile_score",
-        "two_year_recid",
-    ) + tuple(race_attribute_name(race) for race in config.race_proportions)
-
-
-def generate_compas_cohort(
-    config: CompasGeneratorConfig | None = None,
-    seed: int = 20160523,
-    *,
-    shared: bool = False,
+def generate_compas_dataset(
+    config: CompasGeneratorConfig | None = None, seed: int = 20160523
 ) -> CompasDataset:
     """Generate the synthetic COMPAS-style dataset.
 
     The default seed is fixed so experiments and tests see the same
     population; pass a different seed for robustness checks.
-
-    With ``shared=True`` every float column is written into one
-    shared-memory segment (:class:`repro.core.parallel.SharedColumnStore`)
-    so worker processes can map the population instead of pickling it;
-    the returned dataset carries the owning ``store`` and must be
-    :meth:`CompasDataset.close`-d when done.  Column values are bitwise
-    identical to the unshared path for the same seed (the object-dtype
-    ``race`` labels stay on the heap either way).
     """
     config = config or CompasGeneratorConfig()
     config.validate()
     rng = np.random.default_rng(seed)
-
-    if shared:
-        store: SharedColumnStore | None = SharedColumnStore(
-            config.num_defendants, _cohort_columns(config)
-        )
-        out = store.columns()
-        try:
-            return _generate_into(config, rng, out, store)
-        except BaseException:
-            # The caller never saw the dataset, so nothing else can release
-            # the segment.
-            store.close()
-            raise
-    out = {
-        name: np.empty(config.num_defendants, dtype=float)
-        for name in _cohort_columns(config)
-    }
-    return _generate_into(config, rng, out, None)
-
-
-def generate_compas_dataset(
-    config: CompasGeneratorConfig | None = None, seed: int = 20160523
-) -> CompasDataset:
-    """Backwards-compatible unshared alias for :func:`generate_compas_cohort`."""
-    return generate_compas_cohort(config, seed)
-
-
-def _generate_into(
-    config: CompasGeneratorConfig,
-    rng: np.random.Generator,
-    out: dict[str, np.ndarray],
-    store: SharedColumnStore | None,
-) -> CompasDataset:
-    """Generate the cohort's columns into ``out`` (heap arrays or store views)."""
     n = config.num_defendants
+
     races = list(config.race_proportions.keys())
     proportions = np.asarray([config.race_proportions[r] for r in races], dtype=float)
     proportions = proportions / proportions.sum()
@@ -258,27 +183,16 @@ def _generate_into(
     )
     two_year_recid = (rng.uniform(size=n) < recid_probability).astype(float)
 
-    out["defendant_id"][...] = np.arange(n, dtype=float)
-    out["age"][...] = age
-    out["sex_male"][...] = sex_is_male
-    out["priors_count"][...] = priors_count
-    out["decile_score"][...] = decile_score
-    out["two_year_recid"][...] = two_year_recid
-    for race in races:
-        out[race_attribute_name(race)][...] = (race_labels == race).astype(float)
-
-    # Table column order is part of the public surface; the object-dtype race
-    # labels slot in right after the id, exactly as before the shared path.
     columns: dict[str, object] = {
-        "defendant_id": out["defendant_id"],
+        "defendant_id": np.arange(n, dtype=float),
         "race": [str(r) for r in race_labels],
-        "age": out["age"],
-        "sex_male": out["sex_male"],
-        "priors_count": out["priors_count"],
-        "decile_score": out["decile_score"],
-        "two_year_recid": out["two_year_recid"],
+        "age": age,
+        "sex_male": sex_is_male,
+        "priors_count": priors_count,
+        "decile_score": decile_score,
+        "two_year_recid": two_year_recid,
     }
     for race in races:
-        columns[race_attribute_name(race)] = out[race_attribute_name(race)]
+        columns[race_attribute_name(race)] = (race_labels == race).astype(float)
 
-    return CompasDataset(table=Table(columns), config=config, store=store)
+    return CompasDataset(table=Table(columns), config=config)

@@ -155,36 +155,19 @@ class GaussianCopula:
             spec.name: spec.apply(latent[:, i]) for i, spec in enumerate(self._marginals)
         }
 
-    def latent_and_sample(
-        self, size: int, rng: np.random.Generator
-    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """Like :meth:`sample` but also return the latent normal matrix.
-
-        Dataset generators use the latent coordinates to build outcome
-        variables (grades, risk) that are correlated with the fairness
-        attributes *through the latent space*, which keeps the calibration
-        interpretable.
-        """
-        latent = self._latent(size, rng)
-        values = {
-            spec.name: spec.apply(latent[:, i]) for i, spec in enumerate(self._marginals)
-        }
-        return latent, values
-
     def latent_and_sample_into(
         self, size: int, rng: np.random.Generator, out: Mapping[str, np.ndarray]
     ) -> np.ndarray:
         """Sample straight into caller-provided column buffers; return the latent.
 
-        Every marginal whose name appears in ``out`` has its transform
-        written into that buffer in place (``out[name][...] = ...``); names
-        absent from ``out`` are skipped (their latent coordinate is still
-        drawn, so the RNG stream — and therefore every generated value — is
-        bitwise identical to :meth:`latent_and_sample`).  The buffers may be
-        plain arrays or views into shared memory
-        (:class:`repro.core.parallel.SharedColumnStore`), which is how
-        scale-bench cohorts are generated without a second private-heap
-        materialization of each column.
+        Dataset generators use the latent coordinates to build outcome
+        variables (grades, risk) that are correlated with the fairness
+        attributes *through the latent space*, which keeps the calibration
+        interpretable.  Every marginal whose name appears in ``out`` has its
+        transform written into that buffer in place (``out[name][...] =
+        ...``); names absent from ``out`` are skipped (their latent
+        coordinate is still drawn, so the RNG stream — and therefore every
+        generated value — is bitwise identical to :meth:`sample`).
         """
         latent = self._latent(size, rng)
         for i, spec in enumerate(self._marginals):

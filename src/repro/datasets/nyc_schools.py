@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.parallel import SharedColumnStore
 from ..ranking import WeightedSumScore
 from ..tabular import Table
 from .copula import GaussianCopula, binary_marginal, uniform_marginal
@@ -52,9 +51,7 @@ SCHOOL_FAIRNESS_ATTRIBUTES: tuple[str, ...] = ("low_income", "ell", "eni", "spec
 #: single-district comparison against Multinomial FA*IR.
 _NUM_DISTRICTS = 32
 
-#: Every column a generated cohort table carries, in table order.  Shared
-#: generation (``generate_school_cohort(..., shared=True)``) allocates this
-#: exact layout inside one shared-memory segment up front.
+#: Every column a generated cohort table carries, in table order.
 _COHORT_COLUMNS: tuple[str, ...] = (
     "student_id",
     "grade_math",
@@ -127,19 +124,12 @@ class SchoolGeneratorConfig:
 
 @dataclass(frozen=True)
 class SchoolCohort:
-    """One synthetic academic-year cohort plus its metadata.
-
-    ``store`` is set when the cohort was generated with ``shared=True``: its
-    float columns are zero-copy views into one shared-memory segment (see
-    :class:`repro.core.parallel.SharedColumnStore`).  Such a cohort must be
-    :meth:`close`-d once it — and any fit running over it — is done.
-    """
+    """One synthetic academic-year cohort plus its metadata."""
 
     year: str
     table: Table
     fairness_attributes: tuple[str, ...] = SCHOOL_FAIRNESS_ATTRIBUTES
     config: SchoolGeneratorConfig = field(default_factory=SchoolGeneratorConfig)
-    store: SharedColumnStore | None = None
 
     @property
     def num_students(self) -> int:
@@ -149,16 +139,6 @@ class SchoolCohort:
         """Rows for one community school district (used for Table II)."""
         districts = self.table.numeric("district")
         return self.table.filter(districts == float(district_id))
-
-    def close(self) -> None:
-        """Release the shared-memory segment backing this cohort (no-op when unshared).
-
-        Must be the cohort's last use: ``table`` holds zero-copy views into
-        the segment, so reading any float column after close is
-        use-after-free (see :class:`repro.core.parallel.SharedColumnStore`).
-        """
-        if self.store is not None:
-            self.store.close()
 
 
 def school_admission_rubric() -> WeightedSumScore:
@@ -207,8 +187,6 @@ def generate_school_cohort(
     year: str,
     config: SchoolGeneratorConfig | None = None,
     seed: int | None = None,
-    *,
-    shared: bool = False,
 ) -> SchoolCohort:
     """Generate one synthetic academic-year cohort.
 
@@ -222,15 +200,6 @@ def generate_school_cohort(
     seed:
         Explicit RNG seed.  When omitted, a deterministic seed is derived from
         ``year`` so repeated calls return identical cohorts.
-    shared:
-        When True, every column is written directly into one shared-memory
-        segment (:class:`repro.core.parallel.SharedColumnStore`) as it is
-        generated — the fairness attributes stream straight out of the
-        copula, derived columns land one at a time — so a multi-million-row
-        cohort is never held twice (once on the heap, once for sharing).
-        The returned cohort carries the owning ``store`` and must be
-        :meth:`SchoolCohort.close`-d when done.  Column values are bitwise
-        identical to the unshared path for the same seed.
     """
     config = config or SchoolGeneratorConfig()
     config.validate()
@@ -238,32 +207,9 @@ def generate_school_cohort(
         seed = abs(hash(("nyc-schools", year))) % (2**32)
     rng = np.random.default_rng(seed)
 
-    if shared:
-        store: SharedColumnStore | None = SharedColumnStore(
-            config.num_students, _COHORT_COLUMNS
-        )
-        out = store.columns()
-        try:
-            return _generate_into(year, config, rng, out, store)
-        except BaseException:
-            # The caller never saw the cohort, so nothing else can release
-            # the segment.
-            store.close()
-            raise
     out = {
         name: np.empty(config.num_students, dtype=float) for name in _COHORT_COLUMNS
     }
-    return _generate_into(year, config, rng, out, None)
-
-
-def _generate_into(
-    year: str,
-    config: SchoolGeneratorConfig,
-    rng: np.random.Generator,
-    out: dict[str, np.ndarray],
-    store: SharedColumnStore | None,
-) -> SchoolCohort:
-    """Generate a cohort's columns into ``out`` (heap arrays or store views)."""
     copula = _build_copula(config)
     latent = copula.latent_and_sample_into(config.num_students, rng, out)
     low_income = out["low_income"]
@@ -323,7 +269,7 @@ def _generate_into(
     out["student_id"][...] = np.arange(config.num_students, dtype=float)
 
     table = Table({name: out[name] for name in _COHORT_COLUMNS})
-    return SchoolCohort(year=year, table=table, config=config, store=store)
+    return SchoolCohort(year=year, table=table, config=config)
 
 
 def generate_school_dataset(

@@ -2,8 +2,7 @@
 
 from multiprocessing import shared_memory
 
-from repro.core.parallel import SharedColumnStore
-from repro.datasets import generate_school_cohort
+from repro.core.parallel import SharedPopulationPlane
 
 
 def leak_segment():
@@ -11,22 +10,17 @@ def leak_segment():
     return segment.name
 
 
-def close_without_finally(num_rows):
-    store = SharedColumnStore(num_rows, ("a",))  # LINT-EXPECT: R2
-    table = store.table()
-    store.close()  # leaks if table() raises above
-    return table
+def close_without_finally(values):
+    plane = SharedPopulationPlane({"x": values})  # LINT-EXPECT: R2
+    total = plane.view("x").sum()
+    plane.close()  # leaks if view() raises above
+    return total
 
 
 def bare_allocation():
     shared_memory.SharedMemory(create=True, size=64)  # LINT-EXPECT: R2
 
 
-def shared_cohort_dropped(config):
-    cohort = generate_school_cohort("leak", config, seed=1, shared=True)  # LINT-EXPECT: R2
-    return cohort.table.num_rows
-
-
 class NoCleanupOwner:
-    def __init__(self, num_rows):
-        self._store = SharedColumnStore(num_rows, ("a",))  # LINT-EXPECT: R2
+    def __init__(self, values):
+        self._plane = SharedPopulationPlane({"x": values})  # LINT-EXPECT: R2

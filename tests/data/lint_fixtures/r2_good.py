@@ -3,39 +3,41 @@
 import contextlib
 from multiprocessing import shared_memory
 
-from repro.core.parallel import SharedColumnStore, SharedPopulationPlane
+import numpy as np
+
+from repro.core.parallel import SharedPopulationPlane
 
 
-def with_block(num_rows):
-    with SharedColumnStore(num_rows, ("a",)) as store:
-        return store.table().num_rows
+def with_block(values):
+    with SharedPopulationPlane({"x": values}) as plane:
+        return plane.view("x").sum()
 
 
-def with_closing(num_rows):
-    with contextlib.closing(SharedColumnStore(num_rows, ("a",))) as store:
-        return store.table().num_rows
+def with_closing(values):
+    with contextlib.closing(SharedPopulationPlane({"x": values})) as plane:
+        return plane.view("x").sum()
 
 
-def try_finally(num_rows):
-    store = SharedColumnStore(num_rows, ("a",))
+def try_finally(values):
+    plane = SharedPopulationPlane({"x": values})
     try:
-        return store.table().num_rows
+        return plane.view("x").sum()
     finally:
-        store.close()
+        plane.close()
 
 
 def cleanup_on_error(num_rows):
-    plane = SharedPopulationPlane.allocate({"x": ("<f8", (num_rows,))})
+    plane = SharedPopulationPlane({"x": np.zeros(num_rows)})
     try:
-        plane.view("x")[...] = 0.0
+        plane.view("x")[...] = 1.0
     except BaseException:
         plane.close()
         raise
     return plane
 
 
-def ownership_transfer(num_rows):
-    return SharedColumnStore(num_rows, ("a",))
+def ownership_transfer(values):
+    return SharedPopulationPlane({"x": values})
 
 
 def attach_and_hand_back(name):
@@ -43,18 +45,18 @@ def attach_and_hand_back(name):
     return segment
 
 
-def exit_stack(num_rows):
+def exit_stack(values):
     with contextlib.ExitStack() as stack:
-        store = SharedColumnStore(num_rows, ("a",))
-        stack.callback(store.close)
-        other = SharedColumnStore(num_rows, ("b",))
+        plane = SharedPopulationPlane({"x": values})
+        stack.callback(plane.close)
+        other = SharedPopulationPlane({"y": values})
         stack.enter_context(other)
-        return store.table().num_rows + other.table().num_rows
+        return plane.view("x").sum() + other.view("y").sum()
 
 
 class OwnsSegment:
-    def __init__(self, num_rows):
-        self._store = SharedColumnStore(num_rows, ("a",))
+    def __init__(self, values):
+        self._plane = SharedPopulationPlane({"x": values})
 
     def close(self):
-        self._store.close()
+        self._plane.close()

@@ -108,6 +108,48 @@ class TestResolution:
             site.callee for site in graph.callees_of("repro.engine.run_annotated")
         ] == ["repro.engine.Engine.step"]
 
+    def test_alternate_constructor_resolves(self):
+        graph = _graph(
+            search="""
+            class Search:
+                def __init__(self, seed):
+                    self.seed = seed
+
+                @classmethod
+                def from_table(cls, table):
+                    return cls(len(table))
+
+                @staticmethod
+                def helper(table):
+                    return table
+
+                def step(self):
+                    return self.seed
+
+
+            def run(table):
+                search = Search.from_table(table)
+                return search.step()
+
+
+            def run_static(table):
+                value = Search.helper(table)
+                return value.step()
+            """
+        )
+        assert [
+            site.callee for site in graph.callees_of("repro.search.Search.from_table")
+        ] == ["repro.search.Search.__init__"]
+        run_callees = {site.callee for site in graph.callees_of("repro.search.run")}
+        assert run_callees == {
+            "repro.search.Search.from_table",
+            "repro.search.Search.step",
+        }
+        # Only classmethods construct: a staticmethod's result stays untyped.
+        assert [site.callee for site in graph.callees_of("repro.search.run_static")] == [
+            "repro.search.Search.helper"
+        ]
+
     def test_string_annotation_resolves(self):
         graph = _graph(
             conf="""

@@ -189,6 +189,19 @@ class TestFullDCA:
         result = FullDCA(["protected"], ColumnScore("score"), k=0.2, config=config).fit(table)
         assert result.sample_size == table.num_rows
 
+    @pytest.mark.parametrize("fit_class", [DCA, FullDCA], ids=["dca", "full"])
+    def test_objective_attribute_order_must_match(self, fit_class):
+        """Regression: FullDCA used to publish each value under the other attribute's name.
+
+        The fit follows the objective's attribute order while the result is
+        labelled with the fairness attributes, so a reordered objective is
+        rejected up front, as :class:`DCA` always did.
+        """
+        with pytest.raises(ValueError, match="must match the fairness attributes"):
+            fit_class(
+                ("b", "a"), ColumnScore("score"), k=0.2, objective=DisparityObjective(("a", "b"))
+            )
+
 
 class TestMultiAttribute:
     def test_overlapping_attributes_both_compensated(self):

@@ -1,12 +1,13 @@
-"""Seed-for-seed equivalence of the array-plane and legacy table DCA engines.
+"""Seed-for-seed equivalence of the array step loop and the table-slicing oracle.
 
-The array engine (``DCAConfig(engine="array")``, the default) must be a pure
-re-plumbing of the table engine (``engine="table"``): both consume the RNG
-identically and perform the same arithmetic on the same values, so for any
-seed the produced bonus vectors are required to be *bitwise* identical — not
-merely close.  These tests pin that contract for every phase class and for
-every built-in objective, plus a custom table-only objective exercising the
-compiled fallback wrapper.
+The array step loop of :mod:`repro.core.dca` must be a pure re-plumbing of
+the per-step table-slicing evaluation kept in ``tests/_dca_table_oracle.py``:
+both consume the RNG through the same sample stream and perform the same
+arithmetic on the same values, so for any seed the produced bonus vectors
+are required to be *bitwise* identical — not merely close.  These tests pin
+that contract for every phase class, for :class:`FullDCA`, for the process
+backend of ``fit_many`` and for every built-in objective, plus a custom
+table-only objective exercising the compiled fallback wrapper.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from _dca_table_oracle import TableOracleSearch, oracle_fit, oracle_full_fit
 
 from repro.core import (
     DCA,
@@ -34,8 +36,16 @@ from repro.ranking import ColumnScore
 from repro.tabular import Table
 
 
-def _engine_pair(config: DCAConfig) -> tuple[DCAConfig, DCAConfig]:
-    return replace(config, engine="array"), replace(config, engine="table")
+def _assert_same_fit(result, reference) -> None:
+    assert np.array_equal(result.core_bonus.values, reference.core_bonus.values)
+    assert np.array_equal(result.raw_bonus.values, reference.raw_bonus.values)
+    assert np.array_equal(result.bonus.values, reference.bonus.values)
+    assert result.bonus.attribute_names == reference.bonus.attribute_names
+    assert len(result.traces) == len(reference.traces)
+    for trace, expected in zip(result.traces, reference.traces):
+        assert trace.phase == expected.phase
+        assert np.array_equal(trace.bonus_history, expected.bonus_history)
+        assert np.array_equal(trace.objective_norms, expected.objective_norms)
 
 
 @pytest.fixture(scope="module")
@@ -44,54 +54,51 @@ def school_setup(school_train, rubric, school_attributes):
 
 
 class TestSchoolDatasetEquivalence:
-    """The acceptance setting: the school cohort, both engines, every phase."""
+    """The acceptance setting: the school cohort, loop against oracle, every phase."""
 
     CONFIG = DCAConfig(seed=17, iterations=40, refinement_iterations=60, sample_size=400)
 
     def test_core_dca_identical(self, school_setup):
         table, rubric, attributes = school_setup
-        values = {}
-        for config in _engine_pair(self.CONFIG):
-            objective = DisparityObjective(attributes).fit(table)
-            core = CoreDCA(table, rubric, objective, k=0.05, config=config)
-            values[config.engine], _ = core.run()
-        assert np.array_equal(values["array"], values["table"])
+        objective = DisparityObjective(attributes).fit(table)
+        values, traces = CoreDCA(table, rubric, objective, k=0.05, config=self.CONFIG).run()
+        oracle = TableOracleSearch.build(
+            table, rubric, DisparityObjective(attributes).fit(table), 0.05, self.CONFIG
+        )
+        expected, expected_traces = CoreDCA(
+            None, None, None, 0.05, self.CONFIG, search=oracle
+        ).run()
+        assert np.array_equal(values, expected)
+        for trace, reference in zip(traces, expected_traces):
+            assert np.array_equal(trace.bonus_history, reference.bonus_history)
 
     def test_refinement_identical(self, school_setup):
         table, rubric, attributes = school_setup
         initial = np.asarray([1.0, 5.0, 3.0, 2.0][: len(attributes)], dtype=float)
-        values = {}
-        for config in _engine_pair(self.CONFIG):
-            objective = DisparityObjective(attributes).fit(table)
-            refinement = DCARefinement(table, rubric, objective, k=0.05, config=config)
-            values[config.engine], _ = refinement.run(initial)
-        assert np.array_equal(values["array"], values["table"])
+        objective = DisparityObjective(attributes).fit(table)
+        refinement = DCARefinement(table, rubric, objective, k=0.05, config=self.CONFIG)
+        values, _ = refinement.run(initial)
+        oracle = TableOracleSearch.build(
+            table, rubric, DisparityObjective(attributes).fit(table), 0.05, self.CONFIG
+        )
+        expected, _ = DCARefinement(None, None, None, 0.05, self.CONFIG, search=oracle).run(
+            initial
+        )
+        assert np.array_equal(values, expected)
 
     def test_full_dca_identical(self, school_setup):
         table, rubric, attributes = school_setup
         config = DCAConfig(seed=5, iterations=15, refinement_iterations=0)
-        results = {}
-        for variant in _engine_pair(config):
-            full = FullDCA(attributes, rubric, k=0.05, config=variant)
-            results[variant.engine] = full.fit(table)
-        assert np.array_equal(
-            results["array"].raw_bonus.values, results["table"].raw_bonus.values
-        )
-        assert results["array"].as_dict() == results["table"].as_dict()
+        result = FullDCA(attributes, rubric, k=0.05, config=config).fit(table)
+        reference = oracle_full_fit(table, rubric, DisparityObjective(attributes), 0.05, config)
+        _assert_same_fit(result, reference)
+        assert result.as_dict() == reference.as_dict()
 
     def test_dca_facade_identical_end_to_end(self, school_setup):
         table, rubric, attributes = school_setup
-        results = {}
-        for config in _engine_pair(self.CONFIG):
-            results[config.engine] = DCA(attributes, rubric, k=0.05, config=config).fit(table)
-        array, legacy = results["array"], results["table"]
-        assert np.array_equal(array.core_bonus.values, legacy.core_bonus.values)
-        assert np.array_equal(array.raw_bonus.values, legacy.raw_bonus.values)
-        assert np.array_equal(array.bonus.values, legacy.bonus.values)
-        for trace_a, trace_t in zip(array.traces, legacy.traces):
-            assert trace_a.phase == trace_t.phase
-            assert np.array_equal(trace_a.bonus_history, trace_t.bonus_history)
-            assert np.array_equal(trace_a.objective_norms, trace_t.objective_norms)
+        result = DCA(attributes, rubric, k=0.05, config=self.CONFIG).fit(table)
+        reference = oracle_fit(table, rubric, DisparityObjective(attributes), 0.05, self.CONFIG)
+        _assert_same_fit(result, reference)
 
 
 def _synthetic_population(n: int = 2500, seed: int = 3) -> Table:
@@ -123,19 +130,16 @@ class TestObjectiveEquivalence:
     )
     def test_fit_identical_across_engines(self, make_objective):
         table = _synthetic_population()
-        results = {}
-        for config in _engine_pair(self.CONFIG):
-            dca = DCA(
-                ("group_a", "group_b"),
-                ColumnScore("score"),
-                k=0.2,
-                objective=make_objective(),
-                config=config,
-            )
-            results[config.engine] = dca.fit(table)
-        assert np.array_equal(
-            results["array"].raw_bonus.values, results["table"].raw_bonus.values
+        dca = DCA(
+            ("group_a", "group_b"),
+            ColumnScore("score"),
+            k=0.2,
+            objective=make_objective(),
+            config=self.CONFIG,
         )
+        result = dca.fit(table)
+        reference = oracle_fit(table, ColumnScore("score"), make_objective(), 0.2, self.CONFIG)
+        _assert_same_fit(result, reference)
 
 
 class _TableOnlyObjective(FairnessObjective):
@@ -154,11 +158,11 @@ class _TableOnlyObjective(FairnessObjective):
 
 
 class TestProcessBackendEquivalence:
-    """The shared-memory process backend closes the loop with both engines.
+    """The shared-memory process backend closes the loop with the oracle.
 
-    ``fit_many(executor="process")`` must agree bitwise with per-job
-    ``DCA.fit`` runs under the *table* engine: worker results travel
-    process → array plane → table plane without a single bit of drift.
+    ``fit_many(executor="process")`` must agree bitwise with per-job oracle
+    fits: worker results travel shared-memory plane → array loop → table
+    oracle without a single bit of drift.
     """
 
     CONFIG = DCAConfig(seed=23, iterations=30, refinement_iterations=40, sample_size=300)
@@ -169,37 +173,32 @@ class TestProcessBackendEquivalence:
         seeds = (3, 4)
         dca = DCA(attributes, rubric, k=0.05, config=self.CONFIG)
         batch = dca.fit_many(table, ks=ks, seeds=seeds, executor="process", max_workers=2)
-        solo_results = [
-            DCA(
-                attributes,
-                rubric,
-                k=k,
-                config=replace(self.CONFIG, seed=seed, engine="table"),
-            ).fit(table)
+        references = [
+            oracle_fit(
+                table, rubric, DisparityObjective(attributes), k, replace(self.CONFIG, seed=seed)
+            )
             for k in ks
             for seed in seeds
         ]
-        assert len(batch) == len(solo_results)
-        for entry, solo in zip(batch, solo_results):
-            assert np.array_equal(entry.result.raw_bonus.values, solo.raw_bonus.values)
-            assert np.array_equal(entry.result.bonus.values, solo.bonus.values)
+        assert len(batch) == len(references)
+        for entry, reference in zip(batch, references):
+            _assert_same_fit(entry.result, reference)
 
 
 class TestCustomObjectiveFallback:
     def test_custom_objective_runs_under_array_engine(self):
         table = _synthetic_population(1200)
         config = DCAConfig(seed=11, iterations=20, refinement_iterations=20, sample_size=200)
-        results = {}
-        for variant in _engine_pair(config):
-            dca = DCA(
-                ("group_a",),
-                ColumnScore("score"),
-                k=0.2,
-                objective=_TableOnlyObjective(("group_a",)),
-                config=variant,
-            )
-            results[variant.engine] = dca.fit(table)
-        assert np.array_equal(
-            results["array"].raw_bonus.values, results["table"].raw_bonus.values
+        dca = DCA(
+            ("group_a",),
+            ColumnScore("score"),
+            k=0.2,
+            objective=_TableOnlyObjective(("group_a",)),
+            config=config,
         )
-        assert results["array"].bonus["group_a"] >= 0.0
+        result = dca.fit(table)
+        reference = oracle_fit(
+            table, ColumnScore("score"), _TableOnlyObjective(("group_a",)), 0.2, config
+        )
+        _assert_same_fit(result, reference)
+        assert result.bonus["group_a"] >= 0.0

@@ -20,7 +20,6 @@ from repro.core import (
     ExposureGapObjective,
     FairnessObjective,
     FitSpec,
-    SharedColumnStore,
 )
 from repro.ranking import ColumnScore, selection_mask
 from repro.tabular import Table
@@ -163,6 +162,20 @@ class TestExecutors:
         _dca().fit_many(population, seeds=(1, 2))
         assert len(calls) == 1  # no max_workers: serial
 
+    def test_process_runs_no_default_job_in_the_parent(self, population, monkeypatch):
+        """Default-config jobs all run on the pool: none falls back in-parent."""
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a default-config job ran in the parent")
+
+        monkeypatch.setattr(DCA, "_run_single_spec", fail)
+        dca = _dca()
+        batch = dca.fit_many(population, ks=(0.1, 0.2), seeds=(1, 2), executor="process")
+        monkeypatch.undo()
+        serial = dca.fit_many(population, ks=(0.1, 0.2), seeds=(1, 2), executor="serial")
+        for left, right in zip(serial, batch):
+            assert np.array_equal(left.result.raw_bonus.values, right.result.raw_bonus.values)
+
     def test_named_executors_match_serial(self, population):
         dca = _dca()
         serial = dca.fit_many(population, seeds=(1, 2, 3), executor="serial")
@@ -220,24 +233,6 @@ class TestExecutors:
             assert np.array_equal(
                 left.result.raw_bonus.values, right.result.raw_bonus.values
             )
-
-    def test_process_falls_back_for_table_engine_jobs(self, population):
-        """engine="table" jobs cannot ride the array plane; results still match."""
-        specs = [
-            FitSpec(seed=1, config=replace(FAST, engine="table")),
-            FitSpec(seed=1),
-        ]
-        serial = _dca().fit_many(population, specs=specs)
-        process = _dca().fit_many(population, specs=specs, executor="process")
-        for left, right in zip(serial, process):
-            assert np.array_equal(
-                left.result.raw_bonus.values, right.result.raw_bonus.values
-            )
-        # And the table-engine job agrees with the array-engine job (the
-        # engines are bitwise equivalent for the same seed).
-        assert np.array_equal(
-            process[0].result.raw_bonus.values, process[1].result.raw_bonus.values
-        )
 
 
 class _WorkerFault(Exception):
@@ -442,40 +437,7 @@ class TestEagerValidation:
 
 
 class TestSharedColumnStore:
-    def test_round_trip_and_table_views(self):
-        with SharedColumnStore(100, ("a", "b")) as store:
-            store.view("a")[...] = np.arange(100, dtype=float)
-            store.view("b")[...] = np.ones(100)
-            table = store.table()
-            assert np.array_equal(table.numeric("a"), np.arange(100, dtype=float))
-            # Continuous float columns are zero-copy views into the segment.
-            store.view("a")[0] = 41.0
-            assert table.numeric("a")[0] == 41.0
-
-    def test_validation(self):
-        # Both constructors raise before any segment exists, so there is
-        # nothing to close — statically unverifiable, hence the disables.
-        with pytest.raises(ValueError, match="num_rows"):
-            SharedColumnStore(0, ("a",))  # repro-lint: disable=R2
-        with pytest.raises(ValueError, match="column name"):
-            SharedColumnStore(10, ())  # repro-lint: disable=R2
-
-    def test_shared_cohort_bitwise_identical_to_plain(self):
-        from repro.datasets import SchoolGeneratorConfig, generate_school_cohort
-
-        config = SchoolGeneratorConfig(num_students=2000)
-        plain = generate_school_cohort("store-test", config, seed=13)
-        shared = generate_school_cohort("store-test", config, seed=13, shared=True)
-        try:
-            assert shared.store is not None
-            for name in (
-                "student_id", "gpa", "test_scores", "grade_ela", "test_math",
-                "absences", "district", "low_income", "ell", "special_ed", "eni",
-            ):
-                assert np.array_equal(plain.table.numeric(name), shared.table.numeric(name)), name
-        finally:
-            shared.close()
-        plain.close()  # no-op for unshared cohorts
+    """Copula buffer-fill tests (the class name keeps their test ids stable)."""
 
     def test_copula_sample_into_matches_sample(self):
         from repro.datasets.copula import GaussianCopula, binary_marginal, uniform_marginal

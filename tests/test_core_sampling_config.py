@@ -6,10 +6,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from _dca_table_oracle import oracle_fit
 
 from repro.core import (
     DCA,
     DCAConfig,
+    DisparityObjective,
     SampleStream,
     rarest_group_frequency,
     recommended_sample_size,
@@ -309,15 +311,6 @@ class TestDCAConfig:
         assert stripped.max_bonus == 20.0
         assert config.refinement_iterations > 0  # original untouched
 
-    def test_without_refinement_preserves_engine(self):
-        assert DCAConfig(engine="table").without_refinement().engine == "table"
-
-    def test_engine_validated(self):
-        with pytest.raises(ValueError):
-            DCAConfig(engine="pandas").validate()
-        DCAConfig(engine="array").validate()
-        DCAConfig(engine="table").validate()
-
 
 class TestRngBatching:
     """The opt-in per-phase RNG batching mode (satellite)."""
@@ -341,14 +334,13 @@ class TestRngBatching:
         assert not np.array_equal(per_step.raw_bonus.values, per_phase.raw_bonus.values)
 
     def test_per_phase_engines_agree(self, school_train, rubric, school_attributes):
-        """Both engines consume the batched stream identically."""
-        results = {}
-        for engine in ("array", "table"):
-            config = replace(FAST, rng_batching="per_phase", engine=engine)
-            results[engine] = DCA(school_attributes, rubric, k=0.05, config=config).fit(
-                school_train.table
-            )
-        _assert_fit_identical(results["array"], results["table"])
+        """The array loop and the table-slicing oracle consume the batched stream identically."""
+        config = replace(FAST, rng_batching="per_phase")
+        result = DCA(school_attributes, rubric, k=0.05, config=config).fit(school_train.table)
+        reference = oracle_fit(
+            school_train.table, rubric, DisparityObjective(school_attributes), 0.05, config
+        )
+        _assert_fit_identical(result, reference)
 
     def test_draw_phase_indices_one_matrix(self):
         stream = SampleStream(1000, 50, rng=np.random.default_rng(3))

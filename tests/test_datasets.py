@@ -17,7 +17,6 @@ from repro.datasets import (
     clear_dataset_cache,
     clipped_normal_marginal,
     compas_release_ranking_function,
-    generate_compas_cohort,
     generate_compas_dataset,
     generate_school_cohort,
     generate_school_dataset,
@@ -229,40 +228,6 @@ class TestCompasGenerator:
     def test_reproducible_given_seed(self):
         config = CompasGeneratorConfig(num_defendants=500)
         assert generate_compas_dataset(config, seed=1).table == generate_compas_dataset(config, seed=1).table
-
-    def test_cohort_alias_matches_dataset(self):
-        config = CompasGeneratorConfig(num_defendants=500)
-        assert (
-            generate_compas_cohort(config, seed=2).table
-            == generate_compas_dataset(config, seed=2).table
-        )
-
-    def test_shared_cohort_bitwise_identical_to_unshared(self):
-        """``shared=True`` generation lands in a SharedColumnStore, bit for bit."""
-        config = CompasGeneratorConfig(num_defendants=2_000)
-        plain = generate_compas_cohort(config, seed=11)
-        assert plain.store is None
-        shared = generate_compas_cohort(config, seed=11, shared=True)
-        try:
-            assert shared.store is not None
-            assert shared.table.column_names == plain.table.column_names
-            # The object-dtype race labels always live on the heap.
-            assert list(shared.table.column("race")) == list(plain.table.column("race"))
-            float_columns = (
-                "defendant_id",
-                "age",
-                "sex_male",
-                "priors_count",
-                "decile_score",
-                "two_year_recid",
-            ) + COMPAS_RACE_ATTRIBUTES
-            for name in float_columns:
-                assert np.array_equal(
-                    plain.table.numeric(name), shared.table.numeric(name)
-                ), name
-        finally:
-            shared.close()
-        plain.close()  # no-op for unshared datasets
 
 
 class TestRegistry:

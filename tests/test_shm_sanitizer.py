@@ -13,9 +13,11 @@ import subprocess
 import sys
 from multiprocessing import shared_memory
 
+import numpy as np
 import pytest
 
 from repro.analysis.shm_sanitizer import ShmSanitizer
+from repro.core.parallel import SharedPopulationPlane
 from repro.datasets import SchoolGeneratorConfig, generate_school_cohort
 
 #: Leaks a segment from a child process.  ``resource_tracker.unregister``
@@ -72,16 +74,16 @@ def test_in_process_leak_is_reported():
 
 
 def test_clean_shared_cohort_reports_nothing():
-    """``generate_school_cohort(shared=True)`` + close() leaves no residue."""
+    """A cohort's columns packed into a ``SharedPopulationPlane`` + close() leave no residue."""
     sanitizer = ShmSanitizer()
     sanitizer.start()
-    cohort = generate_school_cohort(
-        "sanitizer-clean", SchoolGeneratorConfig(num_students=512), seed=3, shared=True
-    )
+    cohort = generate_school_cohort("sanitizer-clean", SchoolGeneratorConfig(num_students=512), seed=3)
+    columns = {name: cohort.table.numeric(name) for name in cohort.table.column_names}
+    plane = SharedPopulationPlane(columns)
     try:
-        assert cohort.store is not None
+        assert np.array_equal(plane.view("gpa"), cohort.table.numeric("gpa"))
     finally:
-        cohort.close()
+        plane.close()
     assert sanitizer.stop() == ()
 
 
