@@ -6,9 +6,8 @@ Two complementary halves:
   an ``ast``-based auditor enforcing the repo contracts — R1
   determinism, R2 shared-memory lifecycle, R4 worker-boundary pickling,
   and the interprocedural R5 rng-lineage, which follows the project call
-  graph (:mod:`repro.analysis.callgraph`) across files.  Findings can
-  render as text, GitHub annotations, or SARIF, and can be suppressed
-  against a recorded baseline (:mod:`repro.analysis.baseline`).  See
+  graph (:mod:`repro.analysis.callgraph`) across files.  Findings
+  render as text or as GitHub annotations.  See
   ``docs/contracts.md`` for the contracts and the
   ``# repro-lint: disable=RULE`` escape hatch.
 * **runtime sanitizer**: :mod:`repro.analysis.shm_sanitizer` snapshots
@@ -21,7 +20,6 @@ can audit the tree without installing numpy first.
 
 from __future__ import annotations
 
-from .baseline import filter_baseline, load_baseline, write_baseline
 from .callgraph import CallGraph, FunctionInfo, module_name_for_path
 from .lint import (
     Finding,
@@ -44,7 +42,6 @@ from .rules import (
     WorkerPicklingRule,
     rules_by_id,
 )
-from .sarif import to_sarif
 
 __all__ = [
     "CallGraph",
@@ -60,15 +57,11 @@ __all__ = [
     "Rule",
     "ShmLifecycleRule",
     "WorkerPicklingRule",
-    "filter_baseline",
     "iter_python_files",
     "lint_file",
     "lint_project",
     "lint_source",
-    "load_baseline",
     "module_name_for_path",
     "rules_by_id",
     "run_lint",
-    "to_sarif",
-    "write_baseline",
 ]

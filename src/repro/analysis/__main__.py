@@ -13,10 +13,8 @@ import argparse
 import sys
 from typing import Sequence
 
-from .baseline import filter_baseline, load_baseline, write_baseline
 from .lint import run_lint
 from .rules import DEFAULT_RULES, rules_by_id
-from .sarif import sarif_text
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -36,24 +34,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "github", "sarif"),
+        choices=("text", "github"),
         default="text",
-        help=(
-            "finding output style: plain text, GitHub Actions annotations, "
-            "or a SARIF 2.1.0 log"
-        ),
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="suppress findings recorded in FILE (see --write-baseline)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="FILE",
-        help="record the surviving findings to FILE and exit 0",
+        help="finding output style: plain text or GitHub Actions annotations",
     )
     parser.add_argument(
         "--exclude",
@@ -91,23 +74,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 2
 
     findings = run_lint(args.paths, rules=rules, exclude=args.exclude)
-    if args.baseline is not None:
-        try:
-            findings = filter_baseline(findings, load_baseline(args.baseline))
-        except (OSError, ValueError, KeyError) as error:
-            print(f"repro-lint: cannot read baseline: {error}", file=sys.stderr)
-            return 2
-    if args.write_baseline is not None:
-        write_baseline(findings, args.write_baseline)
-        print(
-            f"repro-lint: baseline of {len(findings)} finding(s) written to "
-            f"{args.write_baseline}",
-            file=sys.stderr,
-        )
-        return 0
-    if args.format == "sarif":
-        print(sarif_text(findings, rules))
-        return 1 if findings else 0
     for finding in findings:
         print(finding.format(args.format))
     if findings:

@@ -67,6 +67,13 @@ class DCAConfig:
         RNG seed controlling the random initialization and all samples.
     initial_bonus_scale:
         The random initial bonus vector is uniform on [0, initial_bonus_scale].
+    min_group_count:
+        How many selected rows and rarest-group members a sample should hold
+        (about 30, for the Central Limit Theorem).  Used only when
+        ``sample_size`` is ``None``: the sample is then the larger of
+        ``min_group_count / k`` and ``min_group_count / r`` rows, where ``r``
+        is the rarest fairness group's frequency, floored at 100 and capped
+        at the population (:func:`repro.core.sampling.recommended_sample_size`).
     rng_batching:
         ``"per_step"`` (the default) draws each step's sample in its own
         generator call, preserving seed-for-seed history.  ``"per_phase"``
@@ -76,14 +83,6 @@ class DCAConfig:
         (different results for the same seed) and samples with replacement
         within a step — statistically negligible while the sample is much
         smaller than the population, which is the recommended regime.
-    stratified_sampling:
-        When True, per-step samples guarantee at least one member of each
-        binary fairness attribute's rarest side
-        (:class:`~repro.core.sampling.SampleStream` ``stratify``), which
-        stabilizes the signal for very rare groups (< ~1/sample_size
-        frequency).  Opt-in because the correction consumes extra RNG draws
-        whenever it triggers, so fits are not seed-comparable with the
-        default mode.
     """
 
     learning_rates: tuple[float, ...] = (1.0, 0.1)
@@ -99,7 +98,6 @@ class DCAConfig:
     initial_bonus_scale: float = 1.0
     min_group_count: int = 30
     rng_batching: str = "per_step"
-    stratified_sampling: bool = False
 
     def validate(self) -> None:
         if not self.learning_rates:

@@ -74,7 +74,6 @@ signature skip recompiling the objective, on every backend.
 from __future__ import annotations
 
 import copy
-import os
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -95,6 +94,7 @@ from .parallel import (
     default_objective_cache,
     execute_process_jobs,
     matrix_key,
+    usable_cores,
 )
 from .result import DCAResult, DCATrace
 from .sampling import SampleStream, rarest_group_frequency, recommended_sample_size
@@ -186,10 +186,10 @@ class _BonusSearch:
 
     The constructor is the one assembly path.  :meth:`from_table` computes
     the arrays from a table and hands them over; the process-backend workers
-    hand over the same arrays mapped out of shared memory, with the row
-    count as ``population`` (only stratified draws need the table itself,
-    for its group masks).  Either way the search consumes the RNG
-    identically, so a worker fit is bitwise identical to a serial
+    hand over the same arrays mapped out of shared memory.  Uniform index
+    draws depend only on the population's row count, so both pass
+    ``num_rows`` and never the table, and the search consumes the RNG
+    identically: a worker fit is bitwise identical to a serial
     :meth:`DCA.fit` with the same seed.
     """
 
@@ -199,7 +199,7 @@ class _BonusSearch:
         base_scores: np.ndarray,
         attribute_matrix: np.ndarray,
         compiled: CompiledObjective,
-        population: Table | int,
+        num_rows: int,
         sample_size: int,
         attribute_names: Sequence[str],
         k: float,
@@ -213,12 +213,7 @@ class _BonusSearch:
         self._attribute_matrix = attribute_matrix
         self._compiled = compiled
         self.sample_size = int(sample_size)
-        self._stream = SampleStream(
-            population,
-            self.sample_size,
-            rng=self.rng,
-            stratify=self.attribute_names if config.stratified_sampling else None,
-        )
+        self._stream = SampleStream(num_rows, self.sample_size, rng=self.rng)
         self._phase_indices: np.ndarray | None = None
         self._phase_cursor = 0
 
@@ -252,7 +247,7 @@ class _BonusSearch:
             base_scores=np.asarray(score_function.scores(table), dtype=float),
             attribute_matrix=table.matrix(list(attribute_names)),
             compiled=compiled,
-            population=table,
+            num_rows=table.num_rows,
             sample_size=_resolve_sample_size(
                 config,
                 k,
@@ -586,16 +581,18 @@ class DCA:
           placed in ``multiprocessing.shared_memory`` once, and workers
           receive only tiny job descriptors — the cohort is never pickled
           per job.
-          Jobs that cannot run on the plane (custom objectives without a
-          :meth:`~repro.core.objectives.FairnessObjective.signature`, and
-          stratified sampling, which needs the table's group masks) fall
-          back to in-parent serial execution, preserving result order and
-          values.
+          A job runs in the parent instead, serially and with the same
+          result order and values, for exactly one reason: its objective
+          cannot be placed on the plane — it has no
+          :meth:`~repro.core.objectives.FairnessObjective.signature` to
+          share it by, or its compiled state does not
+          :meth:`~repro.core.objectives.CompiledObjective.export_state`.
         * ``None`` (default) — ``"process"`` when ``max_workers`` asks for
           parallelism, else ``"serial"``.
 
         ``max_workers`` sizes the pool; for the process backend it defaults
-        to ``min(len(jobs), os.cpu_count())``.  Zero or negative
+        to ``min(len(jobs), usable_cores())``, the cores this process may
+        run on (:func:`repro.core.parallel.usable_cores`).  Zero or negative
         ``max_workers`` is rejected eagerly, before any pool or
         shared-memory segment is created.  A job that raises inside a worker
         re-raises its own exception here; a worker process that dies
@@ -642,7 +639,7 @@ class DCA:
             else default_objective_cache()
         )
         if executor == "process":
-            workers = max_workers if max_workers is not None else min(len(jobs), os.cpu_count() or 1)
+            workers = max_workers if max_workers is not None else min(len(jobs), usable_cores())
             return self._fit_many_process(table, jobs, cache, workers)
         return [self._run_single_spec(table, spec, cache) for spec in jobs]
 
@@ -697,36 +694,31 @@ class DCA:
         attribute matrix per distinct attribute set, one compiled state per
         distinct objective signature — inside a single shared-memory
         segment, then dispatches :class:`~repro.core.parallel.PlaneJob`
-        job descriptors to the pool.  Jobs the plane cannot serve
-        (signature-less objectives, stratified sampling) run in the parent
+        job descriptors to the pool.  A job whose objective cannot be placed
+        on the plane (the one rule, see :meth:`fit_many`) runs in the parent
         instead.
         """
         num_rows = table.num_rows
         arrays: dict[str, np.ndarray] = {}
         objective_states: dict[int, tuple[type, dict[str, str], dict]] = {}
-        signature_keys: dict[tuple, int] = {}
+        signature_keys: dict[tuple, int | None] = {}
         rarest: dict[tuple[str, ...], float] = {}
         plane_jobs: list[PlaneJob] = []
         parent_jobs: list[tuple[int, FitSpec]] = []
         job_meta: dict[int, tuple[FitSpec, float, int | None]] = {}
 
-        for index, spec in enumerate(jobs):
-            config, objective_template, k = self._resolve_spec(spec)
+        def place(objective_template: FairnessObjective) -> int | None:
+            """The objective's state key on the plane; ``None`` if it cannot be placed there."""
             signature = objective_template.signature()
-            # Jobs the plane cannot serve run in the parent: signature-less
-            # objectives cannot be cached or exported, and stratified
-            # sampling needs the table's group masks.
-            if signature is None or config.stratified_sampling:
-                parent_jobs.append((index, spec))
-                continue
+            if signature is None:
+                return None
             if signature not in signature_keys:
                 objective = copy.deepcopy(objective_template)
                 objective.fit(table)
                 compiled = cache.compile(objective, table)
                 exported = compiled.export_state()
-                if exported is None:
-                    signature_keys[signature] = -1
-                else:
+                key = None
+                if exported is not None:
                     state_arrays, metadata = exported
                     key = len(objective_states)
                     array_keys: dict[str, str] = {}
@@ -735,9 +727,13 @@ class DCA:
                         arrays[plane_key] = value
                         array_keys[name] = plane_key
                     objective_states[key] = (type(compiled), array_keys, metadata)
-                    signature_keys[signature] = key
-            key = signature_keys[signature]
-            if key < 0:
+                signature_keys[signature] = key
+            return signature_keys[signature]
+
+        for index, spec in enumerate(jobs):
+            config, objective_template, k = self._resolve_spec(spec)
+            key = place(objective_template)
+            if key is None:
                 parent_jobs.append((index, spec))
                 continue
             attributes = tuple(objective_template.attribute_names)

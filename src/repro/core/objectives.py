@@ -134,8 +134,9 @@ class CompiledObjective(abc.ABC):
         class must rebuild an equivalent instance from them, with the arrays
         possibly living in shared memory.  Returning ``None`` (the default)
         marks the state as non-shareable: such objectives still work under
-        every executor, but each process-pool job falls back to an in-parent
-        fit instead of a shared-memory worker.
+        every executor, but the objective cannot be placed on the
+        shared-memory plane, which is the one reason a process-pool job of
+        :meth:`repro.core.DCA.fit_many` runs in the parent instead.
         """
         return None
 

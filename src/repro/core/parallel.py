@@ -33,6 +33,7 @@ seeded generator.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import threading
 import time
 import weakref
@@ -55,6 +56,7 @@ __all__ = [
     "PlaneJob",
     "execute_process_jobs",
     "process_start_method",
+    "usable_cores",
 ]
 
 
@@ -342,7 +344,7 @@ def _plane_worker_fit(job: PlaneJob):
         base_scores=plane.arrays["base"],
         attribute_matrix=plane.arrays[matrix_key(job.attribute_names)],
         compiled=plane.compiled_for(job.objective_key),
-        population=plane.num_rows,
+        num_rows=plane.num_rows,
         sample_size=job.sample_size,
         attribute_names=job.attribute_names,
         k=job.k,
@@ -354,6 +356,18 @@ def _plane_worker_fit(job: PlaneJob):
 def matrix_key(attribute_names: Sequence[str]) -> str:
     """Plane key of the raw attribute matrix for an attribute set."""
     return "matrix:" + "|".join(attribute_names)
+
+
+def usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity, not the machine's count.
+
+    Under ``taskset -c 0`` on a multi-core machine this is 1.  Falls back to
+    ``os.cpu_count()`` where the platform has no affinity call.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
 
 
 def process_start_method() -> str:

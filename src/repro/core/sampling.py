@@ -146,34 +146,15 @@ class SampleStream:
 
     ``population`` may also be a bare row count instead of a
     :class:`~repro.tabular.Table`.  Index draws are a function of the
-    population *size* only, so the shared-memory process workers of
-    :meth:`repro.core.DCA.fit_many` stream indices without ever holding the
-    table; such a stream supports :meth:`draw_indices` but not :meth:`draw`.
+    population *size* only, so the DCA step loop and the shared-memory
+    process workers of :meth:`repro.core.DCA.fit_many` stream indices from a
+    row count without ever holding the table; such a stream supports
+    :meth:`draw_indices` but not :meth:`draw`.
 
-    Stratified draws
-    ----------------
-
-    A uniform sample can entirely miss a very rare fairness group (a 0.5%
-    group is absent from ~8% of 500-row samples), which zeroes that group's
-    contribution to the sampled disparity signal.  Passing
-    ``stratify=attribute_names`` guarantees every listed binary attribute's
-    *rarest side* (members or complement, whichever is less frequent) at
-    least ``min_stratum_count`` members per draw: deficient draws have their
-    trailing unprotected slots replaced by uniformly drawn members of the
-    missing group.  The correction consumes additional RNG state whenever it
-    triggers, so stratified streams are not seed-comparable with uniform
-    ones; it is opt-in (``DCAConfig(stratified_sampling=True)``).
-    Degenerate and continuous attributes are skipped, exactly as in
-    :func:`rarest_group_frequency`.  Stratification needs the group masks,
-    so it requires a table-backed stream.
-
-    The guarantee is per attribute and unconditional whenever the sample has
-    enough slots outside the listed rare groups to host every correction —
-    the intended regime (a few very rare, mostly disjoint groups).  In
-    pathological overlaps, where nearly every sampled row belongs to some
-    listed rare group, a later stratum's replacement falls back to trailing
-    slots and may evict an earlier stratum's only member: corrections are
-    then best-effort, not re-checked.
+    Rare groups are handled by the sample *size*, not by the draw: the
+    ``max(1/k, 1/r)`` rule (:func:`recommended_sample_size`) sizes the sample
+    so the rarest group appears about ``min_group_count`` times per draw
+    (Section IV-D).
     """
 
     def __init__(
@@ -181,8 +162,6 @@ class SampleStream:
         population: Table | int,
         sample_size: int,
         rng: np.random.Generator | None = None,
-        stratify: Sequence[str] | None = None,
-        min_stratum_count: int = 1,
     ) -> None:
         if isinstance(population, Table):
             self.table: Table | None = population
@@ -201,61 +180,6 @@ class SampleStream:
         # (R5 proves it: each fit entry point reaches this line only with a
         # DCAConfig.rng()-derived generator in hand).
         self._rng = rng or np.random.default_rng()  # repro-lint: disable=R1,R5
-        if min_stratum_count < 1:
-            raise ValueError(
-                f"min_stratum_count must be a positive integer, got {min_stratum_count}"
-            )
-        self._min_stratum_count = int(min_stratum_count)
-        self._strata: list[tuple[str, np.ndarray, np.ndarray]] = []
-        self._protected: np.ndarray | None = None
-        if stratify:
-            if self.table is None:
-                raise TypeError(
-                    "stratify requires a table-backed SampleStream; index-only "
-                    "streams hold no group information"
-                )
-            self._build_strata(tuple(stratify))
-
-    def _build_strata(self, attribute_names: Sequence[str]) -> None:
-        """Precompute each binary attribute's rarest-side pool and mask."""
-        protected = np.zeros(self.num_rows, dtype=bool)
-        for name in attribute_names:
-            values = self.table.numeric(name)
-            unique = np.unique(values)
-            if unique.size > 2 or not np.all(np.isin(unique, (0.0, 1.0))):
-                continue  # continuous attribute: no discrete group to protect
-            frequency = float(values.mean())
-            if not 0.0 < frequency < 1.0:
-                continue  # degenerate: one side is empty
-            rare_value = 1.0 if frequency <= 0.5 else 0.0
-            mask = values == rare_value
-            self._strata.append((name, np.flatnonzero(mask).astype(np.int64), mask))
-            protected |= mask
-        self._protected = protected if self._strata else None
-
-    def _apply_strata(self, indices: np.ndarray) -> np.ndarray:
-        """Enforce the per-group minimum on one draw (mutates ``indices``)."""
-        for _name, pool, mask in self._strata:
-            count = int(np.count_nonzero(mask[indices]))
-            if count >= self._min_stratum_count:
-                continue
-            deficit = self._min_stratum_count - count
-            available = pool if count == 0 else pool[~np.isin(pool, indices)]
-            deficit = min(deficit, int(available.size))
-            if deficit == 0:
-                continue  # the whole group is already in the sample
-            extra = self._rng.choice(available, size=deficit, replace=False)
-            # Prefer evicting rows that belong to no protected group, so one
-            # stratum's correction cannot starve another; pathological
-            # overlaps (almost every sampled row protected) fall back to the
-            # trailing slots.
-            safe = np.flatnonzero(~self._protected[indices])
-            if safe.size >= deficit:
-                victims = safe[-deficit:]
-            else:
-                victims = np.arange(indices.size - deficit, indices.size)
-            indices[victims] = extra
-        return indices
 
     def __iter__(self) -> Iterator[Table]:
         return self
@@ -268,15 +192,10 @@ class SampleStream:
 
         When the sample covers the whole population the identity index array
         is returned and no RNG state is consumed, mirroring :meth:`draw`.
-        Stratified streams additionally enforce the per-group minimum (see
-        the class docstring).
         """
         if self.sample_size >= self.num_rows:
             return np.arange(self.num_rows, dtype=np.int64)
-        indices = self._rng.choice(self.num_rows, size=self.sample_size, replace=False)
-        if self._strata:
-            indices = self._apply_strata(indices)
-        return indices
+        return self._rng.choice(self.num_rows, size=self.sample_size, replace=False)
 
     def draw_phase_indices(self, num_steps: int) -> np.ndarray:
         """A whole phase's samples as a ``(num_steps, sample_size)`` matrix.
@@ -298,13 +217,9 @@ class SampleStream:
                 np.arange(self.num_rows, dtype=np.int64),
                 (num_steps, self.num_rows),
             )
-        indices = self._rng.integers(
+        return self._rng.integers(
             0, self.num_rows, size=(num_steps, self.sample_size), dtype=np.int64
         )
-        if self._strata:
-            for row in range(num_steps):
-                self._apply_strata(indices[row])
-        return indices
 
     def draw(self) -> Table:
         """Return the next uniform random sample (without replacement).

@@ -55,10 +55,10 @@ RUNNER_OPTION_FLAGS = {
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for worker counts: rejects 0/negative at parse time.
+    """argparse type for counts (workers, students): rejects 0/negative at parse time.
 
     Failing inside ``argparse`` keeps the error next to the flag that caused
-    it, long before any pool or shared-memory segment exists.
+    it, long before any cohort, pool or shared-memory segment exists.
     """
     try:
         value = int(text)
@@ -71,7 +71,10 @@ def _positive_int(text: str) -> int:
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--num-students", type=int, default=None, help="synthetic school cohort size override"
+        "--num-students",
+        type=_positive_int,
+        default=None,
+        help="synthetic school cohort size override",
     )
     parser.add_argument(
         "--executor",

@@ -162,19 +162,54 @@ class TestExecutors:
         _dca().fit_many(population, seeds=(1, 2))
         assert len(calls) == 1  # no max_workers: serial
 
-    def test_process_runs_no_default_job_in_the_parent(self, population, monkeypatch):
-        """Default-config jobs all run on the pool: none falls back in-parent."""
-
+    @staticmethod
+    def _assert_every_job_on_the_pool(population, monkeypatch, config) -> None:
         def fail(*args, **kwargs):
-            raise AssertionError("a default-config job ran in the parent")
+            raise AssertionError("a job with an exportable objective ran in the parent")
 
         monkeypatch.setattr(DCA, "_run_single_spec", fail)
-        dca = _dca()
+        dca = _dca(config)
         batch = dca.fit_many(population, ks=(0.1, 0.2), seeds=(1, 2), executor="process")
         monkeypatch.undo()
         serial = dca.fit_many(population, ks=(0.1, 0.2), seeds=(1, 2), executor="serial")
         for left, right in zip(serial, batch):
             assert np.array_equal(left.result.raw_bonus.values, right.result.raw_bonus.values)
+
+    def test_process_runs_no_default_job_in_the_parent(self, population, monkeypatch):
+        """Default-config jobs all run on the pool: none falls back in-parent."""
+        self._assert_every_job_on_the_pool(population, monkeypatch, FAST)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"sample_size": None},
+            {"rng_batching": "per_phase"},
+            {"refinement_iterations": 0},
+            {"max_bonus": 1.0},
+        ],
+        ids=["rule_sample_size", "per_phase", "no_refinement", "max_bonus"],
+    )
+    def test_process_runs_no_exportable_job_in_the_parent(
+        self, population, monkeypatch, overrides
+    ):
+        """No config routes a job to the parent: only the objective decides."""
+        self._assert_every_job_on_the_pool(population, monkeypatch, replace(FAST, **overrides))
+
+    def test_default_pool_follows_cpu_affinity(self, population, monkeypatch):
+        """Without max_workers the pool is sized by the usable cores, not os.cpu_count()."""
+        import repro.core.dca as dca_module
+
+        received = []
+        original = dca_module.execute_process_jobs
+
+        def spy(payload, jobs, max_workers):
+            received.append(max_workers)
+            return original(payload, jobs, max_workers)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(dca_module, "execute_process_jobs", spy)
+        _dca().fit_many(population, seeds=(1, 2, 3), executor="process")
+        assert received == [1]
 
     def test_named_executors_match_serial(self, population):
         dca = _dca()
@@ -222,13 +257,22 @@ class TestExecutors:
                 left.result.raw_bonus.values, right.result.raw_bonus.values
             )
 
-    def test_process_falls_back_for_signatureless_objectives(self, population):
+    def test_process_falls_back_for_signatureless_objectives(self, population, monkeypatch):
         """Custom objectives without a signature run in the parent, same results."""
         objective = _SignatureLessObjective(("protected",))
         assert objective.signature() is None
         specs = [FitSpec(seed=1, objective=objective), FitSpec(seed=2)]
         serial = _dca().fit_many(population, specs=specs)
+        in_parent = []
+        original = DCA._run_single_spec
+
+        def spy(self, table, spec, cache):
+            in_parent.append(spec)
+            return original(self, table, spec, cache)
+
+        monkeypatch.setattr(DCA, "_run_single_spec", spy)
         process = _dca().fit_many(population, specs=specs, executor="process")
+        assert in_parent == [specs[0]]  # only the signature-less job
         for left, right in zip(serial, process):
             assert np.array_equal(
                 left.result.raw_bonus.values, right.result.raw_bonus.values

@@ -16,7 +16,6 @@ from repro.core import (
     rarest_group_frequency,
     recommended_sample_size,
 )
-from repro.ranking import ColumnScore
 from repro.tabular import Table
 
 FAST = DCAConfig(seed=17, iterations=20, refinement_iterations=30, sample_size=400)
@@ -172,101 +171,6 @@ class TestSampleStream:
             assert np.array_equal(drawn, table.numeric("x")[indices])
 
 
-class TestSampleStreamStratifyEdgeCases:
-    """Pinned behaviour of stratified streams on degenerate inputs.
-
-    The contract in every degenerate case is *graceful degradation to the
-    uniform stream*: a stratum with nothing to protect builds no correction
-    and consumes no extra RNG state, so the draw sequence stays bit-for-bit
-    identical to an unstratified stream with the same seed.
-    """
-
-    @staticmethod
-    def _rare_population(n: int = 2_000, members: int = 12) -> Table:
-        rng = np.random.default_rng(7)
-        rare = np.zeros(n)
-        rare[rng.choice(n, size=members, replace=False)] = 1.0
-        return Table({"score": rng.normal(10.0, 2.0, size=n), "rare": rare})
-
-    def test_stratum_emptied_by_filtering_degrades_to_uniform(self):
-        """Filtering away every member leaves a 0%-prevalence attribute.
-
-        ``_build_strata`` must skip it (there is nothing left to protect),
-        not crash or try to sample from an empty pool.
-        """
-        table = self._rare_population()
-        filtered = table.filter(lambda t: t.numeric("rare") < 0.5)
-        assert float(filtered.numeric("rare").sum()) == 0.0
-        stratified = SampleStream(
-            filtered, 100, rng=np.random.default_rng(3), stratify=("rare",)
-        )
-        uniform = SampleStream(filtered, 100, rng=np.random.default_rng(3))
-        for _ in range(5):
-            assert np.array_equal(stratified.draw_indices(), uniform.draw_indices())
-
-    def test_all_majority_attribute_degrades_to_uniform(self):
-        """A 100%-prevalence attribute has no rarest side to enforce."""
-        table = Table(
-            {
-                "score": np.arange(500.0),
-                "always": np.ones(500),
-            }
-        )
-        stratified = SampleStream(
-            table, 50, rng=np.random.default_rng(4), stratify=("always",)
-        )
-        uniform = SampleStream(table, 50, rng=np.random.default_rng(4))
-        for _ in range(5):
-            assert np.array_equal(stratified.draw_indices(), uniform.draw_indices())
-
-    def test_degenerate_attribute_does_not_disturb_real_stratum(self):
-        """Mixing an all-ones attribute in leaves the real stratum enforced."""
-        table = self._rare_population()
-        mixed = table.with_column("always", np.ones(table.num_rows))
-        member_mask = table.numeric("rare") > 0.5
-        stream = SampleStream(
-            mixed, 100, rng=np.random.default_rng(9), stratify=("always", "rare")
-        )
-        for _ in range(50):
-            assert member_mask[stream.draw_indices()].any()
-
-    def test_stratify_with_per_phase_batching_enforces_every_row(self):
-        """``rng_batching="per_phase"`` draws still honour the stratum minimum."""
-        table = self._rare_population()
-        member_mask = table.numeric("rare") > 0.5
-        stratified = SampleStream(
-            table,
-            100,
-            rng=np.random.default_rng(5),
-            stratify=("rare",),
-            min_stratum_count=2,
-        )
-        matrix = stratified.draw_phase_indices(50)
-        assert matrix.shape == (50, 100)
-        assert min(int(member_mask[row].sum()) for row in matrix) >= 2
-        # The guarantee is not vacuous: the uniform per-phase stream with the
-        # same seed misses the group in some rows of the same phase.
-        uniform = SampleStream(table, 100, rng=np.random.default_rng(5))
-        uniform_matrix = uniform.draw_phase_indices(50)
-        assert any(not member_mask[row].any() for row in uniform_matrix)
-
-    def test_stratify_with_per_phase_identity_broadcast(self):
-        """Full-population phases take the read-only identity fast path.
-
-        ``draw_phase_indices`` returns a broadcast identity matrix when the
-        sample covers the population; the strata pass must not try to mutate
-        it (every group is trivially fully represented).
-        """
-        table = self._rare_population(n=200, members=5)
-        stream = SampleStream(
-            table, 5_000, rng=np.random.default_rng(1), stratify=("rare",)
-        )
-        matrix = stream.draw_phase_indices(3)
-        assert matrix.shape == (3, 200)
-        for row in matrix:
-            assert np.array_equal(row, np.arange(200))
-
-
 class TestDCAConfig:
     def test_defaults_are_valid(self):
         DCAConfig().validate()
@@ -366,75 +270,3 @@ class TestRngBatching:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError, match="rng_batching"):
             DCAConfig(rng_batching="per_fit").validate()
-
-
-class TestStratifiedSampling:
-    def _rare_population(self, n: int = 20_000, frequency: float = 0.005) -> Table:
-        rng = np.random.default_rng(7)
-        rare = np.zeros(n)
-        members = rng.choice(n, size=max(1, int(round(n * frequency))), replace=False)
-        rare[members] = 1.0
-        score = rng.normal(10.0, 2.0, size=n) - rare
-        return Table({"score": score, "rare": rare})
-
-    def test_rare_group_guaranteed_per_draw(self):
-        """The 0.5%-frequency regression: every stratified draw has >= 1 member."""
-        table = self._rare_population()
-        member_mask = table.numeric("rare") > 0.5
-        plain = SampleStream(table, 500, rng=np.random.default_rng(1))
-        missing = sum(
-            1 for _ in range(200) if not member_mask[plain.draw_indices()].any()
-        )
-        assert missing > 0  # uniform draws really do miss the group
-        stratified = SampleStream(
-            table, 500, rng=np.random.default_rng(1), stratify=("rare",)
-        )
-        for _ in range(200):
-            indices = stratified.draw_indices()
-            assert member_mask[indices].any()
-            assert indices.size == 500
-            assert np.unique(indices).size == 500  # still a without-replacement draw
-
-    def test_majority_one_attribute_protects_complement(self):
-        """The rarest *side* is protected: a 99.5%-mean attribute guards its 0s."""
-        table = self._rare_population()
-        inverted = Table(
-            {"score": table.numeric("score"), "rare": 1.0 - table.numeric("rare")}
-        )
-        complement = inverted.numeric("rare") < 0.5
-        stream = SampleStream(
-            inverted, 500, rng=np.random.default_rng(2), stratify=("rare",)
-        )
-        for _ in range(100):
-            assert complement[stream.draw_indices()].any()
-
-    def test_stratify_requires_table(self):
-        with pytest.raises(TypeError, match="table-backed"):
-            SampleStream(1000, 50, stratify=("rare",))
-
-    def test_continuous_and_degenerate_attributes_skipped(self):
-        rng = np.random.default_rng(5)
-        table = Table(
-            {
-                "score": rng.normal(size=400),
-                "eni": rng.uniform(size=400),
-                "all_ones": np.ones(400),
-            }
-        )
-        stream = SampleStream(
-            table, 50, rng=np.random.default_rng(5), stratify=("eni", "all_ones")
-        )
-        assert stream.draw_indices().size == 50  # no strata built, plain uniform
-
-    def test_dca_config_knob_and_process_fallback(self):
-        """stratified_sampling threads through fit and falls back under 'process'."""
-        table = self._rare_population(n=4000, frequency=0.01)
-        config = DCAConfig(
-            seed=11, iterations=15, refinement_iterations=15, sample_size=150,
-            stratified_sampling=True,
-        )
-        dca = DCA(["rare"], ColumnScore("score"), k=0.2, config=config)
-        serial = dca.fit_many(table, seeds=(1, 2))
-        process = dca.fit_many(table, seeds=(1, 2), executor="process")
-        for left, right in zip(serial, process):
-            _assert_fit_identical(left.result, right.result)

@@ -356,9 +356,13 @@ class TestCLI:
             ["run", "fig4", "--executor", "thread"],
             ["run", "fig4", "--row-workers", "2"],
             ["run", "fig4", "--step-dispatch", "pool"],
+            ["run", "table1", "--num-students", "0"],
+            ["run", "table1", "--num-students", "-5"],
+            ["run", "table1", "--num-students", "abc"],
         ):
-            with pytest.raises(SystemExit):
+            with pytest.raises(SystemExit) as excinfo:
                 parser.parse_args(argv)
+            assert excinfo.value.code == 2
 
     def test_run_rejects_a_flag_the_experiment_does_not_take(self, capsys):
         assert cli_main(["run", "fig7", "--engine", "vector"]) == 2

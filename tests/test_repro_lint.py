@@ -159,52 +159,6 @@ def test_cli_github_format() -> None:
     assert lines and all(line.startswith("::error file=") for line in lines)
 
 
-def test_cli_sarif_format() -> None:
-    import json
-
-    result = _cli(str(FIXTURES / "r5_bad.py"), "--format=sarif")
-    assert result.returncode == 1
-    log = json.loads(result.stdout)
-    assert log["version"] == "2.1.0"
-    run = log["runs"][0]
-    assert run["tool"]["driver"]["name"] == "repro-lint"
-    assert {rule["id"] for rule in run["tool"]["driver"]["rules"]} >= {"R5"}
-    assert run["results"], "expected findings in the SARIF log"
-    sample = run["results"][0]
-    assert sample["ruleId"] == "R5"
-    location = sample["locations"][0]["physicalLocation"]
-    assert location["artifactLocation"]["uri"].endswith("r5_bad.py")
-    assert location["region"]["startLine"] > 0
-    # A clean tree emits a valid, empty-results log and exits 0.
-    clean = _cli(str(FIXTURES / "r5_good.py"), "--format=sarif")
-    assert clean.returncode == 0
-    assert json.loads(clean.stdout)["runs"][0]["results"] == []
-
-
-def test_cli_baseline_round_trip(tmp_path: Path) -> None:
-    """--write-baseline records findings; --baseline suppresses exactly those."""
-    baseline = tmp_path / "baseline.json"
-    bad = str(FIXTURES / "r2_bad.py")
-    wrote = _cli(bad, "--write-baseline", str(baseline))
-    assert wrote.returncode == 0
-    assert baseline.exists()
-    suppressed = _cli(bad, "--baseline", str(baseline))
-    assert suppressed.returncode == 0
-    assert suppressed.stdout == ""
-    # A file with findings NOT in the baseline still fails.
-    fresh = _cli(bad, str(FIXTURES / "r5_bad.py"), "--baseline", str(baseline))
-    assert fresh.returncode == 1
-    assert "R5" in fresh.stdout and " R2 " not in fresh.stdout
-
-
-def test_cli_baseline_rejects_bad_file(tmp_path: Path) -> None:
-    bogus = tmp_path / "bogus.json"
-    bogus.write_text('{"schema": 99, "findings": []}')
-    result = _cli(str(FIXTURES / "r2_bad.py"), "--baseline", str(bogus))
-    assert result.returncode == 2
-    assert "baseline" in result.stderr
-
-
 def test_cli_list_rules_and_bad_rule_id() -> None:
     listing = _cli("--list-rules")
     assert listing.returncode == 0
