@@ -36,7 +36,12 @@ from .objectives import (
     FalsePositiveRateObjective,
     LogDiscountedDisparityObjective,
 )
-from .parallel import CompiledObjectiveCache, default_objective_cache
+from .parallel import (
+    CompiledObjectiveCache,
+    current_execution,
+    default_objective_cache,
+    use_execution,
+)
 from .result import DCAResult, DCATrace
 from .sampling import SampleStream, rarest_group_frequency, recommended_sample_size
 
@@ -58,6 +63,8 @@ __all__ = [
     "CompiledObjective",
     "CompiledObjectiveCache",
     "default_objective_cache",
+    "use_execution",
+    "current_execution",
     "AttributeNormalizer",
     "DisparityCalculator",
     "DisparityResult",

@@ -10,25 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-__all__ = ["DCAConfig", "validate_worker_count"]
-
-
-def validate_worker_count(name: str, value: int | None) -> int | None:
-    """Eagerly reject zero/negative worker counts.
-
-    The one implementation of the ">= 1 or ValueError" rule behind
-    :meth:`repro.core.DCA.fit_many`'s ``max_workers`` and the CLI's
-    ``--max-workers``.  ``None`` passes through (it means "use the
-    default"); anything below 1 raises a clear ``ValueError`` *before* any
-    pool or shared-memory segment is created, instead of failing obscurely
-    inside an executor.
-    """
-    if value is None:
-        return None
-    count = int(value)
-    if count < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return count
+__all__ = ["DCAConfig"]
 
 
 @dataclass(frozen=True)

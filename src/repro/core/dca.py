@@ -53,7 +53,8 @@ Batched execution
 
 :meth:`DCA.fit_many` runs seed/k/objective grids (or explicit
 :class:`FitSpec` lists) over one population through two interchangeable
-backends selected by ``executor``:
+backends selected by ``executor``, or by the ambient
+:func:`~repro.core.parallel.use_execution` scope when a call names none:
 
 * ``"serial"`` — one job after another in the calling thread;
 * ``"process"`` — a process pool whose workers map the population out of
@@ -84,17 +85,19 @@ from ..ranking import ScoreFunction
 from ..tabular import Table
 from .adam import Adam
 from .bonus import BonusVector, compensate_scores
-from .config import DCAConfig, validate_worker_count
+from .config import DCAConfig
 from .objectives import CompiledObjective, DisparityObjective, FairnessObjective
 from .parallel import (
     CompiledObjectiveCache,
     PlaneJob,
     PlanePayload,
     SharedPopulationPlane,
+    current_execution,
     default_objective_cache,
     execute_process_jobs,
     matrix_key,
     usable_cores,
+    validate_execution,
 )
 from .result import DCAResult, DCATrace
 from .sampling import SampleStream, rarest_group_frequency, recommended_sample_size
@@ -108,10 +111,6 @@ __all__ = [
     "BatchFitResult",
     "fit_bonus_points",
 ]
-
-#: Executor names accepted by :meth:`DCA.fit_many`.
-_EXECUTORS = ("serial", "process")
-
 
 def _project(values: np.ndarray, config: DCAConfig) -> np.ndarray:
     """Project a bonus vector onto the feasible box [min_bonus, max_bonus]."""
@@ -590,11 +589,17 @@ class DCA:
         * ``None`` (default) — ``"process"`` when ``max_workers`` asks for
           parallelism, else ``"serial"``.
 
+        A call given neither ``executor`` nor ``max_workers`` takes both from
+        the ambient :func:`repro.core.parallel.use_execution` scope (outside
+        one, ``(None, None)``: serial); explicit arguments replace the
+        ambient pair as a whole.
+
         ``max_workers`` sizes the pool; for the process backend it defaults
         to ``min(len(jobs), usable_cores())``, the cores this process may
         run on (:func:`repro.core.parallel.usable_cores`).  Zero or negative
-        ``max_workers`` is rejected eagerly, before any pool or
-        shared-memory segment is created.  A job that raises inside a worker
+        ``max_workers``, and ``max_workers > 1`` with ``"serial"``, are
+        rejected eagerly, before any pool or shared-memory segment is
+        created.  A job that raises inside a worker
         re-raises its own exception here; a worker process that dies
         mid-job raises :class:`concurrent.futures.process.BrokenProcessPool`.
         Compiled objectives are cached per population (see
@@ -627,11 +632,12 @@ class DCA:
         if not jobs:
             return []
 
-        max_workers = validate_worker_count("max_workers", max_workers)
+        if executor is None and max_workers is None:
+            executor, max_workers = current_execution()
+        else:
+            executor, max_workers = validate_execution(executor, max_workers)
         if executor is None:
             executor = "process" if (max_workers is not None and max_workers > 1) else "serial"
-        if executor not in _EXECUTORS:
-            raise ValueError(f"executor must be one of {_EXECUTORS}, got {executor!r}")
         # Explicit None check: an empty cache is falsy (it has __len__).
         cache = (
             self.objective_cache

@@ -1,6 +1,10 @@
-"""Shared-memory population planes and compiled-objective caching.
+"""Execution of batched fits: the backend choice, shared-memory planes, caching.
 
 This module is the scaling substrate behind :meth:`repro.core.DCA.fit_many`:
+
+* :func:`use_execution` / :func:`current_execution` — the one ambient
+  ``(executor, max_workers)`` pair, set once (by the CLI) and read by every
+  ``fit_many`` call that names no backend.
 
 * :class:`CompiledObjectiveCache` — a per-population cache of compiled
   objective state.  Batched fits repeatedly compile the same objective
@@ -38,9 +42,11 @@ import threading
 import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -49,6 +55,10 @@ from .config import DCAConfig
 from .objectives import CompiledObjective, FairnessObjective
 
 __all__ = [
+    "use_execution",
+    "current_execution",
+    "validate_execution",
+    "validate_worker_count",
     "CompiledObjectiveCache",
     "default_objective_cache",
     "SharedPopulationPlane",
@@ -58,6 +68,79 @@ __all__ = [
     "process_start_method",
     "usable_cores",
 ]
+
+
+# ----------------------------------------------------------------------
+# Execution: which backend runs a batch
+# ----------------------------------------------------------------------
+#: Executor names accepted by :meth:`repro.core.DCA.fit_many`.
+_EXECUTORS = ("serial", "process")
+
+#: The ambient, validated ``(executor, max_workers)`` pair; the default
+#: ``(None, None)`` is ``fit_many``'s own rule (serial).
+_EXECUTION: ContextVar[tuple[str | None, int | None]] = ContextVar(
+    "repro_execution", default=(None, None)
+)
+
+
+def validate_worker_count(value: int | None) -> int | None:
+    """The ">= 1 or ValueError" rule for ``max_workers``; ``None`` means the default.
+
+    Applied by :func:`validate_execution` before any pool or shared-memory
+    segment exists, instead of failing obscurely inside an executor.
+    """
+    if value is None:
+        return None
+    count = int(value)
+    if count < 1:
+        raise ValueError(f"max_workers must be a positive integer, got {value!r}")
+    return count
+
+
+def validate_execution(
+    executor: str | None, max_workers: int | None
+) -> tuple[str | None, int | None]:
+    """Check an ``(executor, max_workers)`` pair and return it normalised.
+
+    ``executor`` is ``None`` or in ``_EXECUTORS``, ``max_workers`` is
+    ``None`` or positive, and ``"serial"`` takes no pool size above 1: it
+    runs one job at a time and would drop the count without a word.
+    """
+    max_workers = validate_worker_count(max_workers)
+    if executor is not None and executor not in _EXECUTORS:
+        raise ValueError(f"executor must be one of {_EXECUTORS}, got {executor!r}")
+    if executor == "serial" and max_workers is not None and max_workers > 1:
+        raise ValueError(
+            f"executor='serial' runs one job at a time; max_workers={max_workers} "
+            "needs executor='process'"
+        )
+    return executor, max_workers
+
+
+@contextmanager
+def use_execution(
+    executor: str | None = None, max_workers: int | None = None
+) -> Iterator[None]:
+    """Set the batch backend of every ``fit_many`` call inside the block.
+
+    A :meth:`repro.core.DCA.fit_many` call given neither ``executor`` nor
+    ``max_workers`` uses this pair (validated on entry, before any work);
+    explicit arguments replace it as a whole.  The pair lives in a
+    :class:`contextvars.ContextVar`, private to the entering thread::
+
+        with use_execution("process", 2):
+            dca.fit_many(train, ks=(0.05, 0.1, 0.2))  # on a 2-worker pool
+    """
+    token = _EXECUTION.set(validate_execution(executor, max_workers))
+    try:
+        yield
+    finally:
+        _EXECUTION.reset(token)
+
+
+def current_execution() -> tuple[str | None, int | None]:
+    """The ambient ``(executor, max_workers)``; ``(None, None)`` outside :func:`use_execution`."""
+    return _EXECUTION.get()
 
 
 # ----------------------------------------------------------------------

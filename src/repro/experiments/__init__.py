@@ -39,6 +39,12 @@ EXPERIMENT_RUNNERS = {
     "scenarios": scenario_stress.run,
 }
 
+#: Experiments whose runners batch their fits through ``DCA.fit_many``: the
+#: only ones the CLI's batch-backend flags can affect.
+BATCHED_EXPERIMENTS = frozenset(
+    {"fig1", "fig4", "fig5", "fig8", "fig10", "exposure_ddp", "ablations", "matching", "scenarios"}
+)
+
 __all__ = [
     "ExperimentResult",
     "format_table",
@@ -47,4 +53,5 @@ __all__ = [
     "DEFAULT_K",
     "DEFAULT_K_SWEEP",
     "EXPERIMENT_RUNNERS",
+    "BATCHED_EXPERIMENTS",
 ]

@@ -27,8 +27,6 @@ __all__ = ["run_sample_size", "run_schedule", "run_granularity", "run"]
 def _evaluate_batch(
     setting: SchoolSetting,
     specs: list[FitSpec],
-    max_workers: int | None = None,
-    executor: str | None = None,
 ) -> list[tuple[float, float, int, dict]]:
     """Fit every spec in one batch; report (norm, seconds, sample size, bonus) per spec.
 
@@ -36,7 +34,7 @@ def _evaluate_batch(
     timings stay meaningful even when the batch itself runs on a pool.
     """
     results = []
-    for fit in setting.fit_dca_batch(specs, max_workers=max_workers, executor=executor):
+    for fit in setting.fit_dca_batch(specs):
         scores = setting.compensated_scores("test", fit.result.bonus)
         norm = setting.disparity("test", scores, fit.k)["norm"]
         results.append(
@@ -49,8 +47,6 @@ def run_sample_size(
     num_students: int | None = None,
     k: float = DEFAULT_K,
     sample_sizes: Sequence[int | None] = (100, 250, 500, 1000, 2000, None),
-    max_workers: int | None = None,
-    executor: str | None = None,
 ) -> ExperimentResult:
     """Residual disparity and runtime for different per-step sample sizes."""
     setting = SchoolSetting(num_students=num_students)
@@ -64,7 +60,7 @@ def run_sample_size(
     ]
     rows = []
     for sample_size, (norm, seconds, actual, bonus) in zip(
-        sample_sizes, _evaluate_batch(setting, specs, max_workers=max_workers, executor=executor)
+        sample_sizes, _evaluate_batch(setting, specs)
     ):
         rows.append(
             {
@@ -81,8 +77,6 @@ def run_sample_size(
 def run_schedule(
     num_students: int | None = None,
     k: float = DEFAULT_K,
-    max_workers: int | None = None,
-    executor: str | None = None,
 ) -> ExperimentResult:
     """The paper's two-rate schedule vs single learning rates."""
     setting = SchoolSetting(num_students=num_students)
@@ -102,7 +96,7 @@ def run_schedule(
     ]
     rows = []
     for label, (norm, seconds, _, bonus) in zip(
-        schedules, _evaluate_batch(setting, specs, max_workers=max_workers, executor=executor)
+        schedules, _evaluate_batch(setting, specs)
     ):
         rows.append(
             {"schedule": label, "test_disparity_norm": norm, "seconds": seconds, "bonus": str(bonus)}
@@ -115,8 +109,6 @@ def run_granularity(
     num_students: int | None = None,
     k: float = DEFAULT_K,
     granularities: Sequence[float] = (0.1, 0.25, 0.5, 1.0, 2.0),
-    max_workers: int | None = None,
-    executor: str | None = None,
 ) -> ExperimentResult:
     """Bonus rounding granularity vs residual disparity."""
     setting = SchoolSetting(num_students=num_students)
@@ -130,7 +122,7 @@ def run_granularity(
     ]
     rows = []
     for granularity, (norm, seconds, _, bonus) in zip(
-        granularities, _evaluate_batch(setting, specs, max_workers=max_workers, executor=executor)
+        granularities, _evaluate_batch(setting, specs)
     ):
         rows.append(
             {
@@ -147,34 +139,14 @@ def run_granularity(
 def run(
     num_students: int | None = None,
     k: float = DEFAULT_K,
-    max_workers: int | None = None,
-    executor: str | None = None,
 ) -> ExperimentResult:
     """Run all three ablations and merge their tables."""
     merged = ExperimentResult(
         name="ablations",
         description="Sample-size, learning-rate-schedule, and granularity ablations",
     )
-    for sub in (
-        run_sample_size(
-            num_students=num_students,
-            k=k,
-            max_workers=max_workers,
-            executor=executor,
-        ),
-        run_schedule(
-            num_students=num_students,
-            k=k,
-            max_workers=max_workers,
-            executor=executor,
-        ),
-        run_granularity(
-            num_students=num_students,
-            k=k,
-            max_workers=max_workers,
-            executor=executor,
-        ),
-    ):
+    for ablation in (run_sample_size, run_schedule, run_granularity):
+        sub = ablation(num_students=num_students, k=k)
         for label, rows in sub.tables.items():
             merged.add_table(label, rows)
         merged.notes.extend(sub.notes)

@@ -26,6 +26,11 @@ Run everything at reduced scale and write the formatted output to a file::
 ``run`` rejects (exit status 2) any option the experiment does not take, so
 a flag is never silently dropped; ``run-all`` forwards each option to the
 experiments that take it and rejects only an option none of them takes.
+
+``--executor``/``--workers`` are not runner arguments: ``main`` sets the
+batch backend once for the whole run (:func:`repro.core.parallel.use_execution`)
+and every ``DCA.fit_many`` call inside reads it.  They count as taken by the
+experiments in ``BATCHED_EXPERIMENTS``, the runners that batch their fits.
 """
 
 from __future__ import annotations
@@ -35,8 +40,9 @@ import inspect
 import sys
 from typing import Sequence
 
+from ..core.parallel import use_execution, validate_execution
 from ..matching import ENGINES, PROPOSING_SIDES
-from . import EXPERIMENT_RUNNERS
+from . import BATCHED_EXPERIMENTS, EXPERIMENT_RUNNERS
 from .harness import ExperimentResult
 
 __all__ = ["main", "build_parser"]
@@ -47,8 +53,6 @@ EXECUTOR_CHOICES = ("serial", "process")
 #: Runner keyword of each forwarded option -> the flag that sets it.
 RUNNER_OPTION_FLAGS = {
     "num_students": "--num-students",
-    "executor": "--executor",
-    "max_workers": "--workers",
     "engine": "--engine",
     "proposing": "--proposing",
 }
@@ -89,7 +93,10 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=_positive_int,
         default=None,
-        help="pool size for the process executor (default: one per job, capped at CPUs)",
+        help=(
+            "pool size for the process executor (default: one per job, capped at "
+            "the cores this process may use)"
+        ),
     )
     parser.add_argument(
         "--engine",
@@ -136,8 +143,6 @@ def _runner_options(args: argparse.Namespace) -> dict[str, object]:
     """The runner options set on the command line, keyed by runner keyword."""
     values = {
         "num_students": args.num_students,
-        "executor": args.executor,
-        "max_workers": args.workers,
         "engine": args.engine,
         "proposing": args.proposing,
     }
@@ -148,22 +153,30 @@ def _accepts(name: str, key: str) -> bool:
     return key in inspect.signature(EXPERIMENT_RUNNERS[name]).parameters
 
 
-def _unaccepted_flags(names: Sequence[str], options: dict[str, object]) -> list[str]:
-    """Flags in ``options`` that none of the experiments ``names`` takes."""
-    return [
+def _unaccepted_flags(names: Sequence[str], args: argparse.Namespace) -> list[str]:
+    """Flags set on the command line that none of the experiments ``names`` takes.
+
+    Runner options go by each runner's signature; the batch-backend flags by
+    ``BATCHED_EXPERIMENTS``.
+    """
+    flags = [
         RUNNER_OPTION_FLAGS[key]
-        for key in options
+        for key in _runner_options(args)
         if not any(_accepts(name, key) for name in names)
     ]
+    if BATCHED_EXPERIMENTS.isdisjoint(names):
+        backend = (("--executor", args.executor), ("--workers", args.workers))
+        flags += [flag for flag, value in backend if value is not None]
+    return flags
 
 
 def _run_one(name: str, options: dict[str, object]) -> ExperimentResult:
     """Invoke a runner with the options its signature takes.
 
     Experiments differ in what they can vary (the COMPAS figures have no
-    ``num_students``; single-fit experiments have no batch backend; only the
-    matching experiments run deferred acceptance), so the CLI inspects each
-    runner instead of forcing one signature on all of them.
+    ``num_students``; only the matching experiments run deferred
+    acceptance), so the CLI inspects each runner instead of forcing one
+    signature on all of them.
     """
     return EXPERIMENT_RUNNERS[name](
         **{key: value for key, value in options.items() if _accepts(name, key)}
@@ -183,33 +196,32 @@ def main(argv: Sequence[str] | None = None) -> int:
         for name in sorted(EXPERIMENT_RUNNERS):
             print(name)
         return 0
+    if args.command == "run" and args.experiment not in EXPERIMENT_RUNNERS:
+        print(
+            f"unknown experiment {args.experiment!r}; available: {sorted(EXPERIMENT_RUNNERS)}",
+            file=sys.stderr,
+        )
+        return 2
+    try:
+        validate_execution(args.executor, args.workers)
+    except ValueError as error:
+        print(f"--executor {args.executor} with --workers {args.workers}: {error}", file=sys.stderr)
+        return 2
+    names = [args.experiment] if args.command == "run" else sorted(EXPERIMENT_RUNNERS)
+    unaccepted = _unaccepted_flags(names, args)
+    if unaccepted:
+        subject = (
+            f"experiment {args.experiment!r} does not take"
+            if args.command == "run"
+            else "no experiment takes"
+        )
+        print(f"{subject} {', '.join(unaccepted)}", file=sys.stderr)
+        return 2
     options = _runner_options(args)
-    if args.command == "run":
-        if args.experiment not in EXPERIMENT_RUNNERS:
-            print(
-                f"unknown experiment {args.experiment!r}; available: {sorted(EXPERIMENT_RUNNERS)}",
-                file=sys.stderr,
-            )
-            return 2
-        unaccepted = _unaccepted_flags([args.experiment], options)
-        if unaccepted:
-            print(
-                f"experiment {args.experiment!r} does not take {', '.join(unaccepted)}",
-                file=sys.stderr,
-            )
-            return 2
-        _emit(_run_one(args.experiment, options).format(), args.output)
-        return 0
-    if args.command == "run-all":
-        names = sorted(EXPERIMENT_RUNNERS)
-        unaccepted = _unaccepted_flags(names, options)
-        if unaccepted:
-            print(f"no experiment takes {', '.join(unaccepted)}", file=sys.stderr)
-            return 2
+    with use_execution(args.executor, args.workers):
         outputs = [_run_one(name, options).format() for name in names]
-        _emit("\n\n".join(outputs), args.output)
-        return 0
-    return 2
+    _emit("\n\n".join(outputs), args.output)
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation

@@ -28,15 +28,12 @@ def run(
     attributes: Sequence[str] = ("low_income", "ell", "special_ed"),
     max_k: float = 0.5,
     caps: Sequence[float] | None = None,
-    max_workers: int | None = None,
-    executor: str | None = None,
 ) -> ExperimentResult:
     """Regenerate the before/after DDP comparison.
 
     ``caps`` optionally sweeps additional log-discount cut-offs (each cap
     fits its own bonus vector, all in one batch); the headline
-    before/after table always reports the ``max_k`` fit.  ``executor`` and
-    ``max_workers`` select and size the ``fit_many`` backend.
+    before/after table always reports the ``max_k`` fit.
     """
     setting = SchoolSetting(num_students=num_students)
     attributes = tuple(attributes)
@@ -56,7 +53,7 @@ def run(
     specs = [
         FitSpec(k=cap, objective=objective, label=f"cap {cap:g}") for cap in sorted(caps)
     ]
-    fits = setting.fit_dca_batch(specs, max_workers=max_workers, executor=executor)
+    fits = setting.fit_dca_batch(specs)
     by_cap = {fit.k: fit for fit in fits}
 
     # Compare each protected group against its complement, as well as all

@@ -24,8 +24,6 @@ __all__ = ["run"]
 def run(
     num_defendants: int | None = None,
     k_values: Sequence[float] = DEFAULT_K_SWEEP,
-    max_workers: int | None = None,
-    executor: str | None = None,
 ) -> ExperimentResult:
     """Regenerate the Figure 10a/10b/10c series."""
     setting = CompasSetting(num_defendants=num_defendants)
@@ -49,11 +47,7 @@ def run(
     )
 
     # (a) bonus points recomputed for every k — one fit_many batch.
-    per_k_fits = setting.fit_dca_sweep(
-        k_values,
-        max_workers=max_workers,
-        executor=executor,
-    )
+    per_k_fits = setting.fit_dca_sweep(k_values)
     fig10a_rows = []
     for k in k_values:
         scores = per_k_fits[float(k)].bonus.apply(table, base_scores)
@@ -62,12 +56,7 @@ def run(
 
     # (b) FPR-gap objective, again batched across the k sweep.
     fpr_objective = FalsePositiveRateObjective(setting.race_attributes, "two_year_recid")
-    fpr_fits = setting.fit_dca_sweep(
-        k_values,
-        objective=fpr_objective,
-        max_workers=max_workers,
-        executor=executor,
-    )
+    fpr_fits = setting.fit_dca_sweep(k_values, objective=fpr_objective)
     fig10b_rows = []
     baseline_fpr_rows = []
     for k in k_values:

@@ -21,8 +21,6 @@ __all__ = ["run"]
 def run(
     num_students: int | None = None,
     k_values: Sequence[float] = DEFAULT_K_SWEEP,
-    max_workers: int | None = None,
-    executor: str | None = None,
 ) -> ExperimentResult:
     """Regenerate the Figure 1 series (k, nDCG@k)."""
     setting = SchoolSetting(num_students=num_students)
@@ -30,11 +28,7 @@ def run(
         name="fig1",
         description="nDCG@k on the school test cohort for varying selection fractions",
     )
-    per_k = setting.fit_dca_sweep(
-        k_values,
-        max_workers=max_workers,
-        executor=executor,
-    )
+    per_k = setting.fit_dca_sweep(k_values)
     base = setting.base_scores("test")
     rows: list[dict[str, object]] = []
     for k in k_values:

@@ -38,8 +38,6 @@ def run(
     num_students: int | None = None,
     k_values: Sequence[float] = DEFAULT_K_SWEEP,
     assumed_k: float = DEFAULT_K,
-    max_workers: int | None = None,
-    executor: str | None = None,
 ) -> ExperimentResult:
     """Regenerate the Figure 4a/4b/4c series on the test cohort."""
     setting = SchoolSetting(num_students=num_students)
@@ -55,11 +53,7 @@ def run(
     )
 
     # (a) k known in advance: one batched fit per k.
-    per_k = setting.fit_dca_sweep(
-        k_values,
-        max_workers=max_workers,
-        executor=executor,
-    )
+    per_k = setting.fit_dca_sweep(k_values)
     per_k_bonus = {k: per_k[float(k)].bonus for k in k_values}
     result.add_table(
         "fig 4a: k known in advance",

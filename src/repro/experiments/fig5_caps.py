@@ -25,8 +25,6 @@ def run(
     num_students: int | None = None,
     caps: Sequence[float] = DEFAULT_CAPS,
     max_k: float = 0.5,
-    max_workers: int | None = None,
-    executor: str | None = None,
 ) -> ExperimentResult:
     """Regenerate the Figure 5 series (max bonus cap vs discounted disparity)."""
     setting = SchoolSetting(num_students=num_students)
@@ -48,11 +46,7 @@ def run(
         for cap in caps
     ]
     rows: list[dict[str, object]] = []
-    batch = setting.fit_dca_batch(
-        specs,
-        max_workers=max_workers,
-        executor=executor,
-    )
+    batch = setting.fit_dca_batch(specs)
     for cap, fitted in zip(caps, batch):
         scores = setting.compensated_scores("test", fitted.bonus)
         disparity = evaluator.disparity(setting.test.table, scores, k=max_k)

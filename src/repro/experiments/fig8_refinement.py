@@ -25,8 +25,6 @@ def run(
     num_students: int | None = None,
     k_values: Sequence[float] = DEFAULT_K_SWEEP,
     use_rule_based_sample_size: bool = True,
-    max_workers: int | None = None,
-    executor: str | None = None,
 ) -> ExperimentResult:
     """Regenerate the Figure 8a (disparity) and 8b (runtime) series."""
     setting = SchoolSetting(num_students=num_students)
@@ -49,11 +47,7 @@ def run(
             ("refined", base_config),
         )
     ]
-    fits = setting.fit_dca_batch(
-        specs,
-        max_workers=max_workers,
-        executor=executor,
-    )
+    fits = setting.fit_dca_batch(specs)
 
     disparity_rows: list[dict[str, object]] = []
     timing_rows: list[dict[str, object]] = []

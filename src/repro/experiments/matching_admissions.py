@@ -97,12 +97,7 @@ class MatchingSetting:
         ] * self.num_schools
 
     # ------------------------------------------------------------------
-    def fit_school_bonuses(
-        self,
-        max_k: float,
-        max_workers: int | None = None,
-        executor: str | None = None,
-    ):
+    def fit_school_bonuses(self, max_k: float):
         """One log-discounted bonus vector per school via ``fit_many``."""
         objective = LogDiscountedDisparityObjective(self.setting.fairness_attributes)
         specs = [
@@ -114,7 +109,7 @@ class MatchingSetting:
             )
             for school in range(self.num_schools)
         ]
-        return self.setting.fit_dca_batch(specs, max_workers=max_workers, executor=executor)
+        return self.setting.fit_dca_batch(specs)
 
     def score_planes(self, fits) -> tuple[np.ndarray, np.ndarray]:
         """(baseline, compensated) ``(num_schools, num_students)`` score planes.
@@ -203,8 +198,6 @@ def run(
     seat_fraction: float = DEFAULT_SEAT_FRACTION,
     engine: str = "vector",
     proposing: str = "students",
-    max_workers: int | None = None,
-    executor: str | None = None,
 ) -> ExperimentResult:
     """Run the full DCA → deferred-acceptance → demographics pipeline.
 
@@ -232,7 +225,7 @@ def run(
         ),
     )
 
-    fits = setting.fit_school_bonuses(max_k, max_workers=max_workers, executor=executor)
+    fits = setting.fit_school_bonuses(max_k)
     baseline_plane, compensated_plane = setting.score_planes(fits)
     preferences = setting.preferences()
     baseline_match = setting.match(baseline_plane, preferences)

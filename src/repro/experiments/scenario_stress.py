@@ -21,6 +21,10 @@ CLI::
 
     repro-experiments run scenarios --engine vector
     repro-experiments run scenarios --executor process --workers 4
+
+The batch backend is not a parameter: the runner reads the ambient one
+(:func:`repro.core.parallel.current_execution`, which the CLI sets from
+``--executor``/``--workers``) and checks it bitwise against serial.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+from ..core.parallel import current_execution
 from ..matching import ENGINES, PROPOSING_SIDES
 from ..scenarios import builtin_scenarios, run_scenario
 from .harness import ExperimentResult
@@ -59,20 +64,19 @@ def run(
     num_students: int | None = None,
     engine: str | None = None,
     proposing: str | None = None,
-    executor: str | None = None,
-    max_workers: int | None = None,
     trials: int | None = None,
 ) -> ExperimentResult:
     """Sweep every built-in scenario and report its envelopes.
 
     ``engine``/``proposing`` restrict the matching grid to one engine or
     side (default: both engines on both sides — the full differential
-    grid).  ``executor`` adds a ``fit_many`` backend to check bitwise against
-    the serial batch.  ``num_students`` rescales every scenario to one size,
+    grid).  A non-serial ambient backend is added to the executor grid and
+    checked bitwise against the serial batch.  ``num_students`` rescales every scenario to one size,
     and ``trials`` overrides each scenario's Monte-Carlo trial count.
     """
     engines = (engine,) if engine else ENGINES
     proposing_sides = (proposing,) if proposing else PROPOSING_SIDES
+    executor, max_workers = current_execution()
     executors = ("serial",) if executor in (None, "serial") else ("serial", executor)
 
     result = ExperimentResult(

@@ -50,22 +50,18 @@ def _sweep_fits(
     config: DCAConfig,
     ks,
     objective: FairnessObjective | None,
-    max_workers: int | None,
-    executor: str | None = None,
 ) -> dict[float, DCAResult]:
     """One fit per selection fraction via ``fit_many``, keyed by ``k``.
 
     Shared by the school and COMPAS settings: both sweep helpers only differ
-    in which score function / attribute set they default to.  ``executor``
-    selects the :meth:`repro.core.DCA.fit_many` backend (``"serial"`` or
-    the shared-memory ``"process"`` pool).
+    in which score function / attribute set they default to.
     """
     ks = tuple(float(k) for k in ks)  # materialize once: ks may be a generator
     if not ks:
         raise ValueError("at least one selection fraction is required")
     attributes = objective.attribute_names if objective is not None else default_attributes
     dca = DCA(attributes, score_function, k=max(ks), objective=objective, config=config)
-    fits = dca.fit_many(table, ks=ks, max_workers=max_workers, executor=executor)
+    fits = dca.fit_many(table, ks=ks)
     return {fit.k: fit.result for fit in fits}
 
 
@@ -128,15 +124,11 @@ class SchoolSetting:
         ks,
         objective: FairnessObjective | None = None,
         config: DCAConfig | None = None,
-        max_workers: int | None = None,
-        executor: str | None = None,
     ) -> dict[float, DCAResult]:
         """Fit one bonus vector per selection fraction in ``ks`` in a single batch.
 
         This is the Figure 1 / Figure 4a "k known in advance" workload routed
         through :meth:`repro.core.DCA.fit_many`; results are keyed by ``k``.
-        ``executor``/``max_workers`` select and size the batch backend
-        (``"process"`` runs the fits on the shared-memory process pool).
         """
         return _sweep_fits(
             self.fairness_attributes,
@@ -145,32 +137,17 @@ class SchoolSetting:
             config or self.dca_config,
             ks,
             objective,
-            max_workers,
-            executor,
         )
 
-    def fit_dca_batch(
-        self,
-        specs: list[FitSpec],
-        max_workers: int | None = None,
-        executor: str | None = None,
-    ) -> list[BatchFitResult]:
-        """Run a heterogeneous batch of DCA fits (the ablation workloads).
-
-        ``executor`` selects the :meth:`repro.core.DCA.fit_many` backend.
-        """
+    def fit_dca_batch(self, specs: list[FitSpec]) -> list[BatchFitResult]:
+        """Run a heterogeneous batch of DCA fits (the ablation workloads)."""
         dca = DCA(
             self.fairness_attributes,
             self.rubric,
             k=DEFAULT_K,
             config=self.dca_config,
         )
-        return dca.fit_many(
-            self.train.table,
-            specs=specs,
-            max_workers=max_workers,
-            executor=executor,
-        )
+        return dca.fit_many(self.train.table, specs=specs)
 
     def compensated_scores(self, which: str, bonus: BonusVector) -> np.ndarray:
         return bonus.apply(self.cohort(which).table, self.base_scores(which))
@@ -230,14 +207,11 @@ class CompasSetting:
         ks,
         objective: FairnessObjective | None = None,
         config: DCAConfig | None = None,
-        max_workers: int | None = None,
-        executor: str | None = None,
     ) -> dict[float, DCAResult]:
         """Fit one bonus vector per selection fraction in ``ks`` in a single batch.
 
         The per-k COMPAS workloads (Figure 10a/10b) routed through
         :meth:`repro.core.DCA.fit_many`; results are keyed by ``k``.
-        ``executor``/``max_workers`` select and size the batch backend.
         """
         return _sweep_fits(
             self.race_attributes,
@@ -246,29 +220,14 @@ class CompasSetting:
             config or self.dca_config,
             ks,
             objective,
-            max_workers,
-            executor,
         )
 
-    def fit_dca_batch(
-        self,
-        specs: list[FitSpec],
-        max_workers: int | None = None,
-        executor: str | None = None,
-    ) -> list[BatchFitResult]:
-        """Run a heterogeneous batch of DCA fits against the release ranking.
-
-        ``executor`` selects the :meth:`repro.core.DCA.fit_many` backend.
-        """
+    def fit_dca_batch(self, specs: list[FitSpec]) -> list[BatchFitResult]:
+        """Run a heterogeneous batch of DCA fits against the release ranking."""
         dca = DCA(
             self.race_attributes,
             self.ranking_function,
             k=DEFAULT_K,
             config=self.dca_config,
         )
-        return dca.fit_many(
-            self.table,
-            specs=specs,
-            max_workers=max_workers,
-            executor=executor,
-        )
+        return dca.fit_many(self.table, specs=specs)

@@ -20,6 +20,8 @@ from repro.core import (
     ExposureGapObjective,
     FairnessObjective,
     FitSpec,
+    current_execution,
+    use_execution,
 )
 from repro.ranking import ColumnScore, selection_mask
 from repro.tabular import Table
@@ -147,6 +149,11 @@ class TestExecutors:
     def test_thread_executor_rejected(self, population):
         with pytest.raises(ValueError, match=r"\('serial', 'process'\).*'thread'"):
             _dca().fit_many(population, seeds=(1, 2), executor="thread")
+
+    def test_serial_rejects_a_pool_size(self, population):
+        # A worker count would be dropped without a word: serial runs one job at a time.
+        with pytest.raises(ValueError, match="serial.*max_workers=4"):
+            _dca().fit_many(population, seeds=(1, 2), executor="serial", max_workers=4)
 
     def test_max_workers_alone_selects_process(self, population, monkeypatch):
         calls = []
@@ -468,6 +475,56 @@ class TestObjectiveCache:
         assert np.array_equal(compiled._matrix, expected)
         if collided:  # the recycled id really did point at different data
             assert not np.array_equal(compiled._matrix, dead_matrix)
+
+
+class TestAmbientExecution:
+    """``use_execution`` sets the backend once; ``fit_many`` reads it."""
+
+    @staticmethod
+    def _spy_pool(monkeypatch) -> list:
+        calls = []
+        original = DCA._fit_many_process
+
+        def spy(self, table, jobs, cache, max_workers):
+            calls.append(max_workers)
+            return original(self, table, jobs, cache, max_workers)
+
+        monkeypatch.setattr(DCA, "_fit_many_process", spy)
+        return calls
+
+    def test_fit_many_reads_the_ambient_backend(self, population, monkeypatch):
+        dca = _dca()
+        serial = dca.fit_many(population, seeds=(1, 2, 3))
+        pooled = self._spy_pool(monkeypatch)
+        with use_execution("process", 2):
+            assert current_execution() == ("process", 2)
+            batch = dca.fit_many(population, seeds=(1, 2, 3))
+        assert current_execution() == (None, None)
+        assert pooled == [2]
+        for left, right in zip(serial, batch):
+            assert np.array_equal(left.result.raw_bonus.values, right.result.raw_bonus.values)
+
+    def test_explicit_arguments_replace_the_ambient_pair(self, population, monkeypatch):
+        import repro.core.dca as dca_module
+
+        monkeypatch.setattr(dca_module, "usable_cores", lambda: 5)
+        pooled = self._spy_pool(monkeypatch)
+        with use_execution("process", 2):
+            _dca().fit_many(population, seeds=(1, 2), executor="serial")
+            _dca().fit_many(population, seeds=(1, 2, 3), executor="process")
+        # Serial stayed serial; the explicit pool took the default size, not the ambient 2.
+        assert pooled == [3]
+
+    @pytest.mark.parametrize(
+        "executor, max_workers, message",
+        [("thread", None, "executor"), (None, 0, "max_workers"), ("serial", 4, "serial")],
+        ids=["unknown_executor", "zero_workers", "serial_with_pool_size"],
+    )
+    def test_use_execution_validates_on_entry(self, executor, max_workers, message):
+        with pytest.raises(ValueError, match=message):
+            with use_execution(executor, max_workers):
+                raise AssertionError("the block ran with an invalid execution pair")
+        assert current_execution() == (None, None)
 
 
 class TestEagerValidation:

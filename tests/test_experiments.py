@@ -8,13 +8,17 @@ not to re-run the full-scale benchmarks (that is what ``benchmarks/`` does).
 
 from __future__ import annotations
 
+import functools
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+from repro.core import DCA, current_execution, use_execution
 from repro.datasets import clear_dataset_cache
 from repro.experiments import (
+    BATCHED_EXPERIMENTS,
     EXPERIMENT_RUNNERS,
     CompasSetting,
     ExperimentResult,
@@ -48,6 +52,45 @@ def _fresh_cache():
     clear_dataset_cache()
     yield
     clear_dataset_cache()
+
+
+@pytest.fixture(autouse=True)
+def _batched_experiments_match_the_code(monkeypatch):
+    """Every runner call in this module checks ``BATCHED_EXPERIMENTS`` against the code.
+
+    An experiment is listed (and so takes ``--executor``/``--workers``)
+    exactly when its runner calls ``DCA.fit_many``, so a runner that starts
+    or stops batching cannot drift out of the CLI's flag contract.
+    """
+    running: list[list] = []  # [experiment name, called fit_many] per active runner
+    original_fit_many = DCA.fit_many
+
+    def fit_many(self, *args, **kwargs):
+        for frame in running:
+            frame[1] = True
+        return original_fit_many(self, *args, **kwargs)
+
+    def checked(name, runner):
+        @functools.wraps(runner)
+        def run(*args, **kwargs):
+            running.append([name, False])
+            try:
+                result = runner(*args, **kwargs)
+            finally:
+                _, called = running.pop()
+            assert called == (name in BATCHED_EXPERIMENTS), (
+                f"{name}: calls DCA.fit_many={called}, "
+                f"listed in BATCHED_EXPERIMENTS={name in BATCHED_EXPERIMENTS}"
+            )
+            return result
+
+        return run
+
+    monkeypatch.setattr(DCA, "fit_many", fit_many)
+    for name, runner in list(EXPERIMENT_RUNNERS.items()):
+        wrapped = checked(name, runner)
+        monkeypatch.setattr(sys.modules[runner.__module__], runner.__name__, wrapped)
+        monkeypatch.setitem(EXPERIMENT_RUNNERS, name, wrapped)
 
 
 class TestHarness:
@@ -270,6 +313,23 @@ class TestSchoolExperiments:
             assert matched_and_unmatched == SMALL
 
 
+class TestExecution:
+    def test_fig4_on_the_process_pool_matches_serial(self, monkeypatch):
+        serial = fig4_vary_k.run(num_students=SMALL, k_values=SHORT_SWEEP).format()
+        pooled = []
+        original = DCA._fit_many_process
+
+        def spy(self, table, jobs, cache, max_workers):
+            pooled.append((len(jobs), max_workers))
+            return original(self, table, jobs, cache, max_workers)
+
+        monkeypatch.setattr(DCA, "_fit_many_process", spy)
+        with use_execution("process", 2):
+            text = fig4_vary_k.run(num_students=SMALL, k_values=SHORT_SWEEP).format()
+        assert pooled == [(len(SHORT_SWEEP), 2)]
+        assert text == serial
+
+
 class TestCompasExperiment:
     def test_fig10_disparity_and_fpr_improve(self):
         result = fig10_compas.run(num_defendants=3_000, k_values=(0.2, 0.4))
@@ -347,7 +407,7 @@ class TestCLI:
             cli_main(["run", "matching", "--engine", "heap"])
         assert excinfo.value.code == 2
 
-    def test_cli_rejects_bad_worker_flags(self):
+    def test_cli_rejects_bad_worker_flags(self, capsys):
         from repro.experiments.cli import build_parser
 
         parser = build_parser()
@@ -363,6 +423,10 @@ class TestCLI:
             with pytest.raises(SystemExit) as excinfo:
                 parser.parse_args(argv)
             assert excinfo.value.code == 2
+        # A pool size the serial backend would drop: rejected before any run.
+        assert cli_main(["run", "fig4", "--executor", "serial", "--workers", "4"]) == 2
+        err = capsys.readouterr().err
+        assert "--executor" in err and "--workers" in err
 
     def test_run_rejects_a_flag_the_experiment_does_not_take(self, capsys):
         assert cli_main(["run", "fig7", "--engine", "vector"]) == 2
@@ -394,3 +458,27 @@ class TestCLI:
         assert cli_main(["run-all", "--engine", "vector", "--proposing", "schools"]) == 2
         assert calls == {}  # rejected before any runner ran
         assert "--proposing" in capsys.readouterr().err
+
+    def test_backend_flags_need_a_batched_experiment(self, monkeypatch, capsys):
+        assert cli_main(["run", "table1", "--executor", "process"]) == 2
+        err = capsys.readouterr().err
+        assert "table1" in err and "--executor" in err
+
+        from repro.experiments import cli
+
+        seen = {}
+
+        def batched():
+            seen["batched"] = current_execution()
+            return ExperimentResult(name="batched", description="calls fit_many")
+
+        def plain():
+            return ExperimentResult(name="plain", description="fits nothing")
+
+        monkeypatch.setattr(cli, "EXPERIMENT_RUNNERS", {"batched": batched, "plain": plain})
+        monkeypatch.setattr(cli, "BATCHED_EXPERIMENTS", frozenset({"batched"}))
+        assert cli_main(["run-all", "--executor", "process", "--workers", "2"]) == 0
+        assert seen == {"batched": ("process", 2)}  # the whole run saw the ambient pair
+        monkeypatch.setattr(cli, "BATCHED_EXPERIMENTS", frozenset())
+        assert cli_main(["run-all", "--workers", "2"]) == 2
+        assert "no experiment takes --workers" in capsys.readouterr().err
