@@ -1,9 +1,9 @@
 """Benchmark: the fit_many execution backends on a district-size cohort.
 
-The process backend maps the population out of
-``multiprocessing.shared_memory`` — base scores, attribute matrix, and the
-compiled objective are placed in one segment and every job ships a tiny
-job descriptor — which parallelizes the Python-level step loop across
+The process backend hands each worker the population plane once, through
+the pool initializer — base scores, attribute matrix, and the compiled
+objective, inherited copy-on-write under ``fork`` — and every job ships a
+tiny job descriptor, which parallelizes the Python-level step loop across
 cores.
 
 Three assertions pin the backend contract:
@@ -93,7 +93,7 @@ def _assert_bitwise_equal(left, right) -> None:
 
 
 def test_process_backend_bitwise_identical_to_serial(dca, cohort):
-    """The acceptance pin: shared-memory workers drift by not one bit."""
+    """The acceptance pin: pool workers drift by not one bit."""
     assert cohort.table.num_rows >= 20_000
     assert FITMANY_JOBS >= 8
     _, serial = _run(dca, cohort.table, "serial")

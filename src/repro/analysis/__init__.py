@@ -1,20 +1,13 @@
-"""``repro.analysis`` — static contract auditing + runtime shm sanitizing.
+"""``repro.analysis`` — static contract auditing (repro-lint).
 
-Two complementary halves:
+The public API and ``python -m repro.analysis`` form an ``ast``-based
+auditor enforcing the repo contracts — R1 determinism, R4 worker-boundary
+pickling, and the interprocedural R5 rng-lineage, which follows the project
+call graph (:mod:`repro.analysis.callgraph`) across files.  Findings render
+as text or as GitHub annotations.  See ``docs/contracts.md`` for the
+contracts and the ``# repro-lint: disable=RULE`` escape hatch.
 
-* **repro-lint** (this module's public API and ``python -m repro.analysis``):
-  an ``ast``-based auditor enforcing the repo contracts — R1
-  determinism, R2 shared-memory lifecycle, R4 worker-boundary pickling,
-  and the interprocedural R5 rng-lineage, which follows the project call
-  graph (:mod:`repro.analysis.callgraph`) across files.  Findings
-  render as text or as GitHub annotations.  See
-  ``docs/contracts.md`` for the contracts and the
-  ``# repro-lint: disable=RULE`` escape hatch.
-* **runtime sanitizer**: :mod:`repro.analysis.shm_sanitizer` snapshots
-  shared-memory segments around each test and fails the suite on anything
-  left behind — including segments leaked by *subprocesses*.
-
-The lint half is intentionally dependency-free (stdlib ``ast`` only) so CI
+The auditor is intentionally dependency-free (stdlib ``ast`` only) so CI
 can audit the tree without installing numpy first.
 """
 
@@ -38,7 +31,6 @@ from .rules import (
     DEFAULT_RULES,
     DeterminismRule,
     RngLineageRule,
-    ShmLifecycleRule,
     WorkerPicklingRule,
     rules_by_id,
 )
@@ -55,7 +47,6 @@ __all__ = [
     "ProjectRule",
     "RngLineageRule",
     "Rule",
-    "ShmLifecycleRule",
     "WorkerPicklingRule",
     "iter_python_files",
     "lint_file",

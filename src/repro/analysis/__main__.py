@@ -22,8 +22,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         prog="repro-lint",
         description=(
             "AST-based contract auditor for the repro codebase: determinism "
-            "(R1), shared-memory lifecycle (R2), worker-boundary pickling "
-            "(R4), interprocedural RNG lineage (R5)."
+            "(R1), worker-boundary pickling (R4), interprocedural RNG "
+            "lineage (R5)."
         ),
     )
     parser.add_argument(

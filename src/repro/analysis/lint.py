@@ -1,7 +1,7 @@
 """The ``repro-lint`` engine: parse files, run rules, filter disables.
 
 The contracts this package audits are *repo-specific* — they encode the
-bitwise-identity and shared-memory discipline documented in
+bitwise-identity and worker-boundary discipline documented in
 ``docs/contracts.md`` rather than general style.  The engine is therefore
 deliberately small: a :class:`LintModule` wraps one parsed source file with
 the cross-rule conveniences every rule needs (parent links, an import table
@@ -38,7 +38,7 @@ __all__ = [
     "run_lint",
 ]
 
-#: ``# repro-lint: disable=R1,R2`` (or ``disable=all``) suppresses findings
+#: ``# repro-lint: disable=R1,R4`` (or ``disable=all``) suppresses findings
 #: reported on the same source line.
 _DISABLE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s]+)")
 
@@ -184,7 +184,7 @@ class LintModule:
 class LintProject:
     """Every parsed module of one lint run, plus the lazily built call graph.
 
-    Module-scoped rules (R1, R2, R4) see one :class:`LintModule` at a time;
+    Module-scoped rules (R1, R4) see one :class:`LintModule` at a time;
     project-scoped rules (R5) see the whole project so they can follow
     calls across files.  A single-file lint (``lint_source``) is simply a
     one-module project, which is what lets the interprocedural rules run on

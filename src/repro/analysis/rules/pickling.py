@@ -3,9 +3,9 @@
 Work submitted to a *process* pool crosses a pickle boundary.  Lambdas and
 nested functions do not pickle at all; bound methods drag their whole
 instance across; and passing a ``Table``/cohort as an argument re-pickles
-megabytes per task, defeating the shared-memory planes entirely.  The
-contract is: module-level functions plus plain job *descriptors* (names,
-slices, segment handles).
+megabytes per task, where the population plane reaches each worker once,
+through the pool initializer.  The contract is: module-level functions plus
+plain job *descriptors* (names, indices, seeds).
 
 Thread pools share an address space, so closures over tables are legal
 there — ``ThreadPoolExecutor`` is deliberately exempt.
@@ -205,5 +205,5 @@ class WorkerPicklingRule(Rule):
                 site,
                 f"{heavy!r} passed across a process-pool boundary re-pickles "
                 "the whole object per task; pass a job descriptor and "
-                "attach via shared memory",
+                "hand the data over once, through the pool initializer",
             )

@@ -57,15 +57,14 @@ backends selected by ``executor``, or by the ambient
 :func:`~repro.core.parallel.use_execution` scope when a call names none:
 
 * ``"serial"`` — one job after another in the calling thread;
-* ``"process"`` — a process pool whose workers map the population out of
-  ``multiprocessing.shared_memory`` (see :mod:`repro.core.parallel`): the
-  base scores, attribute matrices, and each objective's compiled state are
-  placed in a shared segment once, and each job ships only a tiny job
-  descriptor.  This is the backend that parallelizes the Python-level step
-  loop across cores.
+* ``"process"`` — a process pool (see :mod:`repro.core.parallel`) whose
+  workers receive the population plane — the base scores, attribute
+  matrices, and each objective's compiled state — once, through the pool
+  initializer, and each job ships only a tiny job descriptor.  This is the
+  backend that parallelizes the Python-level step loop across cores.
 
 Both produce bitwise identical results for the same specs: every job
-owns its own seeded generator, and the shared arrays are exactly the ones a
+owns its own seeded generator, and the plane's arrays are exactly the ones a
 serial fit would compute.  A per-population
 :class:`~repro.core.parallel.CompiledObjectiveCache` additionally lets jobs
 (and repeated ``fit_many`` calls) that share a population and an objective
@@ -91,7 +90,6 @@ from .parallel import (
     CompiledObjectiveCache,
     PlaneJob,
     PlanePayload,
-    SharedPopulationPlane,
     current_execution,
     default_objective_cache,
     execute_process_jobs,
@@ -185,8 +183,8 @@ class _BonusSearch:
 
     The constructor is the one assembly path.  :meth:`from_table` computes
     the arrays from a table and hands them over; the process-backend workers
-    hand over the same arrays mapped out of shared memory.  Uniform index
-    draws depend only on the population's row count, so both pass
+    hand over the same arrays from the pool's population plane.  Uniform
+    index draws depend only on the population's row count, so both pass
     ``num_rows`` and never the table, and the search consumes the RNG
     identically: a worker fit is bitwise identical to a serial
     :meth:`DCA.fit` with the same seed.
@@ -575,11 +573,11 @@ class DCA:
 
         * ``"serial"`` — jobs run one after another in the calling thread;
         * ``"process"`` — a :class:`concurrent.futures.ProcessPoolExecutor`
-          over a shared-memory population plane (:mod:`repro.core.parallel`):
-          base scores, attribute matrices, and compiled objective state are
-          placed in ``multiprocessing.shared_memory`` once, and workers
-          receive only tiny job descriptors — the cohort is never pickled
-          per job.
+          over a population plane (:mod:`repro.core.parallel`): base
+          scores, attribute matrices, and compiled objective state reach
+          each worker once, through the pool initializer (inherited under
+          ``fork``), and jobs are only tiny descriptors — the cohort is
+          never pickled per job.
           A job runs in the parent instead, serially and with the same
           result order and values, for exactly one reason: its objective
           cannot be placed on the plane — it has no
@@ -598,8 +596,8 @@ class DCA:
         to ``min(len(jobs), usable_cores())``, the cores this process may
         run on (:func:`repro.core.parallel.usable_cores`).  Zero or negative
         ``max_workers``, and ``max_workers > 1`` with ``"serial"``, are
-        rejected eagerly, before any pool or shared-memory segment is
-        created.  A job that raises inside a worker
+        rejected eagerly, before any pool is created, and so is every
+        job's config and ``k``.  A job that raises inside a worker
         re-raises its own exception here; a worker process that dies
         mid-job raises :class:`concurrent.futures.process.BrokenProcessPool`.
         Compiled objectives are cached per population (see
@@ -653,12 +651,18 @@ class DCA:
     # fit_many internals
     # ------------------------------------------------------------------
     def _resolve_spec(self, spec: FitSpec) -> tuple[DCAConfig, FairnessObjective, float]:
-        """Resolve a spec's config/objective/k against this instance's defaults."""
+        """Resolve a spec's config/objective/k against this instance's defaults.
+
+        Validates both, so every backend rejects a bad job in the parent,
+        before any pool exists.
+        """
         config = spec.config if spec.config is not None else self.config
         if spec.seed is not None:
             config = replace(config, seed=spec.seed)
+        config.validate()
         objective = spec.objective if spec.objective is not None else self.objective
         k = self.k if spec.k is None else float(spec.k)
+        _check_fraction(k)
         return config, objective, k
 
     def _run_single_spec(
@@ -694,15 +698,15 @@ class DCA:
         cache: CompiledObjectiveCache,
         max_workers: int,
     ) -> list[BatchFitResult]:
-        """The shared-memory process backend of :meth:`fit_many`.
+        """The process backend of :meth:`fit_many`.
 
         The parent assembles the population plane — base scores, one raw
         attribute matrix per distinct attribute set, one compiled state per
-        distinct objective signature — inside a single shared-memory
-        segment, then dispatches :class:`~repro.core.parallel.PlaneJob`
-        job descriptors to the pool.  A job whose objective cannot be placed
-        on the plane (the one rule, see :meth:`fit_many`) runs in the parent
-        instead.
+        distinct objective signature — hands it to the pool's workers
+        through the initializer, then dispatches
+        :class:`~repro.core.parallel.PlaneJob` job descriptors.  A job whose
+        objective cannot be placed on the plane (the one rule, see
+        :meth:`fit_many`) runs in the parent instead.
         """
         num_rows = table.num_rows
         arrays: dict[str, np.ndarray] = {}
@@ -760,14 +764,10 @@ class DCA:
         results: dict[int, BatchFitResult] = {}
         if plane_jobs:
             arrays["base"] = np.asarray(self.score_function.scores(table), dtype=float)
-            plane = SharedPopulationPlane(arrays)
-            try:
-                payload = PlanePayload(plane.name, num_rows, plane.refs, objective_states)
-                for index, result in execute_process_jobs(payload, plane_jobs, max_workers):
-                    spec, k, seed = job_meta[index]
-                    results[index] = BatchFitResult(spec=spec, k=k, seed=seed, result=result)
-            finally:
-                plane.close()
+            payload = PlanePayload(num_rows, arrays, objective_states)
+            for index, result in execute_process_jobs(payload, plane_jobs, max_workers):
+                spec, k, seed = job_meta[index]
+                results[index] = BatchFitResult(spec=spec, k=k, seed=seed, result=result)
         for index, spec in parent_jobs:
             results[index] = self._run_single_spec(table, spec, cache)
         return [results[index] for index in range(len(jobs))]

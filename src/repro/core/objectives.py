@@ -55,9 +55,9 @@ once:
 * :meth:`CompiledObjective.export_state` /
   :meth:`CompiledObjective.from_state` — split a compiled objective into a
   dict of plain arrays plus small metadata and rebuild it from them.  The
-  arrays can live anywhere (the in-process cache, or
-  ``multiprocessing.shared_memory`` segments mapped into worker processes),
-  and every rebuilt instance gets private mutable scratch state, so one
+  arrays can live anywhere (the in-process cache, or the population plane
+  process-pool workers receive through their initializer), and every
+  rebuilt instance gets private mutable scratch state, so one
   exported state safely serves many concurrent jobs.
 """
 
@@ -132,11 +132,11 @@ class CompiledObjective(abc.ABC):
         evaluates on; ``metadata`` holds everything else (small, picklable —
         grids, kernels, labels of structure).  ``from_state`` on the same
         class must rebuild an equivalent instance from them, with the arrays
-        possibly living in shared memory.  Returning ``None`` (the default)
-        marks the state as non-shareable: such objectives still work under
-        every executor, but the objective cannot be placed on the
-        shared-memory plane, which is the one reason a process-pool job of
-        :meth:`repro.core.DCA.fit_many` runs in the parent instead.
+        possibly read-only and owned by a pool worker's population plane.
+        Returning ``None`` (the default) marks the state as non-shareable:
+        such objectives still work under every executor, but the objective
+        cannot be placed on the plane, which is the one reason a process-pool
+        job of :meth:`repro.core.DCA.fit_many` runs in the parent instead.
         """
         return None
 
@@ -144,9 +144,9 @@ class CompiledObjective(abc.ABC):
     def from_state(cls, arrays: dict[str, np.ndarray], metadata: dict) -> "CompiledObjective":
         """Rebuild a compiled objective from :meth:`export_state` output.
 
-        The returned instance must treat ``arrays`` as read-only (they may be
-        shared across jobs, threads, and processes) and must keep any mutable
-        scratch state private to itself.
+        The returned instance must treat ``arrays`` as read-only (they are
+        shared across jobs, and a pool worker's plane rejects writes) and
+        must keep any mutable scratch state private to itself.
         """
         raise NotImplementedError(f"{cls.__name__} does not support shared state")
 
@@ -197,7 +197,7 @@ class FairnessObjective(abc.ABC):
         ``fit`` on the same population compile to bitwise-identical state.
         The signature is what lets :class:`repro.core.parallel.CompiledObjectiveCache`
         reuse one compilation across the jobs of a batched fit and what keys
-        the shared-memory plane handed to process-pool workers.  The default
+        the population plane handed to process-pool workers.  The default
         ``None`` opts out of caching and sharing (always correct, never
         stale) — override it in subclasses whose compiled state is fully
         determined by constructor parameters plus the fitted population.

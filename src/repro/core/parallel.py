@@ -1,4 +1,4 @@
-"""Execution of batched fits: the backend choice, shared-memory planes, caching.
+"""Execution of batched fits: the backend choice, the process pool, caching.
 
 This module is the scaling substrate behind :meth:`repro.core.DCA.fit_many`:
 
@@ -15,23 +15,20 @@ This module is the scaling substrate behind :meth:`repro.core.DCA.fit_many`:
   :class:`~repro.core.objectives.CompiledObjective` around the cached arrays
   per job, so every job keeps private mutable scratch state while the
   population-sized arrays are computed exactly once.
-* :class:`SharedPopulationPlane` — one ``multiprocessing.shared_memory``
-  segment holding named NumPy arrays packed from existing arrays, so
-  process-pool workers can map the population (base scores, attribute
-  matrices, compiled objective state) instead of receiving a pickled copy
-  per job.
+* :class:`PlanePayload` — the population plane: the named NumPy arrays a
+  batch of fits needs (base scores, attribute matrices, compiled objective
+  state), handed to each pool worker once through the pool initializer.
 * :func:`execute_process_jobs` — runs :class:`PlaneJob` descriptors on a
-  plain :class:`concurrent.futures.ProcessPoolExecutor` whose workers
-  attach the plane once (in the pool initializer) and then serve jobs from
-  lightweight job descriptors: many independent fits over one population.
+  plain :class:`concurrent.futures.ProcessPoolExecutor` whose workers keep
+  the plane (read-only) and then serve jobs from lightweight job
+  descriptors: many independent fits over one population.
 
 One fit always runs in one process: a step scores a sample of a few hundred
 rows, milliseconds of NumPy work, so splitting a step across processes
-costs more than it saves.  The process backend trades a one-time plane
-construction + worker start-up cost for multi-core execution of whole fits.
-Results are bitwise identical to the serial path because workers consume
-exactly the arrays the serial path would compute and every job owns its own
-seeded generator.
+costs more than it saves.  The process backend trades a one-time worker
+start-up cost for multi-core execution of whole fits.  Results are bitwise
+identical to the serial path because workers consume exactly the arrays the
+serial path would compute and every job owns its own seeded generator.
 """
 
 from __future__ import annotations
@@ -45,8 +42,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from multiprocessing import shared_memory
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -61,7 +57,6 @@ __all__ = [
     "validate_worker_count",
     "CompiledObjectiveCache",
     "default_objective_cache",
-    "SharedPopulationPlane",
     "PlanePayload",
     "PlaneJob",
     "execute_process_jobs",
@@ -86,8 +81,8 @@ _EXECUTION: ContextVar[tuple[str | None, int | None]] = ContextVar(
 def validate_worker_count(value: int | None) -> int | None:
     """The ">= 1 or ValueError" rule for ``max_workers``; ``None`` means the default.
 
-    Applied by :func:`validate_execution` before any pool or shared-memory
-    segment exists, instead of failing obscurely inside an executor.
+    Applied by :func:`validate_execution` before any pool exists, instead
+    of failing obscurely inside an executor.
     """
     if value is None:
         return None
@@ -248,100 +243,37 @@ def default_objective_cache() -> CompiledObjectiveCache:
 
 
 # ----------------------------------------------------------------------
-# Shared-memory population plane (parent side)
-# ----------------------------------------------------------------------
-_ALIGNMENT = 64  # cache-line align every array inside the segment
-
-
-@dataclass(frozen=True)
-class _ArrayRef:
-    """Locates one array inside the plane's shared-memory segment."""
-
-    dtype: str
-    shape: tuple[int, ...]
-    offset: int
-
-
-class SharedPopulationPlane:
-    """One shared-memory segment holding a population's named arrays.
-
-    The parent packs every array a batch of fits needs (base scores,
-    per-attribute-set matrices, compiled objective state) into a single
-    segment; workers attach it by name and serve every job through zero-copy
-    read-only views.  The plane owns the segment: call :meth:`close` (or use
-    the plane as a context manager) once the pool has shut down to release
-    and unlink it.
-    """
-
-    def __init__(self, arrays: Mapping[str, np.ndarray]) -> None:
-        packed = {key: np.ascontiguousarray(value) for key, value in arrays.items()}
-        total = 0
-        self.refs: dict[str, _ArrayRef] = {}
-        for key, value in packed.items():
-            total = -(-total // _ALIGNMENT) * _ALIGNMENT  # round up
-            self.refs[key] = _ArrayRef(value.dtype.str, tuple(value.shape), total)
-            total += value.nbytes
-        self._shm = shared_memory.SharedMemory(create=True, size=max(total, 1))
-        for key, value in packed.items():
-            self.view(key)[...] = value
-
-    def view(self, key: str) -> np.ndarray:
-        """A writable ndarray view of one named array inside the segment."""
-        ref = self.refs[key]
-        return np.ndarray(
-            ref.shape, dtype=np.dtype(ref.dtype), buffer=self._shm.buf, offset=ref.offset
-        )
-
-    @property
-    def name(self) -> str:
-        """The segment name workers attach by."""
-        return self._shm.name
-
-    def close(self) -> None:
-        """Release and unlink the segment (idempotent)."""
-        if self._shm is None:
-            return
-        try:
-            self._shm.close()
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already unlinked
-            pass
-        self._shm = None
-
-    def __enter__(self) -> "SharedPopulationPlane":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-# ----------------------------------------------------------------------
-# Worker side
+# Process pool: the population plane and its jobs
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class PlanePayload:
-    """Everything a worker needs to attach and interpret a plane.
+    """The population plane: everything a worker needs to serve jobs.
 
-    Sent once per worker (through the pool initializer), never per job.
+    Handed to each worker once, through the pool initializer, never per job.
+    Under ``fork`` the worker inherits it copy-on-write, so it reads the very
+    arrays the parent computed; under ``spawn`` it is pickled once per worker.
 
     Attributes
     ----------
-    shm_name:
-        Shared-memory segment to attach.
     num_rows:
         Population size (drives the per-step index sampling).
-    refs:
-        Array locations inside the segment, keyed by plane-local names
-        (``"base"``, ``"matrix:<attrs>"``, ``"objective:<i>:<name>"``).
+    arrays:
+        The population's arrays, keyed by plane-local names (``"base"``,
+        ``"matrix:<attrs>"``, ``"objective:<i>:<name>"``).
     objective_states:
         Per distinct objective signature: the compiled class, a mapping from
         its state-array names to plane keys, and its small metadata dict.
     """
 
-    shm_name: str
     num_rows: int
-    refs: dict[str, _ArrayRef]
+    arrays: dict[str, np.ndarray]
     objective_states: dict[int, tuple[type, dict[str, str], dict]]
+
+    def compiled_for(self, key: int) -> CompiledObjective:
+        """Rebuild the compiled objective for ``key`` around the plane's arrays."""
+        cls, array_keys, metadata = self.objective_states[key]
+        arrays = {name: self.arrays[plane_key] for name, plane_key in array_keys.items()}
+        return cls.from_state(arrays, metadata)
 
 
 @dataclass(frozen=True)
@@ -360,68 +292,29 @@ class PlaneJob:
     objective_key: int
 
 
-def _attach_shared_memory(name: str) -> shared_memory.SharedMemory:
-    """Attach a segment without registering it with a resource tracker.
-
-    Pool workers inherit the parent's resource tracker (under ``fork`` and
-    ``spawn`` alike), and the parent unregisters the segment once at
-    unlink, so a worker must not touch the registration: ``track=False``
-    where available (Python >= 3.13); older versions register idempotently
-    with the shared tracker.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13: no ``track`` parameter
-        return shared_memory.SharedMemory(name=name)
-
-
-def _map_refs(
-    shm: shared_memory.SharedMemory, refs: Mapping[str, _ArrayRef]
-) -> dict[str, np.ndarray]:
-    """Map every referenced array out of an attached segment, read-only."""
-    arrays: dict[str, np.ndarray] = {}
-    for key, ref in refs.items():
-        view = np.ndarray(
-            ref.shape, dtype=np.dtype(ref.dtype), buffer=shm.buf, offset=ref.offset
-        )
-        view.flags.writeable = False
-        arrays[key] = view
-    return arrays
-
-
-class _AttachedPlane:
-    """A worker's read-only view of the parent's shared-memory plane."""
-
-    def __init__(self, payload: PlanePayload) -> None:
-        # The attached segment reference keeps the mapped buffer alive.
-        self._shm = _attach_shared_memory(payload.shm_name)
-        self.num_rows = payload.num_rows
-        self.arrays = _map_refs(self._shm, payload.refs)
-        self._objective_states = payload.objective_states
-
-    def compiled_for(self, key: int) -> CompiledObjective:
-        """Rebuild the compiled objective for ``key`` around the mapped arrays."""
-        cls, array_keys, metadata = self._objective_states[key]
-        arrays = {name: self.arrays[plane_key] for name, plane_key in array_keys.items()}
-        return cls.from_state(arrays, metadata)
-
-
 #: Worker-global plane, set once per worker by the pool initializer.
-_WORKER_PLANE: _AttachedPlane | None = None
+_WORKER_PLANE: PlanePayload | None = None
 
 
 def _plane_worker_init(payload: PlanePayload) -> None:
+    """Pool initializer: keep the plane, read-only, for every job of this worker.
+
+    Read-only matters: a job that wrote to an inherited array would change
+    the worker's private copy, and with it the next job on the same worker.
+    """
     global _WORKER_PLANE
-    _WORKER_PLANE = _AttachedPlane(payload)
+    for array in payload.arrays.values():
+        array.flags.writeable = False
+    _WORKER_PLANE = payload
 
 
 def _plane_worker_fit(job: PlaneJob):
-    """Pool entry: run one fit entirely from the initializer-attached plane."""
+    """Pool entry: run one fit entirely from the initializer's plane."""
     from .dca import _BonusSearch, _finish_fit  # deferred: dca imports this module
 
     plane = _WORKER_PLANE
     if plane is None:  # pragma: no cover - initializer always runs first
-        raise RuntimeError("worker has no attached population plane")
+        raise RuntimeError("worker has no population plane")
     start = time.perf_counter()
     search = _BonusSearch(
         base_scores=plane.arrays["base"],
@@ -456,8 +349,9 @@ def usable_cores() -> int:
 def process_start_method() -> str:
     """The start method the process backend uses on this platform.
 
-    ``fork`` where available (cheap start-up; the plane makes the inherited
-    address space irrelevant anyway), ``spawn`` otherwise (macOS/Windows).
+    ``fork`` where available: workers start cheaply and inherit the plane
+    copy-on-write, so its arrays are never copied or pickled.  ``spawn``
+    otherwise (macOS/Windows): the plane is pickled once per worker.
     """
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else "spawn"
@@ -470,11 +364,10 @@ def execute_process_jobs(
 ) -> list[tuple[int, object]]:
     """Run plane jobs on a process pool; returns ``(job index, DCAResult)`` pairs in job order.
 
-    Workers attach the shared plane once (in the pool initializer) and each
+    Workers receive the plane once (through the pool initializer) and each
     job ships only its :class:`PlaneJob` descriptor.  A job that raises
     re-raises its own exception here; a worker that dies mid-job raises
-    :class:`concurrent.futures.process.BrokenProcessPool`.  The caller must
-    keep the plane alive until this returns and close it afterwards.
+    :class:`concurrent.futures.process.BrokenProcessPool`.
     """
     workers = max(1, min(int(max_workers), len(jobs)))
     with ProcessPoolExecutor(

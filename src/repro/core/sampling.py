@@ -146,8 +146,8 @@ class SampleStream:
 
     ``population`` may also be a bare row count instead of a
     :class:`~repro.tabular.Table`.  Index draws are a function of the
-    population *size* only, so the DCA step loop and the shared-memory
-    process workers of :meth:`repro.core.DCA.fit_many` stream indices from a
+    population *size* only, so the DCA step loop and the process-pool
+    workers of :meth:`repro.core.DCA.fit_many` stream indices from a
     row count without ever holding the table; such a stream supports
     :meth:`draw_indices` but not :meth:`draw`.
 

@@ -10,7 +10,7 @@ Run the Table I reproduction on a 20,000-student synthetic cohort::
 
     repro-experiments run table1 --num-students 20000
 
-Run a sweep-heavy experiment on the shared-memory process pool::
+Run a sweep-heavy experiment on the process pool::
 
     repro-experiments run fig4 --executor process --workers 4
 
@@ -62,7 +62,7 @@ def _positive_int(text: str) -> int:
     """argparse type for counts (workers, students): rejects 0/negative at parse time.
 
     Failing inside ``argparse`` keeps the error next to the flag that caused
-    it, long before any cohort, pool or shared-memory segment exists.
+    it, long before any cohort or pool exists.
     """
     try:
         value = int(text)
@@ -86,7 +86,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         help=(
             "batch backend for experiments that sweep DCA fits: 'serial' or "
-            "'process' (shared-memory process pool)"
+            "'process' (whole fits spread over a process pool)"
         ),
     )
     parser.add_argument(

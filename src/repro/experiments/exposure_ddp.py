@@ -7,7 +7,7 @@ because DDP is only defined for binary groups.
 
 The fits run as one :meth:`repro.core.DCA.fit_many` batch — a
 :class:`~repro.core.FitSpec` per evaluated cap — so the experiment rides the
-same batched backends (serial / shared-memory process pool) as the
+same batched backends (serial / process pool) as the
 other sweeps instead of looping over per-k :meth:`~repro.core.DCA.fit` calls.
 """
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.shm_sanitizer import ShmSanitizer
 from repro.core import DCAConfig
 from repro.datasets import (
     SCHOOL_FAIRNESS_ATTRIBUTES,
@@ -25,22 +24,6 @@ from repro.tabular import Table
 #: Small cohort size used by most tests; large enough for the top-5% selection
 #: to contain a few hundred students.
 TEST_COHORT_SIZE = 6_000
-
-
-@pytest.fixture(autouse=True)
-def shm_sanitizer():
-    """Fail any test that leaks a shared-memory segment.
-
-    Snapshots the OS segment directory around each test (plus in-process
-    create/unlink instrumentation), so leaks are hard errors attributable
-    to a single test instead of resource_tracker warnings at exit — even
-    when the leaking process is a pool worker or subprocess.
-    """
-    sanitizer = ShmSanitizer()
-    sanitizer.start()
-    yield sanitizer
-    leaked = sanitizer.stop()
-    assert not leaked, f"test leaked shared-memory segments: {leaked}"
 
 
 @pytest.fixture(scope="session")

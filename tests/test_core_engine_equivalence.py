@@ -158,10 +158,10 @@ class _TableOnlyObjective(FairnessObjective):
 
 
 class TestProcessBackendEquivalence:
-    """The shared-memory process backend closes the loop with the oracle.
+    """The process backend closes the loop with the oracle.
 
     ``fit_many(executor="process")`` must agree bitwise with per-job oracle
-    fits: worker results travel shared-memory plane → array loop → table
+    fits: worker results travel population plane → array loop → table
     oracle without a single bit of drift.
     """
 

@@ -1,11 +1,14 @@
-"""Tests for the batched DCA.fit_many API, its execution backends and shared-memory planes."""
+"""Tests for the batched DCA.fit_many API and its execution backends."""
 
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,8 +26,11 @@ from repro.core import (
     current_execution,
     use_execution,
 )
+from repro.core.parallel import process_start_method
 from repro.ranking import ColumnScore, selection_mask
 from repro.tabular import Table
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +139,36 @@ class _SignatureLessObjective(FairnessObjective):
             if member.any():
                 values[i] = float(mask[member].mean() - mask.mean())
         return DisparityResult(self.attribute_names, values)
+
+
+_NO_SHARED_MEMORY_PROBE = """
+import os
+from multiprocessing import resource_tracker
+
+import numpy as np
+
+from repro.core import DCA, DCAConfig
+from repro.ranking import ColumnScore
+from repro.tabular import Table
+
+
+def segments():
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+
+rng = np.random.default_rng(12)
+protected = (rng.uniform(size=2000) < 0.3).astype(float)
+table = Table({"score": rng.normal(10.0, 2.0, size=2000) - 2.0 * protected,
+               "protected": protected})
+config = DCAConfig(seed=5, iterations=25, refinement_iterations=25, sample_size=250)
+dca = DCA(["protected"], ColumnScore("score"), k=0.2, config=config)
+before = segments()
+dca.fit_many(table, seeds=(1, 2), executor="process", max_workers=2)
+print(f"tracker={resource_tracker._resource_tracker._pid}")
+print("segments=" + ",".join(sorted(segments() - before)))
+"""
 
 
 def _raw_values(batch):
@@ -244,6 +280,45 @@ class TestExecutors:
                 assert trace_l.phase == trace_r.phase
                 assert np.array_equal(trace_l.bonus_history, trace_r.bonus_history)
 
+    def test_spawn_workers_match_serial(self, monkeypatch):
+        """Under ``spawn`` the plane is pickled to each worker; results do not move."""
+        import repro.core.parallel as parallel_module
+
+        rng = np.random.default_rng(31)
+        n = 5_000
+        protected = (rng.uniform(size=n) < 0.3).astype(float)
+        low_income = (rng.uniform(size=n) < 0.4).astype(float)
+        score = rng.normal(10.0, 2.0, size=n) - 1.5 * protected - low_income
+        table = Table({"score": score, "protected": protected, "low_income": low_income})
+        dca = DCA(["protected", "low_income"], ColumnScore("score"), k=0.1, config=FAST)
+        serial = dca.fit_many(table, seeds=(1, 2, 3, 4), executor="serial")
+        monkeypatch.setattr(parallel_module, "process_start_method", lambda: "spawn")
+        spawned = dca.fit_many(table, seeds=(1, 2, 3, 4), executor="process", max_workers=2)
+        for left, right in zip(serial, spawned):
+            assert np.array_equal(left.result.raw_bonus.values, right.result.raw_bonus.values)
+            assert np.array_equal(left.result.bonus.values, right.result.bonus.values)
+
+    @pytest.mark.skipif(
+        process_start_method() != "fork",
+        reason="spawn pools start the resource tracker for their semaphores",
+    )
+    def test_process_backend_allocates_no_shared_memory(self):
+        """A process ``fit_many`` starts no resource tracker and leaves no segment.
+
+        Run in a fresh interpreter: the tracker is per process, and this one
+        may have started it already.
+        """
+        completed = subprocess.run(
+            [sys.executable, "-c", _NO_SHARED_MEMORY_PROBE],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            cwd=REPO_ROOT,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.split() == ["tracker=None", "segments="]
+
     def test_process_mixed_objectives(self, population):
         objectives = (DisparityObjective(("protected",)), ExposureGapObjective(("protected",)))
         serial = _dca().fit_many(population, objectives=objectives)
@@ -294,8 +369,9 @@ class _FaultyCompiled(CompiledObjective):
     """An exportable compiled objective whose evaluate fails in the worker.
 
     ``fault="raise"`` raises :class:`_WorkerFault`; ``fault="exit"`` kills
-    the worker process outright.  The parent only compiles and exports it,
-    so the fault fires on the pool side.
+    the worker process outright; ``fault="write"`` writes into its state
+    array, which is the worker's plane.  The parent only compiles and exports
+    it, so the fault fires on the pool side.
     """
 
     def __init__(self, membership: np.ndarray, fault: str) -> None:
@@ -305,6 +381,8 @@ class _FaultyCompiled(CompiledObjective):
     def evaluate(self, indices, scores, k):
         if self._fault == "exit":
             os._exit(3)
+        if self._fault == "write":
+            self._membership[indices] = False
         raise _WorkerFault(f"evaluate failed on {len(scores)} rows")
 
     def export_state(self):
@@ -332,11 +410,7 @@ class _FaultyObjective(FairnessObjective):
 
 
 class TestProcessFailures:
-    """The process backend's failure contract.
-
-    The autouse shm sanitizer additionally proves the plane is unlinked on
-    both failure paths.
-    """
+    """The process backend's failure contract."""
 
     def _faulty_batch(self, population, fault: str):
         dca = DCA(
@@ -359,6 +433,11 @@ class TestProcessFailures:
         assert isinstance(raised.value, RuntimeError)
         # A hang guard, not a speed floor: detection takes well under a second.
         assert time.perf_counter() - start < 60.0
+
+    def test_worker_plane_is_read_only(self, population):
+        """A job cannot write to the plane, so it cannot leak state to the next job."""
+        with pytest.raises(ValueError, match="read-only"):
+            self._faulty_batch(population, "write")
 
 
 class TestObjectiveCache:
@@ -528,13 +607,37 @@ class TestAmbientExecution:
 
 
 class TestEagerValidation:
-    """Zero/negative worker counts fail fast, before any pool exists."""
+    """Bad worker counts, configs and fractions fail fast, before any pool exists."""
 
     @pytest.mark.parametrize("bad", [0, -3])
     def test_fit_many_rejects_bad_max_workers(self, school_train, rubric, school_attributes, bad):
         dca = DCA(school_attributes, rubric, k=0.05, config=FAST)
         with pytest.raises(ValueError, match="max_workers"):
             dca.fit_many(school_train.table, seeds=(1, 2), max_workers=bad)
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (FitSpec(config=replace(FAST, iterations=0)), "iterations must be positive"),
+            (FitSpec(config=replace(FAST, learning_rates=(0.1, 1.0))), "decreasing order"),
+            (FitSpec(k=1.5), "selection fraction"),
+        ],
+        ids=["zero_iterations", "increasing_learning_rates", "k_above_one"],
+    )
+    def test_every_backend_rejects_a_bad_job(
+        self, population, monkeypatch, executor, spec, message
+    ):
+        import repro.core.dca as dca_module
+
+        pools = []
+        monkeypatch.setattr(
+            dca_module, "execute_process_jobs", lambda *args: pools.append(args) or []
+        )
+        workers = 2 if executor == "process" else None
+        with pytest.raises(ValueError, match=message):
+            _dca().fit_many(population, specs=[spec], executor=executor, max_workers=workers)
+        assert pools == []
 
 
 class TestSharedColumnStore:

@@ -65,7 +65,6 @@ def test_fixture_corpus_is_complete() -> None:
     good = [path for path in ALL_FIXTURES if not _expected_findings(path)]
     assert {
         "r1_good.py",
-        "r2_good.py",
         "r4_good.py",
         "r5_good.py",
     } <= {path.name for path in good}
@@ -120,14 +119,14 @@ def test_interprocedural_findings_carry_call_chains() -> None:
 
 
 def test_rule_selection_and_registry() -> None:
-    assert [rule.id for rule in DEFAULT_RULES] == ["R1", "R2", "R4", "R5"]
+    assert [rule.id for rule in DEFAULT_RULES] == ["R1", "R4", "R5"]
     assert [rule.id for rule in rules_by_id(["R4", "R1"])] == ["R4", "R1"]
-    for unknown in ("R9", "R3", "R6"):  # R3 and R6 are retired, not reused
+    for unknown in ("R9", "R2", "R3", "R6"):  # R2, R3 and R6 are retired, not reused
         with pytest.raises(KeyError):
             rules_by_id([unknown])
-    # Selecting only R2 must silence the R1 fixture entirely.
+    # Selecting only R4 must silence the R1 fixture entirely.
     r1_bad = FIXTURES / "core" / "r1_bad.py"
-    assert run_lint([r1_bad], rules=rules_by_id(["R2"])) == []
+    assert run_lint([r1_bad], rules=rules_by_id(["R4"])) == []
 
 
 def test_findings_are_sorted_and_formatted() -> None:
@@ -153,7 +152,7 @@ def test_cli_exit_codes_and_output() -> None:
 
 
 def test_cli_github_format() -> None:
-    result = _cli(str(FIXTURES / "r2_bad.py"), "--format=github")
+    result = _cli(str(FIXTURES / "r4_bad.py"), "--format=github")
     assert result.returncode == 1
     lines = result.stdout.strip().splitlines()
     assert lines and all(line.startswith("::error file=") for line in lines)
@@ -164,8 +163,10 @@ def test_cli_list_rules_and_bad_rule_id() -> None:
     assert listing.returncode == 0
     for rule in DEFAULT_RULES:
         assert rule.id in listing.stdout
-    unknown = _cli("--rules", "R9", "src/repro")
-    assert unknown.returncode == 2
+    assert "R2" not in listing.stdout
+    for unknown_id in ("R9", "R2"):
+        unknown = _cli("--rules", unknown_id, "src/repro")
+        assert unknown.returncode == 2
 
 
 def test_exclude_prunes_paths() -> None:
