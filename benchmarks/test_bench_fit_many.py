@@ -2,20 +2,25 @@
 
 The process backend hands each worker the population plane once, through
 the pool initializer — base scores, attribute matrix, and the compiled
-objective, inherited copy-on-write under ``fork`` — and every job ships a
-tiny job descriptor, which parallelizes the Python-level step loop across
-cores.
+objective, inherited copy-on-write under ``fork`` — and every chunk of a
+stream group ships as a tiny descriptor, which parallelizes the
+Python-level step loop across cores.
 
-Three assertions pin the backend contract:
+Two grids pin the backend contract:
 
-* the process backend is **bitwise identical** to the serial backend on a
-  seeded 8-job grid over a >= 20k-row cohort (always checked);
-* the process backend **beats the serial backend** on the same grid, and
-* it **beats a thread pool** running the same serial jobs — the library has
+* a seeded 8-job *seed* grid (one job per seed, so no two jobs share a
+  sample stream): the process backend is **bitwise identical** to the
+  serial backend (always checked), **beats the serial backend**, and
+  **beats a thread pool** running the same serial jobs — the library has
   no thread backend because the step loop holds the GIL between NumPy
-  kernels, and this pins the reason.  Both are relative assertions,
+  kernels, and this pins the reason.  Both timing assertions are relative,
   meaningful on any multi-core runner, skipped when the machine has a
-  single usable core (there is nothing to parallelize onto).
+  single usable core (there is nothing to parallelize onto);
+* the paper's *sweep* grid (one seed x ``DEFAULT_K_SWEEP``), whose jobs all
+  draw one sample stream and run in lockstep: serial, process and a
+  sequence of independent ``DCA.fit`` calls are **bitwise identical**
+  (always checked), and the three wall-clocks are recorded, with the core
+  count, into ``BENCH_fit_many.json`` — no wall-clock floor.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import time
 import numpy as np
 import pytest
 
-from _bench_record import usable_cores
+from _bench_record import record_bench, usable_cores
 from repro.core import DCA, DCAConfig
 from repro.datasets import (
     SCHOOL_FAIRNESS_ATTRIBUTES,
@@ -35,6 +40,7 @@ from repro.datasets import (
     generate_school_cohort,
     school_admission_rubric,
 )
+from repro.experiments import DEFAULT_K_SWEEP
 
 #: Cohort size for the backend comparison (the acceptance floor is 20k rows).
 FITMANY_STUDENTS = int(os.environ.get("REPRO_BENCH_FITMANY_STUDENTS", "20000"))
@@ -90,6 +96,7 @@ def _assert_bitwise_equal(left, right) -> None:
     for a, b in zip(left, right):
         assert np.array_equal(a.result.raw_bonus.values, b.result.raw_bonus.values)
         assert np.array_equal(a.result.bonus.values, b.result.bonus.values)
+        assert np.array_equal(a.result.core_bonus.values, b.result.core_bonus.values)
 
 
 def test_process_backend_bitwise_identical_to_serial(dca, cohort):
@@ -152,4 +159,72 @@ def test_process_backend_beats_thread_backend(dca, cohort):
     assert process_seconds < thread_seconds, (
         f"process backend ({process_seconds:.2f}s) should beat the thread pool "
         f"({thread_seconds:.2f}s) on {workers} workers / {FITMANY_JOBS} jobs"
+    )
+
+
+#: Per-fit work of the sweep grid: the paper's default settings.
+SWEEP_CONFIG = DCAConfig(seed=1)
+
+#: Timed repetitions per path of the sweep grid; the median is recorded.
+SWEEP_REPEATS = 3
+
+
+def test_sweep_grid_lockstep_identity_and_record(cohort):
+    """One seed x DEFAULT_K_SWEEP: serial == process == independent fits, timings recorded."""
+    table = cohort.table
+    dca = DCA(
+        SCHOOL_FAIRNESS_ATTRIBUTES,
+        school_admission_rubric(),
+        k=max(DEFAULT_K_SWEEP),
+        config=SWEEP_CONFIG,
+    )
+    workers = usable_cores()
+
+    def sweep(executor: str):
+        options = {"max_workers": workers} if executor == "process" else {}
+        return dca.fit_many(table, ks=DEFAULT_K_SWEEP, executor=executor, **options)
+
+    def independent():
+        return [
+            DCA(
+                SCHOOL_FAIRNESS_ATTRIBUTES, school_admission_rubric(), k=k, config=SWEEP_CONFIG
+            ).fit(table)
+            for k in DEFAULT_K_SWEEP
+        ]
+
+    def timed(run):
+        seconds = []
+        for _ in range(SWEEP_REPEATS):
+            start = time.perf_counter()
+            output = run()
+            seconds.append(time.perf_counter() - start)
+        return float(np.median(seconds)), output
+
+    serial_seconds, serial = timed(lambda: sweep("serial"))
+    process_seconds, process = timed(lambda: sweep("process"))
+    independent_seconds, fits = timed(independent)
+    _assert_bitwise_equal(serial, process)
+    for entry, fit in zip(serial, fits):
+        assert np.array_equal(entry.result.core_bonus.values, fit.core_bonus.values)
+        assert np.array_equal(entry.result.raw_bonus.values, fit.raw_bonus.values)
+        assert np.array_equal(entry.result.bonus.values, fit.bonus.values)
+        for trace, expected in zip(entry.result.traces, fit.traces):
+            assert np.array_equal(trace.bonus_history, expected.bonus_history)
+            assert np.array_equal(trace.objective_norms, expected.objective_norms)
+    record_bench(
+        "fit_many",
+        {
+            "sweep_serial_seconds": round(serial_seconds, 4),
+            "sweep_process_seconds": round(process_seconds, 4),
+            "sweep_independent_seconds": round(independent_seconds, 4),
+            "lockstep": {"speedup": round(independent_seconds / serial_seconds, 3)},
+        },
+        context={
+            "students": table.num_rows,
+            "jobs": len(DEFAULT_K_SWEEP),
+            "sample_size": serial[0].result.sample_size,
+            "workers": workers,
+            "cores": usable_cores(),
+            "repeats": SWEEP_REPEATS,
+        },
     )

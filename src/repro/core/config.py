@@ -81,6 +81,11 @@ class DCAConfig:
     min_group_count: int = 30
     rng_batching: str = "per_step"
 
+    def __post_init__(self) -> None:
+        # A list of rates is accepted, but stored as a tuple so the config
+        # stays hashable: batched fits group jobs by config.
+        object.__setattr__(self, "learning_rates", tuple(self.learning_rates))
+
     def validate(self) -> None:
         if not self.learning_rates:
             raise ValueError("at least one learning rate is required")

@@ -35,40 +35,56 @@ arrays:
    :meth:`repro.core.objectives.FairnessObjective.compile`) are gathered
    **once**;
 2. every step draws an ``int64`` index array from the
-   :class:`~repro.core.sampling.SampleStream`, computes compensated scores
-   as ``base[idx] + A_f[idx] @ B``, and evaluates the compiled objective on
-   those rows — no per-step :class:`~repro.tabular.Table` materialization,
-   no shadow index column, no :class:`~repro.core.bonus.BonusVector`
-   boxing.
+   :class:`~repro.core.sampling.SampleStream`, gathers ``base[idx]`` and
+   ``A_f[idx]``, takes the compiled objective's rows
+   (:meth:`~repro.core.objectives.CompiledObjective.take`), computes
+   compensated scores as ``base[idx] + A_f[idx] @ B`` and evaluates the
+   taken objective on them — no per-step :class:`~repro.tabular.Table`
+   materialization, no shadow index column, no
+   :class:`~repro.core.bonus.BonusVector` boxing.
+
+The loop steps a *stream group* of fits at once (see Batched execution);
+:meth:`DCA.fit`, :class:`CoreDCA` and :class:`DCARefinement` run a group of
+one on the same loop.
 
 Custom objectives that only implement the table-path ``evaluate`` run
 through the compiled fallback wrapper.  The per-step table-slicing
-evaluation this loop replaced is kept as a test oracle
-(``tests/_dca_table_oracle.py``); it consumes the RNG through the same
-sample stream, and the equivalence tests pin every fit entry point to it
-bitwise.
+evaluation this loop replaced is kept as a per-job test oracle
+(``tests/_dca_table_oracle.py``); it consumes its own generator in the same
+order, and the equivalence tests pin every fit entry point to it bitwise.
 
 Batched execution
 -----------------
 
 :meth:`DCA.fit_many` runs seed/k/objective grids (or explicit
-:class:`FitSpec` lists) over one population through two interchangeable
-backends selected by ``executor``, or by the ambient
-:func:`~repro.core.parallel.use_execution` scope when a call names none:
+:class:`FitSpec` lists) over one population.  It first partitions the jobs
+into stream groups: jobs whose resolved :class:`DCAConfig` (seed included,
+and not ``None``), resolved sample size and attribute names are all equal.
+A fit's draws depend only on those and the row count — never on ``k`` or
+the objective — so a group's jobs draw the very same samples, and the group
+runs in lockstep: one draw, one ``base``/``A_f`` gather and one take per
+shared compiled objective per step, then exactly a lone fit's arithmetic
+per job (never batched across jobs).  Every result is therefore bitwise
+identical to an independent :meth:`DCA.fit`.  A seedless job draws fresh
+entropy and is always a group of its own.
 
-* ``"serial"`` — one job after another in the calling thread;
+Two interchangeable backends, selected by ``executor`` or by the ambient
+:func:`~repro.core.parallel.use_execution` scope when a call names none,
+run the groups:
+
+* ``"serial"`` — one group after another in the calling thread;
 * ``"process"`` — a process pool (see :mod:`repro.core.parallel`) whose
   workers receive the population plane — the base scores, attribute
   matrices, and each objective's compiled state — once, through the pool
-  initializer, and each job ships only a tiny job descriptor.  This is the
+  initializer.  Each group ships as chunks of at most
+  ``ceil(len(jobs) / workers)`` jobs, tiny descriptors; a worker rebuilds a
+  chunk's stream from its seed and runs it in lockstep.  This is the
   backend that parallelizes the Python-level step loop across cores.
 
-Both produce bitwise identical results for the same specs: every job
-owns its own seeded generator, and the plane's arrays are exactly the ones a
-serial fit would compute.  A per-population
-:class:`~repro.core.parallel.CompiledObjectiveCache` additionally lets jobs
-(and repeated ``fit_many`` calls) that share a population and an objective
-signature skip recompiling the objective, on every backend.
+Both produce bitwise identical results for the same specs.  Each objective
+signature is compiled once per batch, through a per-population
+:class:`~repro.core.parallel.CompiledObjectiveCache` that also lets repeated
+``fit_many`` calls on a population skip recompiling it, on every backend.
 """
 
 from __future__ import annotations
@@ -76,7 +92,7 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -88,8 +104,8 @@ from .config import DCAConfig
 from .objectives import CompiledObjective, DisparityObjective, FairnessObjective
 from .parallel import (
     CompiledObjectiveCache,
-    PlaneJob,
     PlanePayload,
+    StreamGroup,
     current_execution,
     default_objective_cache,
     execute_process_jobs,
@@ -128,7 +144,7 @@ def _resolve_sample_size(
 ) -> int:
     """Per-step sample size for a population of ``num_rows`` rows.
 
-    Single source of truth for :meth:`_BonusSearch.from_table` and the
+    Single source of truth for :meth:`_LockstepSearch.from_table` and the
     parent-side planner of the process backend — the two must agree exactly
     or the backends stop being bitwise identical.  ``rarest_frequency`` is a
     thunk so callers only pay for the group scan when ``config.sample_size``
@@ -173,21 +189,22 @@ def _fit_target(
     return attributes, float(k), objective or DisparityObjective(attributes), config
 
 
-class _BonusSearch:
-    """Shared state and helpers for the Core DCA and refinement phases.
+class _LockstepSearch:
+    """The step loop's state for a group of fits that draw one sample stream.
 
-    The search owns everything both phases need: the per-fit precomputed
-    arrays (base scores, raw attribute matrix, the objective compiled against
-    the population), the sample stream, and the RNG.  ``step_signal`` is the
-    hot path — one sampled objective evaluation per call.
+    Per step the search draws the sample once, gathers the base scores and
+    attribute rows once, and takes each distinct compiled objective's rows
+    once (:meth:`CompiledObjective.take
+    <repro.core.objectives.CompiledObjective.take>`); then every member
+    runs exactly a lone fit's arithmetic: compensation under its own bonus
+    and evaluation at its own ``k``.  A lone fit is a group of one.
 
     The constructor is the one assembly path.  :meth:`from_table` computes
-    the arrays from a table and hands them over; the process-backend workers
-    hand over the same arrays from the pool's population plane.  Uniform
-    index draws depend only on the population's row count, so both pass
-    ``num_rows`` and never the table, and the search consumes the RNG
-    identically: a worker fit is bitwise identical to a serial
-    :meth:`DCA.fit` with the same seed.
+    the arrays of a single fit from a table; batches and the process-backend
+    workers hand over the batch's arrays (:func:`_run_group`).  Uniform index
+    draws depend only on the population's row count, so all of them pass
+    ``num_rows`` and never the table, and each member's fit is bitwise
+    identical to a serial :meth:`DCA.fit` with the same seed.
     """
 
     def __init__(
@@ -195,20 +212,23 @@ class _BonusSearch:
         *,
         base_scores: np.ndarray,
         attribute_matrix: np.ndarray,
-        compiled: CompiledObjective,
+        members: Sequence[tuple[CompiledObjective, float]],
         num_rows: int,
         sample_size: int,
         attribute_names: Sequence[str],
-        k: float,
         config: DCAConfig,
     ) -> None:
-        self.k = float(k)
         self.config = config
         self.attribute_names = tuple(attribute_names)
+        self.ks = [float(k) for _, k in members]
+        # Members that share a compiled objective instance share its per-step take.
+        distinct = {id(compiled): compiled for compiled, _ in members}
+        slots = {key: slot for slot, key in enumerate(distinct)}
+        self._compiled = list(distinct.values())
+        self._slots = [slots[id(compiled)] for compiled, _ in members]
         self.rng = config.rng()
         self._base_scores = base_scores
         self._attribute_matrix = attribute_matrix
-        self._compiled = compiled
         self.sample_size = int(sample_size)
         self._stream = SampleStream(num_rows, self.sample_size, rng=self.rng)
         self._phase_indices: np.ndarray | None = None
@@ -223,13 +243,12 @@ class _BonusSearch:
         k: float,
         config: DCAConfig,
         objective_cache: CompiledObjectiveCache | None = None,
-    ) -> "_BonusSearch":
-        """Compute the per-fit arrays from ``table`` and assemble the search.
+    ) -> "_LockstepSearch":
+        """The search of one fit on ``table`` (a group of one).
 
         Base scores over the full table, the raw fairness-attribute matrix
         ``A_f``, and the objective compiled against this population (through
-        ``objective_cache`` when one is given, so batched jobs share one
-        compilation).
+        ``objective_cache`` when one is given).
         """
         _check_fraction(k)
         config.validate()
@@ -243,7 +262,7 @@ class _BonusSearch:
         return cls(
             base_scores=np.asarray(score_function.scores(table), dtype=float),
             attribute_matrix=table.matrix(list(attribute_names)),
-            compiled=compiled,
+            members=[(compiled, k)],
             num_rows=table.num_rows,
             sample_size=_resolve_sample_size(
                 config,
@@ -252,13 +271,12 @@ class _BonusSearch:
                 lambda: rarest_group_frequency(table, attribute_names),
             ),
             attribute_names=attribute_names,
-            k=k,
             config=config,
         )
 
     # ------------------------------------------------------------------
     def initial_bonus(self) -> np.ndarray:
-        """Random non-negative initialization (Algorithm 1's ``B`` init)."""
+        """Random non-negative initialization (Algorithm 1's ``B`` init), one draw for the group."""
         scale = self.config.initial_bonus_scale
         values = self.rng.uniform(0.0, scale, size=len(self.attribute_names))
         return _project(values, self.config)
@@ -270,7 +288,7 @@ class _BonusSearch:
         seed-for-seed stream is untouched.  In ``"per_phase"`` mode the
         phase's ``num_steps`` samples come from one generator call
         (:meth:`~repro.core.sampling.SampleStream.draw_phase_indices`) and
-        :meth:`step_signal` consumes them row by row.
+        :meth:`step_signals` consumes them row by row.
         """
         if self.config.rng_batching != "per_phase":
             return
@@ -285,17 +303,89 @@ class _BonusSearch:
         self._phase_cursor += 1
         return indices
 
-    def step_signal(self, bonus_values: np.ndarray) -> np.ndarray:
-        """Draw the next sample and evaluate the objective under ``bonus_values``."""
+    def step_signals(self, bonuses: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Draw the next sample and evaluate every member under its own bonus values."""
         indices = self._next_indices()
         base = self._base_scores[indices]
-        scores = compensate_scores(self._attribute_matrix[indices], base, bonus_values)
-        return np.asarray(self._compiled.evaluate(indices, scores, self.k), dtype=float)
+        matrix = self._attribute_matrix[indices]
+        taken = [compiled.take(indices) for compiled in self._compiled]
+        return [
+            np.asarray(
+                taken[slot].evaluate(None, compensate_scores(matrix, base, bonus), k), dtype=float
+            )
+            for slot, k, bonus in zip(self._slots, self.ks, bonuses)
+        ]
 
     def objective_on_full(self, bonus_values: np.ndarray) -> np.ndarray:
-        """Evaluate the objective on the entire population (Full DCA / reporting)."""
+        """Evaluate the first member's objective on the entire population (Full DCA)."""
         scores = compensate_scores(self._attribute_matrix, self._base_scores, bonus_values)
-        return np.asarray(self._compiled.evaluate(None, scores, self.k), dtype=float)
+        return np.asarray(self._compiled[0].evaluate(None, scores, self.ks[0]), dtype=float)
+
+
+def _run_phase(
+    search: _LockstepSearch,
+    bonuses: list[np.ndarray],
+    num_steps: int,
+    update: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """``num_steps`` lockstep steps; ``update(member, bonus, signal)`` is one member's move.
+
+    Updates ``bonuses`` in place and returns each member's bonus history and
+    signal norms.
+    """
+    search.begin_phase(num_steps)
+    histories = [np.zeros((num_steps, len(search.attribute_names))) for _ in bonuses]
+    norms = [np.zeros(num_steps) for _ in bonuses]
+    for step in range(num_steps):
+        for member, signal in enumerate(search.step_signals(bonuses)):
+            bonuses[member] = update(member, bonuses[member], signal)
+            histories[member][step] = bonuses[member]
+            norms[member][step] = _signal_norm(signal)
+    return histories, norms
+
+
+def _core_passes(
+    search: _LockstepSearch, bonuses: list[np.ndarray]
+) -> tuple[list[np.ndarray], list[list[DCATrace]]]:
+    """Algorithm 1 for every member: one fixed-rate pass per learning rate."""
+    config = search.config
+    traces: list[list[DCATrace]] = [[] for _ in bonuses]
+    for learning_rate in config.learning_rates:
+        histories, norms = _run_phase(
+            search,
+            bonuses,
+            config.iterations,
+            lambda _, bonus, signal, rate=learning_rate: _project(bonus - rate * signal, config),
+        )
+        for member_traces, history, norm in zip(traces, histories, norms):
+            member_traces.append(
+                DCATrace(
+                    phase=f"core lr={learning_rate:g}", bonus_history=history, objective_norms=norm
+                )
+            )
+    return bonuses, traces
+
+
+def _refinement_pass(
+    search: _LockstepSearch, bonuses: list[np.ndarray]
+) -> tuple[list[np.ndarray], list[DCATrace]]:
+    """Algorithm 2 for every member: Adam steps, then the averaged, projected iterate."""
+    config = search.config
+    iterations = config.refinement_iterations
+    adams = [Adam(learning_rate=config.refinement_learning_rate) for _ in bonuses]
+    histories, norms = _run_phase(
+        search,
+        [_project(bonus, config) for bonus in bonuses],
+        iterations,
+        lambda member, bonus, signal: _project(adams[member].step(bonus, signal), config),
+    )
+    window = min(config.averaging_window, iterations)
+    averaged = [_project(history[-window:].mean(axis=0), config) for history in histories]
+    traces = [
+        DCATrace(phase="refinement", bonus_history=history, objective_norms=norm)
+        for history, norm in zip(histories, norms)
+    ]
+    return averaged, traces
 
 
 def _publish(raw_bonus: BonusVector, config: DCAConfig) -> BonusVector:
@@ -306,39 +396,66 @@ def _publish(raw_bonus: BonusVector, config: DCAConfig) -> BonusVector:
     return final
 
 
-def _finish_fit(
-    search: _BonusSearch, attribute_names: Sequence[str], config: DCAConfig, start: float
-) -> DCAResult:
-    """Run the core and refinement phases on a prepared search and package the result.
+def _finish_fit(search: _LockstepSearch, start: float) -> list[DCAResult]:
+    """Run the core and refinement phases of every member and package the results.
 
-    The shared tail of :meth:`DCA.fit` and the process-backend workers: both
-    phases reuse the same search (sample stream, cached arrays), and the
-    final bonus is published by :func:`_publish`.  ``start`` is the fit's
-    ``perf_counter`` origin for ``elapsed_seconds``.
+    The shared tail of :meth:`DCA.fit`, batched fits and the process-backend
+    workers; each final bonus is published by :func:`_publish`.  ``start`` is
+    the group's ``perf_counter`` origin: each member's ``elapsed_seconds``
+    is its share of the group's wall-clock.
     """
-    attribute_names = tuple(attribute_names)
-    core = CoreDCA(None, None, None, search.k, config, search=search)
-    core_values, traces = core.run()
-    core_bonus = BonusVector(attribute_names=attribute_names, values=core_values)
-
+    config = search.config
+    names = search.attribute_names
+    initial = search.initial_bonus()
+    core_values, traces = _core_passes(search, [initial for _ in search.ks])
     if config.refinement_iterations > 0:
-        refinement = DCARefinement(None, None, None, search.k, config, search=search)
-        raw_values, refine_trace = refinement.run(core_values)
-        traces = traces + [refine_trace]
+        raw_values, refine_traces = _refinement_pass(search, core_values)
+        traces = [member + [refine] for member, refine in zip(traces, refine_traces)]
     else:
         raw_values = core_values
+    share = (time.perf_counter() - start) / len(search.ks)
+    results = []
+    for core, raw, member_traces in zip(core_values, raw_values, traces):
+        raw_bonus = BonusVector(attribute_names=names, values=raw)
+        results.append(
+            DCAResult(
+                bonus=_publish(raw_bonus, config),
+                raw_bonus=raw_bonus,
+                core_bonus=BonusVector(attribute_names=names, values=core),
+                traces=tuple(member_traces),
+                sample_size=search.sample_size,
+                elapsed_seconds=share,
+            )
+        )
+    return results
 
-    raw_bonus = BonusVector(attribute_names=attribute_names, values=raw_values)
-    final = _publish(raw_bonus, config)
-    elapsed = time.perf_counter() - start
-    return DCAResult(
-        bonus=final,
-        raw_bonus=raw_bonus,
-        core_bonus=core_bonus,
-        traces=tuple(traces),
-        sample_size=search.sample_size,
-        elapsed_seconds=elapsed,
+
+def _run_group(
+    arrays: Mapping[str, np.ndarray],
+    num_rows: int,
+    group: StreamGroup,
+    compiled_for: Callable[[int], CompiledObjective],
+) -> list[tuple[int, DCAResult]]:
+    """Fit one stream group in lockstep; ``(job index, result)`` per member.
+
+    ``arrays`` holds the batch's ``"base"`` scores and attribute matrices
+    (keyed by :func:`~repro.core.parallel.matrix_key`); ``compiled_for``
+    turns an objective key into a compiled objective, called once per
+    distinct key, so members with one key share one instance.
+    """
+    start = time.perf_counter()
+    compiled = {key: compiled_for(key) for key in dict.fromkeys(key for _, _, key in group.members)}
+    search = _LockstepSearch(
+        base_scores=arrays["base"],
+        attribute_matrix=arrays[matrix_key(group.attribute_names)],
+        members=[(compiled[key], k) for _, k, key in group.members],
+        num_rows=num_rows,
+        sample_size=group.sample_size,
+        attribute_names=group.attribute_names,
+        config=group.config,
     )
+    results = _finish_fit(search, start)
+    return [(index, result) for (index, _, _), result in zip(group.members, results)]
 
 
 class CoreDCA:
@@ -351,10 +468,9 @@ class CoreDCA:
         objective: FairnessObjective,
         k: float,
         config: DCAConfig | None = None,
-        search: _BonusSearch | None = None,
     ) -> None:
         self.config = config or DCAConfig()
-        self._search = search or _BonusSearch.from_table(
+        self._search = _LockstepSearch.from_table(
             table, score_function, objective, k, self.config
         )
 
@@ -365,24 +481,11 @@ class CoreDCA:
     def run(self, initial: np.ndarray | None = None) -> tuple[np.ndarray, list[DCATrace]]:
         """Run the core passes and return (bonus values, per-phase traces)."""
         search = self._search
-        config = self.config
         bonus = search.initial_bonus() if initial is None else _project(
-            np.asarray(initial, dtype=float), config
+            np.asarray(initial, dtype=float), self.config
         )
-        traces: list[DCATrace] = []
-        for learning_rate in config.learning_rates:
-            search.begin_phase(config.iterations)
-            history = np.zeros((config.iterations, len(search.attribute_names)))
-            norms = np.zeros(config.iterations)
-            for step in range(config.iterations):
-                signal = search.step_signal(bonus)
-                bonus = _project(bonus - learning_rate * signal, config)
-                history[step] = bonus
-                norms[step] = _signal_norm(signal)
-            traces.append(
-                DCATrace(phase=f"core lr={learning_rate:g}", bonus_history=history, objective_norms=norms)
-            )
-        return bonus, traces
+        values, traces = _core_passes(search, [bonus])
+        return values[0], traces[0]
 
 
 class DCARefinement:
@@ -395,40 +498,24 @@ class DCARefinement:
         objective: FairnessObjective,
         k: float,
         config: DCAConfig | None = None,
-        search: _BonusSearch | None = None,
     ) -> None:
         self.config = config or DCAConfig()
-        self._search = search or _BonusSearch.from_table(
+        self._search = _LockstepSearch.from_table(
             table, score_function, objective, k, self.config
         )
 
     def run(self, initial: np.ndarray) -> tuple[np.ndarray, DCATrace]:
         """Refine ``initial`` and return (raw averaged bonus values, trace)."""
-        search = self._search
-        config = self.config
-        bonus = _project(np.asarray(initial, dtype=float), config)
-        iterations = config.refinement_iterations
-        if iterations == 0:
+        bonus = np.asarray(initial, dtype=float)
+        if self.config.refinement_iterations == 0:
             empty = DCATrace(
                 phase="refinement (skipped)",
-                bonus_history=np.zeros((0, len(search.attribute_names))),
+                bonus_history=np.zeros((0, len(self._search.attribute_names))),
                 objective_norms=np.zeros(0),
             )
-            return bonus, empty
-        adam = Adam(learning_rate=config.refinement_learning_rate)
-        search.begin_phase(iterations)
-        history = np.zeros((iterations, len(search.attribute_names)))
-        norms = np.zeros(iterations)
-        for step in range(iterations):
-            signal = search.step_signal(bonus)
-            bonus = _project(adam.step(bonus, signal), config)
-            history[step] = bonus
-            norms[step] = _signal_norm(signal)
-        window = min(config.averaging_window, iterations)
-        averaged = history[-window:].mean(axis=0)
-        averaged = _project(averaged, config)
-        trace = DCATrace(phase="refinement", bonus_history=history, objective_norms=norms)
-        return averaged, trace
+            return _project(bonus, self.config), empty
+        values, traces = _refinement_pass(self._search, [bonus])
+        return values[0], traces[0]
 
 
 @dataclass(frozen=True)
@@ -481,6 +568,23 @@ class BatchFitResult:
     @property
     def label(self) -> str | None:
         return self.spec.label
+
+
+def _batch_results(
+    jobs: Sequence[FitSpec],
+    groups: Sequence[StreamGroup],
+    pairs: Sequence[tuple[int, DCAResult]],
+) -> dict[int, BatchFitResult]:
+    """Wrap ``(job index, result)`` pairs as batch entries, keyed by job index."""
+    resolved = {
+        index: (k, group.config.seed) for group in groups for index, k, _ in group.members
+    }
+    return {
+        index: BatchFitResult(
+            spec=jobs[index], k=resolved[index][0], seed=resolved[index][1], result=result
+        )
+        for index, result in pairs
+    }
 
 
 class DCA:
@@ -536,9 +640,7 @@ class DCA:
         """Fit bonus points on ``table`` (the training cohort / distribution sample)."""
         start = time.perf_counter()
         self.objective.fit(table)
-        # The search owns the sample stream and cached arrays; both phases
-        # (and the result assembly in _finish_fit) share it.
-        search = _BonusSearch.from_table(
+        search = _LockstepSearch.from_table(
             table,
             self.score_function,
             self.objective,
@@ -546,7 +648,7 @@ class DCA:
             self.config,
             objective_cache=self.objective_cache,
         )
-        return _finish_fit(search, self.fairness_attributes, self.config, start)
+        return _finish_fit(search, start)[0]
 
     def fit_many(
         self,
@@ -564,20 +666,25 @@ class DCA:
         Either pass explicit ``specs`` or any combination of ``ks``,
         ``seeds``, and ``objectives`` — the grid forms their Cartesian
         product, each axis defaulting to the instance's own setting.  Results
-        come back in job order.  Each job gets its own deep-copied objective
-        and seeded RNG, so a batched fit is reproducible and **bitwise
-        identical to the corresponding sequence of** :meth:`fit` **calls on
-        every backend**.
+        come back in job order.  Jobs that draw the same sample stream — equal
+        resolved config (seed included, and not ``None``), sample size and
+        attribute names — run as one lockstep group with one draw and one row
+        gather per step (see the module docstring); every job still runs its
+        own compensation, evaluation and update, so a batched fit is
+        reproducible and **bitwise identical to the corresponding sequence
+        of** :meth:`fit` **calls on every backend**.  A batched result's
+        ``elapsed_seconds`` is its share of its group's wall-clock.
 
         ``executor`` picks the backend:
 
-        * ``"serial"`` — jobs run one after another in the calling thread;
+        * ``"serial"`` — groups run one after another in the calling thread;
         * ``"process"`` — a :class:`concurrent.futures.ProcessPoolExecutor`
           over a population plane (:mod:`repro.core.parallel`): base
           scores, attribute matrices, and compiled objective state reach
           each worker once, through the pool initializer (inherited under
-          ``fork``), and jobs are only tiny descriptors — the cohort is
-          never pickled per job.
+          ``fork``), and each group ships as chunks of at most
+          ``ceil(len(jobs) / max_workers)`` jobs, tiny descriptors — the
+          cohort is never pickled per job.
           A job runs in the parent instead, serially and with the same
           result order and values, for exactly one reason: its objective
           cannot be placed on the plane — it has no
@@ -600,7 +707,8 @@ class DCA:
         job's config and ``k``.  A job that raises inside a worker
         re-raises its own exception here; a worker process that dies
         mid-job raises :class:`concurrent.futures.process.BrokenProcessPool`.
-        Compiled objectives are cached per population (see
+        Each objective signature is fitted and compiled once per call, and
+        compiled objectives are cached per population (see
         :func:`repro.core.parallel.default_objective_cache`), so sweeps that
         share a cohort and an objective signature — within one call or
         across calls — compile it once.
@@ -645,7 +753,7 @@ class DCA:
         if executor == "process":
             workers = max_workers if max_workers is not None else min(len(jobs), usable_cores())
             return self._fit_many_process(table, jobs, cache, workers)
-        return [self._run_single_spec(table, spec, cache) for spec in jobs]
+        return self._fit_many_serial(table, jobs, cache)
 
     # ------------------------------------------------------------------
     # fit_many internals
@@ -665,31 +773,93 @@ class DCA:
         _check_fraction(k)
         return config, objective, k
 
-    def _run_single_spec(
+    def _plan(
         self,
         table: Table,
-        spec: FitSpec,
+        jobs: Sequence[FitSpec],
+        place: Callable[[FairnessObjective], int | None],
+    ) -> tuple[list[StreamGroup], list[int], dict[str, np.ndarray]]:
+        """Resolve every job and partition the placed ones into stream groups.
+
+        ``place(objective)`` returns the key of the job's compiled objective,
+        or ``None`` when the job cannot be placed (the process backend then
+        runs it in the parent).  Jobs share a group when their resolved
+        config (seed included, and not ``None``), sample size and attribute
+        names are all equal: they draw the same sample stream.  Returns the
+        groups, the unplaced job indices, and the arrays the groups read —
+        the ``"base"`` scores and one attribute matrix per attribute set.
+        """
+        num_rows = table.num_rows
+        if num_rows == 0:
+            raise ValueError("cannot fit bonus points on an empty table")
+        arrays: dict[str, np.ndarray] = {}
+        rarest: dict[tuple[str, ...], float] = {}
+        streams: dict[tuple, list[tuple[int, float, int]]] = {}
+        unplaced: list[int] = []
+        for index, spec in enumerate(jobs):
+            config, objective, k = self._resolve_spec(spec)
+            key = place(objective)
+            if key is None:
+                unplaced.append(index)
+                continue
+            attributes = tuple(objective.attribute_names)
+            if matrix_key(attributes) not in arrays:
+                arrays[matrix_key(attributes)] = table.matrix(list(attributes))
+
+            def rarest_for(attrs: tuple[str, ...] = attributes) -> float:
+                # Not setdefault: its default argument evaluates eagerly,
+                # which would re-run the full group scan per job.
+                if attrs not in rarest:
+                    rarest[attrs] = rarest_group_frequency(table, attrs)
+                return rarest[attrs]
+
+            sample_size = _resolve_sample_size(config, k, num_rows, rarest_for)
+            # A seedless job draws fresh entropy, so it shares its stream with no one.
+            stream = (attributes, config, sample_size, None if config.seed is not None else index)
+            streams.setdefault(stream, []).append((index, k, key))
+        if streams:
+            arrays["base"] = np.asarray(self.score_function.scores(table), dtype=float)
+        groups = [
+            StreamGroup(attributes, config, sample_size, tuple(members))
+            for (attributes, config, sample_size, _), members in streams.items()
+        ]
+        return groups, unplaced, arrays
+
+    def _fit_many_serial(
+        self,
+        table: Table,
+        jobs: Sequence[FitSpec],
         cache: CompiledObjectiveCache,
-    ) -> BatchFitResult:
-        """Run one batch job in this process (the serial backend, and process fallbacks)."""
-        config, objective_template, k = self._resolve_spec(spec)
-        # Fresh objective per job: fit() mutates normalizer state, and
-        # concurrent jobs must not share it.
-        objective = copy.deepcopy(objective_template)
-        job_dca = DCA(
-            objective.attribute_names,
-            self.score_function,
-            k,
-            objective=objective,
-            config=config,
-            objective_cache=cache,
-        )
-        return BatchFitResult(
-            spec=spec,
-            k=k,
-            seed=config.seed,
-            result=job_dca.fit(table),
-        )
+    ) -> list[BatchFitResult]:
+        """The serial backend: every stream group in lockstep, in this process.
+
+        Also runs the process backend's in-parent jobs.  Each objective
+        signature is fitted and compiled once per batch; an objective without
+        a signature gets its own copy per job.
+        """
+        compiled: list[CompiledObjective] = []
+        keys: dict[tuple, int] = {}
+
+        def place(template: FairnessObjective) -> int:
+            signature = template.signature()
+            if signature is None or signature not in keys:
+                # A private copy: fit() mutates normalizer state.
+                objective = copy.deepcopy(template)
+                objective.fit(table)
+                compiled.append(cache.compile(objective, table))
+                if signature is None:
+                    return len(compiled) - 1
+                keys[signature] = len(compiled) - 1
+            return keys[signature]
+
+        groups, _, arrays = self._plan(table, jobs, place)
+        pairs = [
+            pair
+            for group in groups
+            for pair in _run_group(arrays, table.num_rows, group, compiled.__getitem__)
+        ]
+        results = _batch_results(jobs, groups, pairs)
+        return [results[index] for index in range(len(jobs))]
 
     def _fit_many_process(
         self,
@@ -704,18 +874,15 @@ class DCA:
         attribute matrix per distinct attribute set, one compiled state per
         distinct objective signature — hands it to the pool's workers
         through the initializer, then dispatches
-        :class:`~repro.core.parallel.PlaneJob` job descriptors.  A job whose
+        :class:`~repro.core.parallel.StreamGroup` descriptors: each group
+        split into chunks of at most ``ceil(placed jobs / max_workers)``
+        members, every chunk run in lockstep by one worker.  A job whose
         objective cannot be placed on the plane (the one rule, see
-        :meth:`fit_many`) runs in the parent instead.
+        :meth:`fit_many`) runs in the parent instead, on the serial backend.
         """
-        num_rows = table.num_rows
-        arrays: dict[str, np.ndarray] = {}
+        objective_arrays: dict[str, np.ndarray] = {}
         objective_states: dict[int, tuple[type, dict[str, str], dict]] = {}
         signature_keys: dict[tuple, int | None] = {}
-        rarest: dict[tuple[str, ...], float] = {}
-        plane_jobs: list[PlaneJob] = []
-        parent_jobs: list[tuple[int, FitSpec]] = []
-        job_meta: dict[int, tuple[FitSpec, float, int | None]] = {}
 
         def place(objective_template: FairnessObjective) -> int | None:
             """The objective's state key on the plane; ``None`` if it cannot be placed there."""
@@ -734,42 +901,24 @@ class DCA:
                     array_keys: dict[str, str] = {}
                     for name, value in state_arrays.items():
                         plane_key = f"objective:{key}:{name}"
-                        arrays[plane_key] = value
+                        objective_arrays[plane_key] = value
                         array_keys[name] = plane_key
                     objective_states[key] = (type(compiled), array_keys, metadata)
                 signature_keys[signature] = key
             return signature_keys[signature]
 
-        for index, spec in enumerate(jobs):
-            config, objective_template, k = self._resolve_spec(spec)
-            key = place(objective_template)
-            if key is None:
-                parent_jobs.append((index, spec))
-                continue
-            attributes = tuple(objective_template.attribute_names)
-            attr_key = matrix_key(attributes)
-            if attr_key not in arrays:
-                arrays[attr_key] = table.matrix(list(attributes))
-            def rarest_for(attrs: tuple[str, ...] = attributes) -> float:
-                # Not setdefault: its default argument evaluates eagerly,
-                # which would re-run the full group scan per job.
-                if attrs not in rarest:
-                    rarest[attrs] = rarest_group_frequency(table, attrs)
-                return rarest[attrs]
-
-            sample_size = _resolve_sample_size(config, k, num_rows, rarest_for)
-            plane_jobs.append(PlaneJob(index, attributes, k, config, sample_size, key))
-            job_meta[index] = (spec, k, config.seed)
-
+        groups, unplaced, arrays = self._plan(table, jobs, place)
         results: dict[int, BatchFitResult] = {}
-        if plane_jobs:
-            arrays["base"] = np.asarray(self.score_function.scores(table), dtype=float)
-            payload = PlanePayload(num_rows, arrays, objective_states)
-            for index, result in execute_process_jobs(payload, plane_jobs, max_workers):
-                spec, k, seed = job_meta[index]
-                results[index] = BatchFitResult(spec=spec, k=k, seed=seed, result=result)
-        for index, spec in parent_jobs:
-            results[index] = self._run_single_spec(table, spec, cache)
+        if groups:
+            placed = sum(len(group.members) for group in groups)
+            size = -(-placed // max_workers)
+            chunks = [chunk for group in groups for chunk in group.chunks(size)]
+            payload = PlanePayload(table.num_rows, {**arrays, **objective_arrays}, objective_states)
+            pairs = execute_process_jobs(payload, chunks, max_workers)
+            results.update(_batch_results(jobs, groups, pairs))
+        if unplaced:
+            in_parent = self._fit_many_serial(table, [jobs[index] for index in unplaced], cache)
+            results.update(zip(unplaced, in_parent))
         return [results[index] for index in range(len(jobs))]
 
     def compensated_scores(self, table: Table, bonus: BonusVector) -> np.ndarray:
@@ -804,7 +953,9 @@ class FullDCA:
         start = time.perf_counter()
         self.objective.fit(table)
         config = self.config
-        search = _BonusSearch.from_table(table, self.score_function, self.objective, self.k, config)
+        search = _LockstepSearch.from_table(
+            table, self.score_function, self.objective, self.k, config
+        )
         bonus = search.initial_bonus()
         traces: list[DCATrace] = []
         for learning_rate in config.learning_rates:

@@ -39,6 +39,13 @@ to their table-path results); custom subclasses that only implement
 ``evaluate`` automatically fall back to a compiled wrapper that slices the
 table, so they keep working in the DCA step loop unchanged.
 
+Fits that draw the same sample stream run in lockstep
+(:mod:`repro.core.dca`): each step, :meth:`CompiledObjective.take` restricts
+a shared compiled objective to the step's sample once, and every fit then
+evaluates the taken rows at its own ``k``.  The built-ins gather their state
+rows (and, for the disparity objectives, the sample's centroid) once per
+step; the default ``take`` just defers to ``evaluate(indices, scores, k)``.
+
 Sharing compiled state
 ----------------------
 
@@ -125,6 +132,20 @@ class CompiledObjective(abc.ABC):
     def evaluate(self, indices: np.ndarray | None, scores: np.ndarray, k: float) -> np.ndarray:
         """Per-attribute fairness signal for the rows at ``indices``."""
 
+    def take(self, indices: np.ndarray) -> "CompiledObjective":
+        """This objective restricted to the rows at ``indices``.
+
+        The returned objective treats those rows as its whole population:
+        ``take(indices).evaluate(None, scores, k)`` equals
+        ``evaluate(indices, scores, k)`` bit for bit.  The DCA step loop takes
+        each step's sample once per compiled objective and then evaluates
+        every fit that drew that sample on the taken rows (see
+        :mod:`repro.core.dca`).  The default defers each evaluation to
+        :meth:`evaluate`, so a custom objective needs nothing more; the
+        built-in objectives gather their state rows here, once.
+        """
+        return _TakenRows(self, indices)
+
     def export_state(self) -> tuple[dict[str, np.ndarray], dict] | None:
         """Split this compiled objective into ``(arrays, metadata)``.
 
@@ -149,6 +170,20 @@ class CompiledObjective(abc.ABC):
         must keep any mutable scratch state private to itself.
         """
         raise NotImplementedError(f"{cls.__name__} does not support shared state")
+
+
+class _TakenRows(CompiledObjective):
+    """The default :meth:`CompiledObjective.take`: evaluation deferred to the source."""
+
+    __slots__ = ("_source", "_indices")
+
+    def __init__(self, source: CompiledObjective, indices: np.ndarray) -> None:
+        self._source = source
+        self._indices = indices
+
+    def evaluate(self, indices: np.ndarray | None, scores: np.ndarray, k: float) -> np.ndarray:
+        rows = self._indices if indices is None else self._indices[indices]
+        return self._source.evaluate(rows, scores, k)
 
 
 class _CompiledTableFallback(CompiledObjective):
@@ -249,17 +284,38 @@ def _column_means(matrix: np.ndarray) -> np.ndarray:
     return np.add.reduce(matrix, axis=0) / matrix.shape[0]
 
 
+def _rows_and_centroid(
+    compiled: "_CompiledDisparity | _CompiledLogDiscounted", indices: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The normalized-matrix rows at ``indices`` and their column means.
+
+    The whole matrix's centroid is computed on first use and kept: a taken
+    sample (:meth:`CompiledObjective.take`) is evaluated by every fit that
+    drew it, and they all share its population centroid.
+    """
+    if indices is not None:
+        matrix = compiled._matrix[indices]
+        return matrix, _column_means(matrix)
+    if compiled._centroid is None:
+        compiled._centroid = _column_means(compiled._matrix)
+    return compiled._matrix, compiled._centroid
+
+
 class _CompiledDisparity(CompiledObjective):
     """Array-plane Definition 3 disparity over a pre-normalized matrix."""
 
-    __slots__ = ("_matrix",)
+    __slots__ = ("_matrix", "_centroid")
 
     def __init__(self, matrix: np.ndarray) -> None:
         self._matrix = matrix
+        self._centroid: np.ndarray | None = None
 
     def evaluate(self, indices: np.ndarray | None, scores: np.ndarray, k: float) -> np.ndarray:
-        matrix = self._matrix if indices is None else self._matrix[indices]
-        return _column_means(matrix[selection_mask(scores, k)]) - _column_means(matrix)
+        matrix, centroid = _rows_and_centroid(self, indices)
+        return _column_means(matrix[selection_mask(scores, k)]) - centroid
+
+    def take(self, indices: np.ndarray) -> "_CompiledDisparity":
+        return _CompiledDisparity(self._matrix[indices])
 
     def export_state(self) -> tuple[dict[str, np.ndarray], dict]:
         return {"matrix": self._matrix}, {}
@@ -308,41 +364,48 @@ class LogDiscountedDisparityObjective(FairnessObjective):
 class _CompiledLogDiscounted(CompiledObjective):
     """Array-plane log-discounted disparity over a grid of selection fractions."""
 
-    __slots__ = ("_matrix", "_k_grid", "_cached_k", "_cached_grid", "_cached_weights")
+    __slots__ = ("_matrix", "_k_grid", "_grids", "_centroid")
 
-    def __init__(self, matrix: np.ndarray, k_grid: tuple[float, ...]) -> None:
+    def __init__(
+        self,
+        matrix: np.ndarray,
+        k_grid: tuple[float, ...],
+        grids: dict[float, tuple[tuple[float, ...], np.ndarray]] | None = None,
+    ) -> None:
         self._matrix = matrix
         self._k_grid = k_grid
-        self._cached_k: float | None = None
-        self._cached_grid: tuple[float, ...] = ()
-        self._cached_weights = np.zeros(0)
+        self._grids = {} if grids is None else grids
+        self._centroid: np.ndarray | None = None
 
     def _capped_grid(self, k: float) -> tuple[tuple[float, ...], np.ndarray]:
-        # ``k`` is constant across a fit's thousands of steps; cache the
-        # capped grid and normalized weights instead of rebuilding them.
-        if k != self._cached_k:
+        # ``k`` is constant across a fit's thousands of steps, and a k sweep
+        # evaluates a few ``k`` on one instance in turn: cache the capped
+        # grid and normalized weights per ``k`` instead of rebuilding them.
+        cached = self._grids.get(k)
+        if cached is None:
             grid = tuple(g for g in self._k_grid if g <= k + 1e-12)
             if not grid:
                 grid = (self._k_grid[0],)
             weights = np.asarray([1.0 / np.log2(100.0 * g + 1.0) for g in grid], dtype=float)
-            self._cached_k = k
-            self._cached_grid = grid
-            self._cached_weights = weights / weights.sum()
-        return self._cached_grid, self._cached_weights
+            cached = self._grids[k] = (grid, weights / weights.sum())
+        return cached
 
     def evaluate(self, indices: np.ndarray | None, scores: np.ndarray, k: float) -> np.ndarray:
-        matrix = self._matrix if indices is None else self._matrix[indices]
+        matrix, population_centroid = _rows_and_centroid(self, indices)
         grid, weights = self._capped_grid(k)
-        population_centroid = _column_means(matrix)
         total = np.zeros(matrix.shape[1], dtype=float)
         for weight, fraction in zip(weights, grid):
             mask = selection_mask(scores, fraction)
             total += weight * (_column_means(matrix[mask]) - population_centroid)
         return total
 
+    def take(self, indices: np.ndarray) -> "_CompiledLogDiscounted":
+        # The taken rows share this instance's per-k weight cache.
+        return _CompiledLogDiscounted(self._matrix[indices], self._k_grid, self._grids)
+
     def export_state(self) -> tuple[dict[str, np.ndarray], dict]:
-        # The per-k weight cache is scratch state: every rebuilt instance
-        # starts with an empty one, so shared state stays immutable.
+        # The per-k weight cache and the centroid are scratch state: every
+        # rebuilt instance starts without them, so shared state stays immutable.
         return {"matrix": self._matrix}, {"k_grid": self._k_grid}
 
     @classmethod
@@ -539,6 +602,9 @@ class _CompiledGroupObjective(CompiledObjective):
         membership = self._membership if indices is None else self._membership[indices]
         return self._kernel(membership, selection_mask(scores, k))
 
+    def take(self, indices: np.ndarray) -> "_CompiledGroupObjective":
+        return _CompiledGroupObjective(self._membership[indices], self._kernel)
+
     def export_state(self) -> tuple[dict[str, np.ndarray], dict]:
         # The kernel is a module-level function, so it travels by reference
         # (both through the in-process cache and through pickle to workers).
@@ -565,6 +631,9 @@ class _CompiledFalsePositiveRate(CompiledObjective):
             membership, labels = self._membership[indices], self._labels[indices]
         return _false_positive_rate_values(membership, labels, selection_mask(scores, k))
 
+    def take(self, indices: np.ndarray) -> "_CompiledFalsePositiveRate":
+        return _CompiledFalsePositiveRate(self._membership[indices], self._labels[indices])
+
     def export_state(self) -> tuple[dict[str, np.ndarray], dict]:
         return {"membership": self._membership, "labels": self._labels}, {}
 
@@ -584,6 +653,9 @@ class _CompiledExposureGap(CompiledObjective):
     def evaluate(self, indices: np.ndarray | None, scores: np.ndarray, k: float) -> np.ndarray:
         membership = self._membership if indices is None else self._membership[indices]
         return _exposure_gap_values(membership, scores)
+
+    def take(self, indices: np.ndarray) -> "_CompiledExposureGap":
+        return _CompiledExposureGap(self._membership[indices])
 
     def export_state(self) -> tuple[dict[str, np.ndarray], dict]:
         return {"membership": self._membership}, {}

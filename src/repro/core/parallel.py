@@ -7,28 +7,30 @@ This module is the scaling substrate behind :meth:`repro.core.DCA.fit_many`:
   ``fit_many`` call that names no backend.
 
 * :class:`CompiledObjectiveCache` — a per-population cache of compiled
-  objective state.  Batched fits repeatedly compile the same objective
-  against the same cohort (a k sweep compiles one
-  :class:`~repro.core.objectives.DisparityObjective` per job, each walking
-  the full population); the cache keys compiled state by *(population
-  identity, objective signature)* and rebuilds a fresh lightweight
+  objective state.  Fits and batches repeatedly compile the same objective
+  against the same cohort (each compile walks the full population); the
+  cache keys compiled state by *(population identity, objective
+  signature)* and rebuilds a fresh lightweight
   :class:`~repro.core.objectives.CompiledObjective` around the cached arrays
-  per job, so every job keeps private mutable scratch state while the
+  per caller, so every caller keeps private mutable scratch state while the
   population-sized arrays are computed exactly once.
+* :class:`StreamGroup` — the descriptor of a batch's jobs that draw one
+  sample stream and so run in lockstep (:mod:`repro.core.dca`).
 * :class:`PlanePayload` — the population plane: the named NumPy arrays a
   batch of fits needs (base scores, attribute matrices, compiled objective
   state), handed to each pool worker once through the pool initializer.
-* :func:`execute_process_jobs` — runs :class:`PlaneJob` descriptors on a
+* :func:`execute_process_jobs` — runs :class:`StreamGroup` chunks on a
   plain :class:`concurrent.futures.ProcessPoolExecutor` whose workers keep
-  the plane (read-only) and then serve jobs from lightweight job
-  descriptors: many independent fits over one population.
+  the plane (read-only) and then serve each chunk from its lightweight
+  descriptor: many fits over one population.
 
 One fit always runs in one process: a step scores a sample of a few hundred
 rows, milliseconds of NumPy work, so splitting a step across processes
 costs more than it saves.  The process backend trades a one-time worker
-start-up cost for multi-core execution of whole fits.  Results are bitwise
-identical to the serial path because workers consume exactly the arrays the
-serial path would compute and every job owns its own seeded generator.
+start-up cost for multi-core execution of whole lockstep chunks.  Results
+are bitwise identical to the serial path because workers consume exactly
+the arrays the serial path would compute and every chunk rebuilds its
+group's seeded generator.
 """
 
 from __future__ import annotations
@@ -36,12 +38,11 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
-import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -58,7 +59,7 @@ __all__ = [
     "CompiledObjectiveCache",
     "default_objective_cache",
     "PlanePayload",
-    "PlaneJob",
+    "StreamGroup",
     "execute_process_jobs",
     "process_start_method",
     "usable_cores",
@@ -277,19 +278,29 @@ class PlanePayload:
 
 
 @dataclass(frozen=True)
-class PlaneJob:
-    """One job descriptor for a process-pool fit — a few hundred bytes.
+class StreamGroup:
+    """Fits of one batch that draw the same sample stream — a few hundred bytes.
 
-    ``config`` carries the job's already-resolved seed; ``objective_key``
-    points into the payload's ``objective_states``.
+    A fit's draws depend only on its config (seed and step schedule), the
+    population's row count, its sample size and how many attributes its
+    initial bonus spans — never on ``k`` or the objective — so these jobs
+    can run in lockstep on one stream (:mod:`repro.core.dca`).  ``config``
+    carries the resolved seed.  Each member is ``(job index, k, objective
+    key)``; the key points into the payload's ``objective_states`` on the
+    process backend, and into the batch's compiled objectives in-process.
     """
 
-    index: int
     attribute_names: tuple[str, ...]
-    k: float
     config: DCAConfig
     sample_size: int
-    objective_key: int
+    members: tuple[tuple[int, float, int], ...]
+
+    def chunks(self, size: int) -> list["StreamGroup"]:
+        """This group split into lockstep groups of at most ``size`` members."""
+        return [
+            replace(self, members=self.members[start : start + size])
+            for start in range(0, len(self.members), size)
+        ]
 
 
 #: Worker-global plane, set once per worker by the pool initializer.
@@ -308,25 +319,18 @@ def _plane_worker_init(payload: PlanePayload) -> None:
     _WORKER_PLANE = payload
 
 
-def _plane_worker_fit(job: PlaneJob):
-    """Pool entry: run one fit entirely from the initializer's plane."""
-    from .dca import _BonusSearch, _finish_fit  # deferred: dca imports this module
+def _plane_worker_fit(group: StreamGroup):
+    """Pool entry: run one lockstep group entirely from the initializer's plane.
+
+    The worker rebuilds the group's sample stream from its seed, so the
+    group's fits draw exactly the samples their serial runs draw.
+    """
+    from .dca import _run_group  # deferred: dca imports this module
 
     plane = _WORKER_PLANE
     if plane is None:  # pragma: no cover - initializer always runs first
         raise RuntimeError("worker has no population plane")
-    start = time.perf_counter()
-    search = _BonusSearch(
-        base_scores=plane.arrays["base"],
-        attribute_matrix=plane.arrays[matrix_key(job.attribute_names)],
-        compiled=plane.compiled_for(job.objective_key),
-        num_rows=plane.num_rows,
-        sample_size=job.sample_size,
-        attribute_names=job.attribute_names,
-        k=job.k,
-        config=job.config,
-    )
-    return job.index, _finish_fit(search, job.attribute_names, job.config, start)
+    return _run_group(plane.arrays, plane.num_rows, group, plane.compiled_for)
 
 
 def matrix_key(attribute_names: Sequence[str]) -> str:
@@ -359,21 +363,21 @@ def process_start_method() -> str:
 
 def execute_process_jobs(
     payload: PlanePayload,
-    jobs: Sequence[PlaneJob],
+    groups: Sequence[StreamGroup],
     max_workers: int,
 ) -> list[tuple[int, object]]:
-    """Run plane jobs on a process pool; returns ``(job index, DCAResult)`` pairs in job order.
+    """Run lockstep groups on a process pool; returns ``(job index, DCAResult)`` pairs.
 
     Workers receive the plane once (through the pool initializer) and each
-    job ships only its :class:`PlaneJob` descriptor.  A job that raises
-    re-raises its own exception here; a worker that dies mid-job raises
+    group ships only its :class:`StreamGroup` descriptor.  A job that raises
+    re-raises its own exception here; a worker that dies mid-group raises
     :class:`concurrent.futures.process.BrokenProcessPool`.
     """
-    workers = max(1, min(int(max_workers), len(jobs)))
+    workers = max(1, min(int(max_workers), len(groups)))
     with ProcessPoolExecutor(
         max_workers=workers,
         mp_context=multiprocessing.get_context(process_start_method()),
         initializer=_plane_worker_init,
         initargs=(payload,),
     ) as pool:
-        return list(pool.map(_plane_worker_fit, jobs))
+        return [pair for pairs in pool.map(_plane_worker_fit, groups) for pair in pairs]

@@ -68,7 +68,13 @@ class DCAResult:
     sample_size:
         The per-step sample size actually used.
     elapsed_seconds:
-        Wall-clock time of the fit.
+        Wall-clock time of the fit.  For a fit of a :meth:`DCA.fit_many
+        <repro.core.DCA.fit_many>` batch it is that fit's share of the
+        wall-clock of its lockstep group (the batch's fits that drew the
+        same sample stream, run together): the group's time divided by its
+        size, so the shares of a batch never add up to more than the
+        batch's run time.  Time a single fit with :meth:`DCA.fit
+        <repro.core.DCA.fit>`.
     """
 
     bonus: BonusVector

@@ -42,7 +42,7 @@ EXPERIMENT_RUNNERS = {
 #: Experiments whose runners batch their fits through ``DCA.fit_many``: the
 #: only ones the CLI's batch-backend flags can affect.
 BATCHED_EXPERIMENTS = frozenset(
-    {"fig1", "fig4", "fig5", "fig8", "fig10", "exposure_ddp", "ablations", "matching", "scenarios"}
+    {"fig1", "fig4", "fig5", "fig10", "exposure_ddp", "ablations", "matching", "scenarios"}
 )
 
 __all__ = [

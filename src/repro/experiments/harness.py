@@ -10,7 +10,10 @@ experiments.
 Experiments that need many independent DCA fits (per-k sweeps, per-seed
 spreads, config ablations) go through :meth:`repro.core.DCA.fit_many` —
 usually via the :class:`~repro.experiments.setting.SchoolSetting` sweep
-helpers — rather than hand-rolled loops.
+helpers — rather than hand-rolled loops.  The exception is an experiment
+that reports a single fit's runtime (Figure 8b): a batched fit's
+``elapsed_seconds`` is a share of its lockstep group's wall-clock, so it
+fits with :meth:`repro.core.DCA.fit`.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from ..core import (
     DisparityCalculator,
     FairnessObjective,
     FitSpec,
+    default_objective_cache,
 )
 from ..core.bonus import BonusVector
 from ..datasets import (
@@ -107,7 +108,9 @@ class SchoolSetting:
         When an objective over a subset of the fairness attributes is given
         (e.g. the binary-only attributes used by the disparate-impact and
         exposure experiments), the bonus vector is fitted over exactly those
-        attributes.
+        attributes.  The objective compiles through the process-wide
+        :func:`~repro.core.default_objective_cache`, as in the batched helpers,
+        so repeated single fits on the cohort compile it once.
         """
         attributes = objective.attribute_names if objective is not None else self.fairness_attributes
         dca = DCA(
@@ -116,6 +119,7 @@ class SchoolSetting:
             k=k,
             objective=objective,
             config=config or self.dca_config,
+            objective_cache=default_objective_cache(),
         )
         return dca.fit(self.train.table)
 

@@ -16,7 +16,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from _dca_table_oracle import TableOracleSearch, oracle_fit, oracle_full_fit
+from _dca_table_oracle import (
+    OracleSearch,
+    oracle_core,
+    oracle_fit,
+    oracle_full_fit,
+    oracle_refinement,
+)
 
 from repro.core import (
     DCA,
@@ -62,12 +68,10 @@ class TestSchoolDatasetEquivalence:
         table, rubric, attributes = school_setup
         objective = DisparityObjective(attributes).fit(table)
         values, traces = CoreDCA(table, rubric, objective, k=0.05, config=self.CONFIG).run()
-        oracle = TableOracleSearch.build(
+        oracle = OracleSearch(
             table, rubric, DisparityObjective(attributes).fit(table), 0.05, self.CONFIG
         )
-        expected, expected_traces = CoreDCA(
-            None, None, None, 0.05, self.CONFIG, search=oracle
-        ).run()
+        expected, expected_traces = oracle_core(oracle)
         assert np.array_equal(values, expected)
         for trace, reference in zip(traces, expected_traces):
             assert np.array_equal(trace.bonus_history, reference.bonus_history)
@@ -78,12 +82,10 @@ class TestSchoolDatasetEquivalence:
         objective = DisparityObjective(attributes).fit(table)
         refinement = DCARefinement(table, rubric, objective, k=0.05, config=self.CONFIG)
         values, _ = refinement.run(initial)
-        oracle = TableOracleSearch.build(
+        oracle = OracleSearch(
             table, rubric, DisparityObjective(attributes).fit(table), 0.05, self.CONFIG
         )
-        expected, _ = DCARefinement(None, None, None, 0.05, self.CONFIG, search=oracle).run(
-            initial
-        )
+        expected, _ = oracle_refinement(oracle, initial)
         assert np.array_equal(values, expected)
 
     def test_full_dca_identical(self, school_setup):

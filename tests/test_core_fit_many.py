@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import os
 import subprocess
 import sys
@@ -12,17 +13,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from _dca_table_oracle import oracle_fit
 
 from repro.core import (
     DCA,
     CompiledObjective,
     CompiledObjectiveCache,
     DCAConfig,
+    DisparateImpactObjective,
     DisparityObjective,
     DisparityResult,
     ExposureGapObjective,
     FairnessObjective,
     FitSpec,
+    LogDiscountedDisparityObjective,
+    SampleStream,
     current_execution,
     use_execution,
 )
@@ -210,7 +215,7 @@ class TestExecutors:
         def fail(*args, **kwargs):
             raise AssertionError("a job with an exportable objective ran in the parent")
 
-        monkeypatch.setattr(DCA, "_run_single_spec", fail)
+        monkeypatch.setattr(DCA, "_fit_many_serial", fail)
         dca = _dca(config)
         batch = dca.fit_many(population, ks=(0.1, 0.2), seeds=(1, 2), executor="process")
         monkeypatch.undo()
@@ -346,19 +351,188 @@ class TestExecutors:
         specs = [FitSpec(seed=1, objective=objective), FitSpec(seed=2)]
         serial = _dca().fit_many(population, specs=specs)
         in_parent = []
-        original = DCA._run_single_spec
+        original = DCA._fit_many_serial
 
-        def spy(self, table, spec, cache):
-            in_parent.append(spec)
-            return original(self, table, spec, cache)
+        def spy(self, table, jobs, cache):
+            in_parent.extend(jobs)
+            return original(self, table, jobs, cache)
 
-        monkeypatch.setattr(DCA, "_run_single_spec", spy)
+        monkeypatch.setattr(DCA, "_fit_many_serial", spy)
         process = _dca().fit_many(population, specs=specs, executor="process")
         assert in_parent == [specs[0]]  # only the signature-less job
         for left, right in zip(serial, process):
             assert np.array_equal(
                 left.result.raw_bonus.values, right.result.raw_bonus.values
             )
+
+
+def _mixed_specs() -> list[FitSpec]:
+    """A batch whose jobs split into stream groups of several shapes.
+
+    2 seeds x 3 ks x 3 objectives share one stream per seed; the rule-sized
+    jobs differ in sample size by k; a second schedule and ``per_phase``
+    draws each form their own group.
+    """
+    objectives = (
+        DisparityObjective(("protected",)),
+        LogDiscountedDisparityObjective(("protected",)),
+        DisparateImpactObjective(("protected",)),
+    )
+    specs = [
+        FitSpec(k=k, seed=seed, objective=objective)
+        for seed in (1, 2)
+        for k in (0.1, 0.2, 0.4)
+        for objective in objectives
+    ]
+    specs += [FitSpec(k=k, seed=1, config=replace(FAST, sample_size=None)) for k in (0.1, 0.2, 0.4)]
+    specs += [
+        FitSpec(k=k, seed=2, config=replace(FAST, learning_rates=(0.5,))) for k in (0.1, 0.4)
+    ]
+    specs += [
+        FitSpec(k=k, seed=1, config=replace(FAST, rng_batching="per_phase")) for k in (0.2, 0.4)
+    ]
+    return specs
+
+
+#: Group sizes of the mixed batch, in first-member order.
+_MIXED_GROUPS = [9, 9, 1, 1, 1, 2, 2]
+
+
+def _assert_same_result(result, reference) -> None:
+    assert np.array_equal(result.core_bonus.values, reference.core_bonus.values)
+    assert np.array_equal(result.raw_bonus.values, reference.raw_bonus.values)
+    assert np.array_equal(result.bonus.values, reference.bonus.values)
+    assert result.sample_size == reference.sample_size
+    assert len(result.traces) == len(reference.traces)
+    for trace, expected in zip(result.traces, reference.traces):
+        assert trace.phase == expected.phase
+        assert np.array_equal(trace.bonus_history, expected.bonus_history)
+        assert np.array_equal(trace.objective_norms, expected.objective_norms)
+
+
+def _spy_groups(monkeypatch) -> list[int]:
+    """Sizes of the stream groups the serial backend runs."""
+    import repro.core.dca as dca_module
+
+    sizes = []
+    original = dca_module._run_group
+
+    def spy(arrays, num_rows, group, compiled_for):
+        sizes.append(len(group.members))
+        return original(arrays, num_rows, group, compiled_for)
+
+    monkeypatch.setattr(dca_module, "_run_group", spy)
+    return sizes
+
+
+class TestStreamGroups:
+    """Jobs that draw one sample stream run in lockstep, bitwise equal to lone fits."""
+
+    @pytest.fixture(scope="class")
+    def references(self, population):
+        """Per spec of the mixed batch: an independent ``DCA.fit`` and the table oracle."""
+        fits, oracles = [], []
+        for spec in _mixed_specs():
+            config = replace(spec.config or FAST, seed=spec.seed)
+            objective = spec.objective or DisparityObjective(("protected",))
+            dca = DCA(
+                objective.attribute_names,
+                ColumnScore("score"),
+                k=spec.k,
+                objective=copy.deepcopy(objective),
+                config=config,
+            )
+            fits.append(dca.fit(population))
+            oracles.append(
+                oracle_fit(
+                    population, ColumnScore("score"), copy.deepcopy(objective), spec.k, config
+                )
+            )
+        return fits, oracles
+
+    def test_seeded_k_sweep_shares_one_stream(self, population, monkeypatch):
+        sizes = _spy_groups(monkeypatch)
+        _dca().fit_many(population, ks=(0.1, 0.2, 0.4), seeds=(1, 2))
+        assert sizes == [3, 3]
+
+    def test_list_learning_rates_group_like_a_tuple(self, population, monkeypatch):
+        """A config given its rates as a list is still a grouping key (hashable)."""
+        sizes = _spy_groups(monkeypatch)
+        listed = replace(FAST, learning_rates=[1.0, 0.1])
+        batch = _dca(listed).fit_many(population, ks=(0.1, 0.2))
+        assert sizes == [2]
+        reference = _dca().fit_many(population, ks=(0.1, 0.2))
+        for left, right in zip(batch, reference):
+            _assert_same_result(left.result, right.result)
+
+    def test_seedless_jobs_never_share_a_stream(self, population, monkeypatch):
+        sizes = _spy_groups(monkeypatch)
+        draws = []
+        original = SampleStream.draw_indices
+
+        def record(self):
+            draws.append(original(self))
+            return draws[-1]
+
+        monkeypatch.setattr(SampleStream, "draw_indices", record)
+        seedless = replace(FAST, seed=None)
+        _dca(seedless).fit_many(population, ks=(0.1, 0.2))
+        assert sizes == [1, 1]
+        steps = 2 * FAST.iterations + FAST.refinement_iterations
+        assert len(draws) == 2 * steps  # one stream per job
+        assert not np.array_equal(draws[0], draws[steps])
+
+    @pytest.mark.parametrize("backend", ["serial", "process", "spawn", "one_worker"])
+    def test_mixed_batch_matches_independent_fits_and_oracle(
+        self, population, references, monkeypatch, backend
+    ):
+        import repro.core.parallel as parallel_module
+
+        if backend == "serial":
+            sizes = _spy_groups(monkeypatch)
+            batch = _dca().fit_many(population, specs=_mixed_specs(), executor="serial")
+            assert sizes == _MIXED_GROUPS
+        else:
+            if backend == "spawn":
+                monkeypatch.setattr(parallel_module, "process_start_method", lambda: "spawn")
+            workers = 1 if backend == "one_worker" else 2
+            batch = _dca().fit_many(
+                population, specs=_mixed_specs(), executor="process", max_workers=workers
+            )
+        fits, oracles = references
+        assert len(batch) == len(fits)
+        for entry, fit, oracle in zip(batch, fits, oracles):
+            _assert_same_result(entry.result, fit)
+            _assert_same_result(entry.result, oracle)
+
+    def test_process_chunks_a_group_per_worker(self, population, monkeypatch):
+        """A five-job group on two workers ships as lockstep chunks of 3 and 2."""
+        import repro.core.dca as dca_module
+
+        chunks = []
+        original = dca_module.execute_process_jobs
+
+        def spy(payload, groups, max_workers):
+            chunks.append([len(group.members) for group in groups])
+            return original(payload, groups, max_workers)
+
+        monkeypatch.setattr(dca_module, "execute_process_jobs", spy)
+        ks = (0.1, 0.2, 0.3, 0.4, 0.5)
+        process = _dca().fit_many(population, ks=ks, executor="process", max_workers=2)
+        serial = _dca().fit_many(population, ks=ks, executor="serial")
+        assert chunks == [[3, 2]]
+        for left, right in zip(serial, process):
+            _assert_same_result(right.result, left.result)
+
+    def test_elapsed_seconds_share_the_group_wall_clock(self, population):
+        """A batched fit reports its share of its group's wall-clock, never more."""
+        start = time.perf_counter()
+        batch = _dca().fit_many(population, ks=(0.1, 0.2, 0.4), seeds=(1, 2))
+        wall = time.perf_counter() - start
+        assert sum(entry.result.elapsed_seconds for entry in batch) <= wall
+        for seed in (1, 2):
+            shares = {entry.result.elapsed_seconds for entry in batch if entry.seed == seed}
+            assert len(shares) == 1 and shares.pop() > 0
 
 
 class _WorkerFault(Exception):
@@ -447,8 +621,9 @@ class TestObjectiveCache:
             ["protected"], ColumnScore("score"), k=0.2, config=FAST, objective_cache=cache
         )
         dca.fit_many(population, seeds=(1, 2, 3, 4))
+        # The batch compiles each signature once, so it asks the cache once.
         assert cache.misses == 1
-        assert cache.hits == 3
+        assert cache.hits == 0
         assert len(cache) == 1
 
     def test_cache_persists_across_fit_many_calls(self, population):
@@ -459,7 +634,7 @@ class TestObjectiveCache:
         dca.fit_many(population, ks=(0.1, 0.2))
         dca.fit_many(population, ks=(0.3, 0.4))
         assert cache.misses == 1
-        assert cache.hits == 3
+        assert cache.hits == 1
 
     def test_cached_results_identical_to_uncached(self, population):
         cached = DCA(

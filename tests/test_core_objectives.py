@@ -189,3 +189,77 @@ class TestCompiledObjectiveContract:
         table, _ = biased_table
         compiled = DisparityObjective(["protected"]).fit(table).compile(table)
         assert compiled.export_state() is not None
+
+
+def _random_population(n: int = 400, seed: int = 8) -> tuple[Table, np.ndarray]:
+    """Two binary groups, a label and tie-heavy scores (rounded to one decimal)."""
+    rng = np.random.default_rng(seed)
+    table = Table(
+        {
+            "group_a": (rng.uniform(size=n) < 0.3).astype(float),
+            "group_b": (rng.uniform(size=n) < 0.6).astype(float),
+            "label": (rng.uniform(size=n) < 0.4).astype(float),
+        }
+    )
+    return table, np.round(rng.normal(size=n), 1)
+
+
+_ALL_OBJECTIVES = [
+    lambda: DisparityObjective(("group_a", "group_b")),
+    lambda: LogDiscountedDisparityObjective(("group_a", "group_b")),
+    lambda: DisparateImpactObjective(("group_a", "group_b")),
+    lambda: FalsePositiveRateObjective(("group_a", "group_b"), label_column="label"),
+    lambda: ExposureGapObjective(("group_a", "group_b")),
+]
+_OBJECTIVE_IDS = ["disparity", "log-discounted", "disparate-impact", "fpr", "exposure"]
+
+
+class TestTake:
+    """``take(indices).evaluate(None, ...)`` is ``evaluate(indices, ...)``, bit for bit."""
+
+    @pytest.mark.parametrize("make_objective", _ALL_OBJECTIVES, ids=_OBJECTIVE_IDS)
+    def test_taken_rows_evaluate_like_indexed_rows(self, make_objective):
+        table, scores = _random_population()
+        compiled = make_objective().fit(table).compile(table)
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            indices = rng.choice(table.num_rows, size=120, replace=False)
+            taken = compiled.take(indices)
+            for k in (0.05, 0.2, 0.5):
+                expected = compiled.evaluate(indices, scores[indices], k)
+                # Twice: the taken rows cache their centroid on first use.
+                for _ in range(2):
+                    assert np.array_equal(taken.evaluate(None, scores[indices], k), expected)
+
+    def test_default_take_defers_to_evaluate(self):
+        from repro.core.objectives import CompiledObjective
+
+        calls = []
+
+        class Recording(CompiledObjective):
+            def evaluate(self, indices, scores, k):
+                calls.append(None if indices is None else indices.tolist())
+                return np.zeros(1)
+
+        taken = Recording().take(np.array([4, 2, 9]))
+        taken.evaluate(None, np.zeros(3), 0.5)
+        taken.evaluate(np.array([2, 0]), np.zeros(2), 0.5)
+        assert calls == [[4, 2, 9], [9, 4]]
+
+
+class TestLogDiscountedGridCache:
+    def test_alternating_k_on_one_instance_matches_fresh_instances(self):
+        """A k sweep shares one compiled instance: its per-k cache must not go stale."""
+        table, scores = _random_population()
+        objective = LogDiscountedDisparityObjective(("group_a", "group_b")).fit(table)
+        shared = objective.compile(table)
+        rng = np.random.default_rng(5)
+        for k in (0.05, 0.3, 0.05, 0.5, 0.3, 0.05, 1.0, 0.02):
+            indices = rng.choice(table.num_rows, size=150, replace=False)
+            fresh = objective.compile(table)
+            assert np.array_equal(
+                shared.evaluate(indices, scores[indices], k),
+                fresh.evaluate(indices, scores[indices], k),
+            )
+            assert np.array_equal(shared._capped_grid(k)[1], fresh._capped_grid(k)[1])
+        assert sorted(shared._grids) == [0.02, 0.05, 0.3, 0.5, 1.0]
