@@ -1,14 +1,15 @@
 """Benchmark: the deferred-acceptance engine against its oracle.
 
 The NYC match assigns on the order of 100k students per year, so the matching
-layer must scale to that size.  ``"vector"`` is the one fast engine;
-``"reference"`` is the pure-Python oracle it is pinned to.  The proposing
-side's optimal stable matching is unique once school tie-breaks make
-preferences strict, so any divergence between the two is a bug.
+layer must scale to that size.  ``deferred_acceptance`` is the one (round-based,
+"vector") engine; the pure-Python oracle it is pinned to lives next to the
+tests, in ``tests/_da_reference_oracle.py``, and is loaded here by path.  The
+proposing side's optimal stable matching is unique once school tie-breaks
+make preferences strict, so any divergence between the two is a bug.
 
-* Student-proposing ``vector`` vs ``reference`` on a 20k-student instance
-  (override with ``REPRO_BENCH_MATCH_STUDENTS``): identical matchings on
-  every run, and ``vector`` at least 3x faster.  Observed margin ~30x on
+* Student-proposing engine vs oracle on a 20k-student instance (override
+  with ``REPRO_BENCH_MATCH_STUDENTS``): identical matchings on every run,
+  and the engine at least 3x faster.  Observed margin ~30x on
   2 cores, so the relative floor holds on any runner.
 * A school-proposing smoke pins the same identity for the school-optimal
   variant at up to 20k students, with no timing assertion.
@@ -20,16 +21,23 @@ Both engine tests record into ``BENCH_matching.json`` with the core count.
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 
 from _bench_record import record_bench, usable_cores
 from repro.matching import deferred_acceptance, generate_student_preferences
 
-#: Cohort size for the engine-vs-oracle comparisons.  The reference engine
-#: is deliberately slow (O(P × c) roster rescans), which bounds this size.
+_ORACLE_PATH = Path(__file__).resolve().parent.parent / "tests" / "_da_reference_oracle.py"
+_spec = importlib.util.spec_from_file_location("_da_reference_oracle", _ORACLE_PATH)
+_oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_oracle)
+
+#: Cohort size for the engine-vs-oracle comparisons.  The oracle is
+#: deliberately slow (O(P × c) roster rescans), which bounds this size.
 MATCH_STUDENTS = int(os.environ.get("REPRO_BENCH_MATCH_STUDENTS", "20000"))
 #: Cohort size for the preference-generation cost check (district scale).
 DISTRICT_STUDENTS = 100_000
@@ -50,12 +58,9 @@ def _district_instance(num_students: int, seed: int = 5):
     return preferences, score_plane, capacities
 
 
-def _run(engine: str, instance, proposing: str = "students"):
-    preferences, score_plane, capacities = instance
+def _run(matcher, instance, proposing: str = "students"):
     start = time.perf_counter()
-    match = deferred_acceptance(
-        preferences, score_plane, capacities, engine=engine, proposing=proposing
-    )
+    match = matcher(*instance, proposing=proposing)
     return time.perf_counter() - start, match
 
 
@@ -77,8 +82,8 @@ def _context(students_key: str, students: int) -> dict:
 
 def test_vector_engine_speedup_and_equivalence_over_reference():
     instance = _district_instance(MATCH_STUDENTS)
-    vector_seconds, vector_match = _run("vector", instance)
-    reference_seconds, reference_match = _run("reference", instance)
+    vector_seconds, vector_match = _run(deferred_acceptance, instance)
+    reference_seconds, reference_match = _run(_oracle.reference_deferred_acceptance, instance)
 
     _assert_identical(vector_match, reference_match)
     record_bench(
@@ -93,7 +98,7 @@ def test_vector_engine_speedup_and_equivalence_over_reference():
         context=_context("vector_vs_reference_students", MATCH_STUDENTS),
     )
     assert vector_seconds * 3.0 < reference_seconds, (
-        f"vector engine {vector_seconds:.2f}s vs reference {reference_seconds:.2f}s "
+        f"engine {vector_seconds:.2f}s vs oracle {reference_seconds:.2f}s "
         f"({reference_seconds / vector_seconds:.1f}x) — expected at least 3x"
     )
 
@@ -103,8 +108,10 @@ def test_school_proposing_engines_identical_at_district_scale():
     # school-proposing variant stays exact at scale.
     students = min(MATCH_STUDENTS, 20_000)
     instance = _district_instance(students, seed=9)
-    vector_seconds, vector_match = _run("vector", instance, proposing="schools")
-    reference_seconds, reference_match = _run("reference", instance, proposing="schools")
+    vector_seconds, vector_match = _run(deferred_acceptance, instance, proposing="schools")
+    reference_seconds, reference_match = _run(
+        _oracle.reference_deferred_acceptance, instance, proposing="schools"
+    )
     _assert_identical(vector_match, reference_match)
     record_bench(
         "matching",

@@ -10,7 +10,7 @@ The pipeline itself is a first-class experiment
 (:mod:`repro.experiments.matching_admissions`, ``repro-experiments run
 matching``): per-school bonus vectors batched through ``DCA.fit_many``, a
 district of screened schools with noisy rubrics, and the round-based
-(vector-engine) deferred-acceptance match.  This example runs it on a small
+deferred-acceptance match.  This example runs it on a small
 district and prints the resulting tables.
 
 Run with::

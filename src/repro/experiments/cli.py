@@ -14,10 +14,10 @@ Run a sweep-heavy experiment on the process pool::
 
     repro-experiments run fig4 --executor process --workers 4
 
-Run the admissions match on the vectorized round-based engine, with schools
-proposing (the school-optimal matching)::
+Run the admissions match with schools proposing (the school-optimal
+matching)::
 
-    repro-experiments run matching --engine vector --proposing schools
+    repro-experiments run matching --proposing schools
 
 Run everything at reduced scale and write the formatted output to a file::
 
@@ -41,7 +41,7 @@ import sys
 from typing import Sequence
 
 from ..core.parallel import use_execution, validate_execution
-from ..matching import ENGINES, PROPOSING_SIDES
+from ..matching import PROPOSING_SIDES
 from . import BATCHED_EXPERIMENTS, EXPERIMENT_RUNNERS
 from .harness import ExperimentResult
 
@@ -53,7 +53,6 @@ EXECUTOR_CHOICES = ("serial", "process")
 #: Runner keyword of each forwarded option -> the flag that sets it.
 RUNNER_OPTION_FLAGS = {
     "num_students": "--num-students",
-    "engine": "--engine",
     "proposing": "--proposing",
 }
 
@@ -99,16 +98,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=None,
-        help=(
-            "deferred-acceptance engine for experiments that run a match: "
-            "'vector' (round-based, the default) or 'reference' (slow "
-            "pure-Python oracle, identical matchings)"
-        ),
-    )
-    parser.add_argument(
         "--proposing",
         choices=PROPOSING_SIDES,
         default=None,
@@ -143,7 +132,6 @@ def _runner_options(args: argparse.Namespace) -> dict[str, object]:
     """The runner options set on the command line, keyed by runner keyword."""
     values = {
         "num_students": args.num_students,
-        "engine": args.engine,
         "proposing": args.proposing,
     }
     return {key: value for key, value in values.items() if value is not None}

@@ -18,7 +18,7 @@ Pipeline
    — the shared admission rubric plus a small per-school screening noise,
    with and without each school's bonus points;
 3. generate student preference lists (vectorized popularity + Gumbel model)
-   and run the round-based vector-engine match on both planes;
+   and run the round-based deferred-acceptance match on both planes;
 4. report per-school admitted-class demographics, the per-attribute
    representation gap against the population shares, and the rank-of-match
    distribution of both matches.
@@ -34,12 +34,7 @@ import numpy as np
 
 from ..core import LogDiscountedDisparityObjective
 from ..core.dca import FitSpec
-from ..matching import (
-    ENGINES,
-    PROPOSING_SIDES,
-    deferred_acceptance,
-    generate_student_preferences,
-)
+from ..matching import PROPOSING_SIDES, deferred_acceptance, generate_student_preferences
 from ..tabular import Table
 from .harness import ExperimentResult
 from .setting import SchoolSetting
@@ -68,18 +63,15 @@ class MatchingSetting:
         seat_fraction: float = DEFAULT_SEAT_FRACTION,
         screening_noise: float = 0.05,
         seed: int = 11,
-        engine: str = "vector",
         proposing: str = "students",
     ) -> None:
         if num_schools <= 0:
             raise ValueError(f"num_schools must be positive, got {num_schools}")
         if not 0.0 < seat_fraction <= 1.0:
             raise ValueError(f"seat_fraction must be in (0, 1], got {seat_fraction}")
-        # Validate the matching knobs eagerly: the per-school DCA fits run
-        # before the match does, and a typo'd engine should not cost minutes
+        # Validate the proposing side eagerly: the per-school DCA fits run
+        # before the match does, and a typo'd side should not cost minutes
         # of fitting before it fails.
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
         if proposing not in PROPOSING_SIDES:
             raise ValueError(
                 f"unknown proposing side {proposing!r}; expected one of {PROPOSING_SIDES}"
@@ -89,7 +81,6 @@ class MatchingSetting:
         self.list_length = int(list_length)
         self.screening_noise = float(screening_noise)
         self.seed = int(seed)
-        self.engine = engine
         self.proposing = proposing
         num_applicants = self.setting.test.table.num_rows
         self.capacities = [
@@ -140,11 +131,7 @@ class MatchingSetting:
 
     def match(self, score_plane: np.ndarray, preferences: np.ndarray):
         return deferred_acceptance(
-            preferences,
-            score_plane,
-            self.capacities,
-            engine=self.engine,
-            proposing=self.proposing,
+            preferences, score_plane, self.capacities, proposing=self.proposing
         )
 
 
@@ -196,14 +183,11 @@ def run(
     list_length: int = 5,
     max_k: float = 0.5,
     seat_fraction: float = DEFAULT_SEAT_FRACTION,
-    engine: str = "vector",
     proposing: str = "students",
 ) -> ExperimentResult:
     """Run the full DCA → deferred-acceptance → demographics pipeline.
 
-    ``engine`` selects the deferred-acceptance engine (``"vector"``, the
-    default, or the slow ``"reference"`` oracle — identical matchings),
-    and ``proposing`` the side that proposes: ``"students"``
+    ``proposing`` selects the side that proposes: ``"students"``
     (default, the student-optimal matching — what the NYC match runs) or
     ``"schools"`` (the school-optimal matching, useful for quantifying how
     much the choice of proposing side costs students).
@@ -213,7 +197,6 @@ def run(
         num_schools=num_schools,
         list_length=list_length,
         seat_fraction=seat_fraction,
-        engine=engine,
         proposing=proposing,
     )
     attributes = setting.setting.fairness_attributes
@@ -263,7 +246,7 @@ def run(
     for fit in fits:
         result.add_note(f"{fit.label} bonus vector: {fit.result.as_dict()}")
     result.add_note(
-        f"engine={engine}; proposing={proposing}; proposals: "
+        f"proposing={proposing}; proposals: "
         f"baseline={baseline_match.proposals_made}, "
         f"compensated={compensated_match.proposals_made}"
     )

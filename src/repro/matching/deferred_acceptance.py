@@ -14,47 +14,41 @@ end-to-end simulation at district scale: generate students, compute each
 school's (bonus-compensated) ranking, run deferred acceptance, and inspect the
 demographics of each school's admitted class.
 
-Engines
--------
+Engine
+------
 
 All ranking forms are normalized **once** into a
 ``(num_schools, num_students)`` float score plane (``NaN`` marks a student a
-school finds unacceptable) before any engine runs.  ``deferred_acceptance``
-then accepts an ``engine`` argument:
+school finds unacceptable), and all preference forms into one
+``(num_students, width)`` ``int64`` matrix right-padded with ``-1`` plus the
+list lengths, before the match runs.  The match is round-based, with no
+per-proposal Python loop at all.  Each round gathers **every** unmatched
+student's next listed school through a pointer array, filters the proposals
+against per-school admission cutoffs, groups the survivors (plus the
+affected schools' current holders) into per-school segments with one
+``np.lexsort``, and admits the top ``capacity`` of each segment.  Per-round
+cost is a handful of NumPy kernels over the active students, so
+district-scale matches are bound by memory bandwidth rather than
+interpreter overhead.
 
-``"vector"`` (default)
-    The round-based engine: no per-proposal Python loop at all.  Each round
-    gathers **every** unmatched student's next listed school through a
-    pointer array, filters the proposals against per-school admission
-    cutoffs, groups the survivors (plus the affected schools' current
-    holders) into per-school segments with one ``np.lexsort``, and admits the
-    top ``capacity`` of each segment.  Per-round cost is a handful of NumPy
-    kernels over the active students, so district-scale matches are bound by
-    memory bandwidth rather than interpreter overhead.
-
-``"reference"``
-    The original pure-Python implementation: per-school ``dict`` rosters and
-    a full ``min()`` rescan on every bump, i.e. O(P × c).  It is kept as the
-    readable oracle the tests pin ``"vector"`` to.
-
-There is no sequential fast engine, because it does not pay.  A min-heap
+There is one engine, because a sequential one does not pay.  A min-heap
 engine (O(P log c), one Python iteration per proposal) measured on 2 cores
-against ``"vector"``, on a 200k-student × 8-school district with
-bitwise-equal matchings: 2.37–2.57 s against 0.33–0.38 s
-student-proposing, 0.67–0.78 s against 0.33–0.34 s school-proposing.  It
-led only on one-proposer-per-round bump chains (18 ms against 56 ms at
-length 500, yet 2.43 s against 0.62 s at length 6000), which no experiment
-or benchmark builds, and on tiny markets (0.26 ms against 0.39 ms at 90
-students).  It is deleted; ``engine="heap"`` is still accepted, with a
-``DeprecationWarning``, and runs ``"vector"``, which returns the same
-matching.
+against this one, on a 200k-student × 8-school district with bitwise-equal
+matchings: 2.37–2.57 s against 0.33–0.38 s student-proposing, 0.67–0.78 s
+against 0.33–0.34 s school-proposing.  It led only on one-proposer-per-round
+bump chains (18 ms against 56 ms at length 500, yet 2.43 s against 0.62 s at
+length 6000), which no experiment or benchmark builds, and on tiny markets
+(0.26 ms against 0.39 ms at 90 students).  It was deleted.
 
-Both engines produce the **identical** matching: the proposing side's
-optimal stable matching is unique once both sides' preferences are strict
-(see *Tie-breaking* below), so the randomized differential suite in
-``tests/test_matching.py`` and the axiom suite in
-``tests/test_matching_properties.py`` pin them to exact equality —
-assignment, rosters, matched ranks, and proposal counts.
+The original pure-Python implementation — per-school ``dict`` rosters and a
+full ``min()`` rescan on every bump, i.e. O(P × c) — lives outside the
+package, as the test oracle ``tests/_da_reference_oracle.py``; at 20k
+students it is 112–369× slower (``benchmarks/BENCH_scenarios.json``).  The
+proposing side's optimal stable matching is unique once both sides'
+preferences are strict (see *Tie-breaking* below), so the randomized
+differential suite in ``tests/test_matching.py`` and the axiom suite in
+``tests/test_matching_properties.py`` pin this engine to the oracle
+exactly — assignment, rosters, matched ranks, and proposal counts.
 
 Proposing side
 --------------
@@ -64,8 +58,8 @@ and returns the *student-optimal* stable matching: every student weakly
 prefers it to any other stable matching.  ``proposing="schools"`` runs the
 dual procedure — schools propose down their ranked applicant lists, students
 hold the best offer from a school they listed — and returns the
-*school-optimal* stable matching.  Both variants exist for every engine, both
-respect exactly the same acceptability rules (a student a school scores
+*school-optimal* stable matching.  Both variants respect exactly the same
+acceptability rules (a student a school scores
 ``NaN`` and a school a student does not list can never be matched), and by
 the rural-hospitals theorem the two variants match the same set of students
 and fill each school to the same count; only *who* goes *where* shifts in the
@@ -74,16 +68,15 @@ schools' favour.
 Tie-breaking
 ------------
 
-School preferences are made strict before any engine runs: equal scores
+School preferences are made strict before the match runs: equal scores
 break in favour of the **lower student index**, i.e. school ``j`` prefers
 student ``a`` to student ``b`` iff ``(score[j, a], -a) > (score[j, b], -b)``.
 Student preferences are strict by construction (a preference list is an
-order).  Every engine and both proposing sides implement this identically —
-the reference engine compares ``(score, -student)`` keys, the vector engine
-sorts segments by ``(-score, student)``, and the school-proposing variants
-issue proposals in exactly that order — so results are deterministic and
-bitwise-identical across engines even on heavily tied integer scores
-(pinned by ``tests/test_matching.py``).
+order).  Both proposing sides implement this identically — student-proposing
+rounds sort segments by ``(-score, student)``, and schools issue proposals
+in exactly that order — so results are deterministic and equal to the
+oracle's (which compares ``(score, -student)`` keys) even on heavily tied
+integer scores (pinned by ``tests/test_matching.py``).
 
 Proposal accounting
 -------------------
@@ -97,27 +90,19 @@ School-proposing, symmetrically: offers to students with a non-empty
 preference list are counted — including offers the student rejects because
 the school is not on their list — while offers to students who listed
 nothing are skipped without being counted.  Deferred acceptance makes the
-same set of proposals regardless of execution order, so every engine reports
+same set of proposals regardless of execution order, so the oracle reports
 the same count.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["ENGINES", "PROPOSING_SIDES", "MatchResult", "deferred_acceptance"]
+__all__ = ["PROPOSING_SIDES", "MatchResult", "deferred_acceptance"]
 
-#: Valid ``engine`` arguments, the default first.
-ENGINES = ("vector", "reference")
-#: Retired engine names that ``deferred_acceptance`` still accepts, with a
-#: ``DeprecationWarning``, and the engine each now runs.  The retired heap
-#: engine produced the same matching as ``"vector"``, so old calls keep
-#: their results.
-_ENGINE_ALIASES = {"heap": "vector"}
 #: Valid ``proposing`` arguments.
 PROPOSING_SIDES = ("students", "schools")
 
@@ -181,74 +166,19 @@ class MatchResult:
         return counts
 
 
-class _Preferences:
-    """Validated student preference lists, in list and padded-matrix form.
-
-    The reference engine iterates per-student Python lists; the vector
-    engine indexes a ``(num_students, width)`` ``int64`` matrix right-padded
-    with ``-1``.  Whichever form the caller supplied is kept as-is and the
-    other is built lazily, so a padded-matrix input (the form
-    :func:`~repro.matching.generate_student_preferences` emits at district
-    scale) reaches the vector engine without a Python round-trip.
-    """
-
-    def __init__(
-        self, lists: list[Sequence[int]] | None = None, matrix: np.ndarray | None = None
-    ) -> None:
-        if (lists is None) == (matrix is None):
-            raise ValueError("exactly one of lists/matrix must be provided")
-        self._lists = lists
-        self._matrix = matrix
-        self._lengths: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        if self._lists is not None:
-            return len(self._lists)
-        return self._matrix.shape[0]
-
-    @property
-    def lists(self) -> list[Sequence[int]]:
-        if self._lists is None:
-            rows = self._matrix.tolist()
-            self._lists = [
-                row[:length] for row, length in zip(rows, self.lengths.tolist())
-            ]
-        return self._lists
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            lengths = self.lengths
-            width = int(lengths.max()) if lengths.size else 0
-            matrix = np.full((len(self._lists), width), -1, dtype=np.int64)
-            for row, prefs in enumerate(self._lists):
-                if len(prefs):
-                    matrix[row, : len(prefs)] = prefs
-            self._matrix = matrix
-        return self._matrix
-
-    @property
-    def lengths(self) -> np.ndarray:
-        if self._lengths is None:
-            if self._matrix is not None:
-                self._lengths = (self._matrix >= 0).sum(axis=1).astype(np.int64)
-            else:
-                self._lengths = np.asarray(
-                    [len(prefs) for prefs in self._lists], dtype=np.int64
-                )
-        return self._lengths
-
-
 def _normalize_preferences(
     student_preferences: Sequence[Sequence[int]] | np.ndarray, num_schools: int
-) -> _Preferences:
-    """Validate preference lists and wrap them in :class:`_Preferences`.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate preference lists; return the padded matrix and the list lengths.
 
-    A 2-D integer array is accepted as a padded preference matrix: each row is
-    one student's list, right-padded with ``-1``.  Padding must be trailing —
-    a ``-1`` followed by a school index is rejected.  School indices must be
-    integers: a float or bool matrix, or a float or bool list entry, is
-    rejected rather than truncated to a school index.
+    The matrix is ``(num_students, width)`` ``int64``, each row one student's
+    list right-padded with ``-1``.  A 2-D integer array is accepted as such a
+    matrix and used as-is (the form
+    :func:`~repro.matching.generate_student_preferences` emits at district
+    scale); padding must be trailing — a ``-1`` followed by a school index is
+    rejected.  School indices must be integers: a float or bool matrix, or a
+    float or bool list entry, is rejected rather than truncated to a school
+    index.
     """
     if isinstance(student_preferences, np.ndarray):
         if student_preferences.ndim != 2:
@@ -272,8 +202,9 @@ def _normalize_preferences(
         valid = matrix >= 0
         if matrix.size and np.any(valid[:, 1:] & ~valid[:, :-1]):
             raise ValueError("preference matrix padding (-1) must be trailing")
-        return _Preferences(matrix=matrix)
-    for student, preferences in enumerate(student_preferences):
+        return matrix, valid.sum(axis=1).astype(np.int64)
+    lists = list(student_preferences)
+    for student, preferences in enumerate(lists):
         for school in preferences:
             if not isinstance(school, (int, np.integer)) or isinstance(school, bool):
                 raise ValueError(
@@ -283,7 +214,13 @@ def _normalize_preferences(
                 raise ValueError(
                     f"student {student} lists unknown school {school} (num_schools={num_schools})"
                 )
-    return _Preferences(lists=list(student_preferences))
+    lengths = np.fromiter((len(prefs) for prefs in lists), dtype=np.int64, count=len(lists))
+    width = int(lengths.max()) if lengths.size else 0
+    matrix = np.full((len(lists), width), -1, dtype=np.int64)
+    matrix[np.arange(width) < lengths[:, np.newaxis]] = np.fromiter(
+        (school for prefs in lists for school in prefs), dtype=np.int64, count=int(lengths.sum())
+    )
+    return matrix, lengths
 
 
 def _normalize_rankings(
@@ -302,6 +239,9 @@ def _normalize_rankings(
       mapping are unacceptable);
     * per school, a sequence of per-student scores; students beyond the end
       of a short sequence are unacceptable.
+
+    A mapping key that is not a student index in ``[0, num_students)``, and
+    a sequence longer than the cohort, are rejected rather than dropped.
     """
     if isinstance(school_rankings, np.ndarray):
         if school_rankings.shape != (num_schools, num_students):
@@ -318,21 +258,38 @@ def _normalize_rankings(
     for school, ranking in enumerate(school_rankings):
         if isinstance(ranking, Mapping):
             for student, value in ranking.items():
-                if 0 <= student < num_students:
-                    plane[school, student] = float(value)
+                if (
+                    not isinstance(student, (int, np.integer))
+                    or isinstance(student, bool)
+                    or not 0 <= student < num_students
+                ):
+                    raise ValueError(
+                        f"school {school} ranks unknown student {student!r} "
+                        f"(num_students={num_students})"
+                    )
+                plane[school, student] = float(value)
         else:
             values = np.asarray(ranking, dtype=float)
-            count = min(values.shape[0], num_students)
-            plane[school, :count] = values[:count]
+            if values.shape[0] > num_students:
+                raise ValueError(
+                    f"school {school} ranks {values.shape[0]} students; "
+                    f"the cohort has {num_students}"
+                )
+            plane[school, : values.shape[0]] = values
     return plane
 
 
 def _validate_capacities(capacities: Sequence[int]) -> list[int]:
-    capacities = [int(capacity) for capacity in capacities]
+    """Seat counts as ``int``; non-integer (float, bool) or negative counts fail."""
+    capacities = list(capacities)
     for school, capacity in enumerate(capacities):
+        if not isinstance(capacity, (int, np.integer)) or isinstance(capacity, bool):
+            raise ValueError(
+                f"school {school} has capacity {capacity!r}: seat counts must be integers"
+            )
         if capacity < 0:
             raise ValueError(f"school {school} has negative capacity {capacity}")
-    return capacities
+    return [int(capacity) for capacity in capacities]
 
 
 def _build_rosters(
@@ -359,7 +316,7 @@ def _build_rosters(
 
 
 # ----------------------------------------------------------------------
-# Student-proposing engines
+# Student-proposing
 # ----------------------------------------------------------------------
 class _RosterRuns:
     """Per-school tentative rosters as two sorted runs each.
@@ -442,8 +399,9 @@ class _RosterRuns:
         return weaker[0], -weaker[1]
 
 
-def _run_vector(
-    preferences: _Preferences,
+def _run_students(
+    pref_matrix: np.ndarray,
+    lengths: np.ndarray,
     score_plane: np.ndarray,
     capacities: list[int],
 ) -> MatchResult:
@@ -464,10 +422,8 @@ def _run_vector(
     so the pre-filter in (b) never drops a proposal the full resolution
     would have admitted.
     """
-    num_students = len(preferences)
+    num_students = pref_matrix.shape[0]
     num_schools = len(capacities)
-    pref_matrix = preferences.matrix
-    lengths = preferences.lengths
     caps = np.asarray(capacities, dtype=np.int64)
     has_seats = caps > 0
 
@@ -552,79 +508,8 @@ def _run_vector(
     )
 
 
-def _run_reference(
-    preferences: list[Sequence[int]],
-    score_plane: np.ndarray,
-    capacities: list[int],
-) -> MatchResult:
-    """The original dict-roster implementation, kept as the readable reference."""
-    num_students = len(preferences)
-    num_schools = len(capacities)
-
-    def score_of(school: int, student: int) -> float | None:
-        value = score_plane[school, student]
-        return None if np.isnan(value) else float(value)
-
-    # next_choice[s]: index into student s's preference list to propose to next.
-    next_choice = np.zeros(num_students, dtype=np.int64)
-    matched_rank = np.full(num_students, -1, dtype=np.int64)
-    assignment = np.full(num_students, -1, dtype=np.int64)
-    # Tentative rosters: per school, dict student -> score.
-    held: list[dict[int, float]] = [dict() for _ in range(num_schools)]
-    free_students = [s for s in range(num_students) if preferences[s]]
-    proposals = 0
-
-    while free_students:
-        student = free_students.pop()
-        prefs = preferences[student]
-        matched = False
-        while next_choice[student] < len(prefs):
-            school = prefs[next_choice[student]]
-            next_choice[student] += 1
-            capacity = capacities[school]
-            if capacity == 0:
-                continue  # a seatless school considers nobody — not a proposal
-            proposals += 1
-            score = score_of(school, student)
-            if score is None:
-                continue  # unacceptable to this school
-            roster = held[school]
-            if len(roster) < capacity:
-                roster[student] = score
-                assignment[student] = school
-                matched_rank[student] = int(next_choice[student]) - 1
-                matched = True
-                break
-            # School is full: bump the weakest held student if this one is better.
-            weakest = min(roster, key=lambda s: (roster[s], -s))
-            if (score, -student) > (roster[weakest], -weakest):
-                del roster[weakest]
-                assignment[weakest] = -1
-                matched_rank[weakest] = -1
-                roster[student] = score
-                assignment[student] = school
-                matched_rank[student] = int(next_choice[student]) - 1
-                if next_choice[weakest] < len(preferences[weakest]):
-                    free_students.append(weakest)
-                matched = True
-                break
-        if not matched:
-            assignment[student] = -1
-
-    rosters = tuple(
-        tuple(sorted(held[school], key=lambda s: (-held[school][s], s)))
-        for school in range(num_schools)
-    )
-    return MatchResult(
-        assignment=assignment,
-        rosters=rosters,
-        proposals_made=proposals,
-        matched_rank=matched_rank,
-    )
-
-
 # ----------------------------------------------------------------------
-# School-proposing engines
+# School-proposing
 # ----------------------------------------------------------------------
 #: held_rank sentinel meaning "this student holds no offer yet" — larger than
 #: any real preference-list position.
@@ -636,7 +521,7 @@ def _school_proposal_order(score_plane: np.ndarray) -> tuple[np.ndarray, np.ndar
 
     A stable argsort of the negated plane orders each row by score descending
     with ties broken by the lower student index — the same strict preference
-    every engine uses — and pushes NaN (unacceptable) students past the
+    the student-proposing side uses — and pushes NaN (unacceptable) students past the
     returned count.
     """
     order = np.argsort(-score_plane, axis=1, kind="stable")
@@ -644,14 +529,13 @@ def _school_proposal_order(score_plane: np.ndarray) -> tuple[np.ndarray, np.ndar
     return order, counts
 
 
-def _student_rank_matrix(preferences: _Preferences, num_schools: int) -> np.ndarray:
+def _student_rank_matrix(matrix: np.ndarray, num_schools: int) -> np.ndarray:
     """``(num_students, num_schools)`` list positions; ``-1`` = not listed.
 
     Columns are written back-to-front so that if a list ever repeats a school
     the *first* occurrence defines the rank, matching ``list.index``.
     """
-    matrix = preferences.matrix
-    ranks = np.full((len(preferences), num_schools), -1, dtype=np.int64)
+    ranks = np.full((matrix.shape[0], num_schools), -1, dtype=np.int64)
     for position in range(matrix.shape[1] - 1, -1, -1):
         column = matrix[:, position]
         listed = np.flatnonzero(column >= 0)
@@ -676,8 +560,9 @@ def _schools_result(
     )
 
 
-def _run_vector_schools(
-    preferences: _Preferences,
+def _run_schools(
+    pref_matrix: np.ndarray,
+    lengths: np.ndarray,
     score_plane: np.ndarray,
     capacities: list[int],
 ) -> MatchResult:
@@ -691,11 +576,11 @@ def _run_vector_schools(
     first entry per student segment); every switch releases a seat at the
     student's previous school, which re-enters the round loop.
     """
-    num_students = len(preferences)
+    num_students = pref_matrix.shape[0]
     num_schools = len(capacities)
     order, counts = _school_proposal_order(score_plane)
-    ranks = _student_rank_matrix(preferences, num_schools)
-    considers = preferences.lengths > 0
+    ranks = _student_rank_matrix(pref_matrix, num_schools)
+    considers = lengths > 0
     caps = np.asarray(capacities, dtype=np.int64)
 
     free = caps.copy()
@@ -745,85 +630,11 @@ def _run_vector_schools(
     )
 
 
-def _run_reference_schools(
-    preferences: list[Sequence[int]],
-    score_plane: np.ndarray,
-    capacities: list[int],
-) -> MatchResult:
-    """Readable pure-Python school-proposing reference.
-
-    Proposal lists are built with plain ``sorted``; a student's opinion of an
-    offer is recomputed with ``list.index`` on every proposal — obviously
-    correct, and O(list length) slower per proposal than the precomputed
-    lookups of the fast engines.
-    """
-    num_students = len(preferences)
-    num_schools = len(capacities)
-
-    proposal_order: list[list[int]] = []
-    for school in range(num_schools):
-        row = score_plane[school]
-        acceptable = [s for s in range(num_students) if not np.isnan(row[s])]
-        acceptable.sort(key=lambda s: (-float(row[s]), s))
-        proposal_order.append(acceptable)
-
-    assignment = [-1] * num_students
-    held_rank = [_NO_OFFER] * num_students
-    free = list(capacities)
-    ptr = [0] * num_schools
-    proposals = 0
-
-    stack = [j for j in range(num_schools) if free[j] > 0 and proposal_order[j]]
-    while stack:
-        school = stack.pop()
-        candidates = proposal_order[school]
-        while free[school] > 0 and ptr[school] < len(candidates):
-            student = candidates[ptr[school]]
-            ptr[school] += 1
-            prefs = preferences[student]
-            if not len(prefs):
-                continue  # a student listing nothing considers no offer
-            proposals += 1
-            if school not in prefs:
-                continue  # the student never listed this school
-            rank = list(prefs).index(school)
-            if rank >= held_rank[student]:
-                continue  # the held offer is at least as good
-            previous = assignment[student]
-            if previous >= 0:
-                if free[previous] == 0 and ptr[previous] < len(proposal_order[previous]):
-                    stack.append(previous)  # regains a seat: resume proposing
-                free[previous] += 1
-            assignment[student] = school
-            held_rank[student] = rank
-            free[school] -= 1
-
-    return _schools_result(
-        np.asarray(assignment, dtype=np.int64),
-        np.asarray(held_rank, dtype=np.int64),
-        score_plane,
-        num_schools,
-        proposals,
-    )
-
-
-_RUNNERS = {
-    ("students", "vector"): _run_vector,
-    ("students", "reference"): lambda prefs, plane, caps: _run_reference(
-        prefs.lists, plane, caps
-    ),
-    ("schools", "vector"): _run_vector_schools,
-    ("schools", "reference"): lambda prefs, plane, caps: _run_reference_schools(
-        prefs.lists, plane, caps
-    ),
-}
-
-
 def deferred_acceptance(
     student_preferences: Sequence[Sequence[int]] | np.ndarray,
     school_rankings: Sequence[Mapping[int, float] | Sequence[float]] | np.ndarray,
     capacities: Sequence[int],
-    engine: str = "vector",
+    *,
     proposing: str = "students",
 ) -> MatchResult:
     """Run deferred acceptance (student- or school-proposing).
@@ -842,16 +653,13 @@ def deferred_acceptance(
         marks unacceptable students), or, per school, a mapping
         ``student -> score`` / a sequence of per-student scores (higher is
         better).  Students missing from a mapping or beyond the end of a
-        short sequence are unacceptable to that school.  Equal scores break
-        in favour of the lower student index, identically in every engine.
+        short sequence are unacceptable to that school; a mapping key outside
+        ``[0, num_students)`` or a sequence longer than the cohort raises
+        ``ValueError``.  Equal scores break in favour of the lower student
+        index.
     capacities:
-        Number of seats at each school.
-    engine:
-        ``"vector"`` (default; the round-based batched engine) or
-        ``"reference"`` (the original pure-Python O(P × c) implementation).
-        Both produce the identical stable matching.  The retired name
-        ``"heap"`` is still accepted with a ``DeprecationWarning`` and runs
-        ``"vector"``.
+        Number of seats at each school: non-negative integers (Python or
+        NumPy); a float or bool seat count raises ``ValueError``.
     proposing:
         ``"students"`` (default) returns the student-optimal stable
         matching; ``"schools"`` runs school-proposing deferred acceptance
@@ -862,22 +670,13 @@ def deferred_acceptance(
     MatchResult
         The stable matching with respect to the given preferences/rankings.
     """
-    if engine in _ENGINE_ALIASES:
-        warnings.warn(
-            f"engine={engine!r} is deprecated; it runs the identical "
-            f"{_ENGINE_ALIASES[engine]!r} engine",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        engine = _ENGINE_ALIASES[engine]
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if proposing not in PROPOSING_SIDES:
         raise ValueError(
             f"unknown proposing side {proposing!r}; expected one of {PROPOSING_SIDES}"
         )
     capacities = _validate_capacities(capacities)
     num_schools = len(capacities)
-    preferences = _normalize_preferences(student_preferences, num_schools)
-    score_plane = _normalize_rankings(school_rankings, num_schools, len(preferences))
-    return _RUNNERS[proposing, engine](preferences, score_plane, capacities)
+    pref_matrix, lengths = _normalize_preferences(student_preferences, num_schools)
+    score_plane = _normalize_rankings(school_rankings, num_schools, pref_matrix.shape[0])
+    run = _run_students if proposing == "students" else _run_schools
+    return run(pref_matrix, lengths, score_plane, capacities)

@@ -1,19 +1,19 @@
 """Scenario simulation harness: Monte-Carlo market-shape stress engine.
 
 The harness stresses the whole stack — cohort generation, DCA fits (serial
-and process-pool), and both deferred-acceptance engines on
-both proposing sides — across synthetic market shapes far beyond the two
-calibrated cohorts: heavy-tailed capacities, clustered preferences,
-intersectional protected groups, tiny districts, zero/oversized-capacity
-mixes, and adversarial tie storms.
+and process-pool), and deferred acceptance on both proposing sides — across
+synthetic market shapes far beyond the two calibrated cohorts: heavy-tailed
+capacities, clustered preferences, intersectional protected groups, tiny
+districts, zero/oversized-capacity mixes, and adversarial tie storms.
 
 Three layers:
 
 * :mod:`~repro.scenarios.configs` — declarative, JSON-serializable,
   fully seeded :class:`ScenarioConfig` dataclasses (six built-ins);
 * :mod:`~repro.scenarios.market` / :mod:`~repro.scenarios.driver` — realize
-  a config as a concrete market and sweep scenario x engine x objective x
-  executor into fairness/runtime envelopes with identity verdicts;
+  a config as a concrete market and sweep scenario x proposing side x
+  objective x executor into fairness/runtime envelopes with cross-executor
+  identity verdicts;
 * :mod:`~repro.scenarios.corpus` — emit small golden instances under
   ``tests/data/scenarios/`` for the tier-1 differential suites.
 

@@ -75,8 +75,8 @@ class CapacitySpec:
     heavy-tailed shape where one magnet school holds most of the seats.
     ``zero_schools`` schools advertise zero seats (they still appear on
     preference lists), and ``oversized_schools`` schools each get more seats
-    than there are students — both shapes the matching engines must agree
-    on exactly.
+    than there are students — both shapes on which the matching engine must
+    agree exactly with its oracle.
     """
 
     seat_fraction: float = 0.15

@@ -9,8 +9,9 @@ under ``tests/data/scenarios/``.
 
 Tier-1 tests replay every committed instance on every run
 (``tests/test_scenarios.py``): they recompute the instance from its embedded
-config, assert the golden numbers still hold, and additionally run the full
-engine grid (``vector == reference`` on both sides).  Regenerate
+config, assert the golden numbers still hold, and additionally match each
+market against the pure-Python oracle ``tests/_da_reference_oracle.py`` on
+both sides.  Regenerate
 after an intentional behaviour change with::
 
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_scenarios.py -q
@@ -72,8 +73,8 @@ def build_instance(config: ScenarioConfig) -> dict:
 
     The fit seed matches the Monte-Carlo driver's trial-0 first-objective
     spec (``config.seed * 1000``), so the corpus pins exactly the numbers the
-    sweep produces.  Matches use the default (vector) engine; the
-    differential tests are what prove the reference engine agrees.
+    sweep produces.  The differential tests are what prove the pure-Python
+    oracle agrees with the matches.
     """
     market = generate_market(config, trial=0)
     table = market.table

@@ -267,21 +267,21 @@ class TestSchoolExperiments:
         assert ddp(setting.test.table, scores, attributes) < expected
 
     def test_matching_setting_rejects_bad_knobs_before_fitting(self):
-        # A typo'd engine/proposing must fail at construction, not after the
-        # per-school DCA fits have already burned minutes at district scale.
-        with pytest.raises(ValueError, match="unknown engine"):
-            matching_admissions.MatchingSetting(num_students=4_000, engine="vectro")
+        # A typo'd proposing side must fail at construction, not after the
+        # per-school DCA fits have already burned minutes at district scale;
+        # there is no engine selector left to pass.
+        with pytest.raises(TypeError, match="engine"):
+            matching_admissions.MatchingSetting(num_students=4_000, engine="vector")
         with pytest.raises(ValueError, match="unknown proposing side"):
             matching_admissions.MatchingSetting(num_students=4_000, proposing="school")
 
     def test_matching_admissions_pipeline_school_proposing_vector(self):
-        # The school-optimal variant on the round-based engine runs the whole
-        # pipeline; the headline demographics finding must hold there too.
+        # The school-optimal variant runs the whole pipeline; the headline
+        # demographics finding must hold there too.
         result = matching_admissions.run(
             num_students=SMALL,
             num_schools=4,
             list_length=4,
-            engine="vector",
             proposing="schools",
         )
         gaps = {
@@ -365,9 +365,9 @@ class TestCLI:
         assert "rank of match" in text
 
     def test_run_matching_both_variants_from_cli(self, tmp_path, capsys):
-        # Both proposing sides run end-to-end from the command line, on the
-        # vector engine; the school-optimal match can only make students
-        # (weakly) worse off, which shows up as fewer first choices.
+        # Both proposing sides run end-to-end from the command line; the
+        # school-optimal match can only make students (weakly) worse off,
+        # which shows up as fewer first choices.
         first_choices = {}
         for proposing in ("students", "schools"):
             output = tmp_path / f"matching-{proposing}.txt"
@@ -377,8 +377,6 @@ class TestCLI:
                     "matching",
                     "--num-students",
                     "4000",
-                    "--engine",
-                    "vector",
                     "--proposing",
                     proposing,
                     "--output",
@@ -388,7 +386,6 @@ class TestCLI:
             assert code == 0
             text = output.read_text()
             assert f"proposing={proposing}" in text
-            assert "engine=vector" in text
             lines = text.splitlines()
             section = lines.index("-- rank of match --")
             baseline_row = next(
@@ -398,13 +395,13 @@ class TestCLI:
         assert first_choices["schools"] <= first_choices["students"]
 
     def test_cli_rejects_unknown_engine(self, capsys):
-        with pytest.raises(SystemExit):
-            cli_main(["run", "matching", "--engine", "quantum"])
-        with pytest.raises(SystemExit):
-            cli_main(["run", "matching", "--proposing", "teachers"])
-        # The deleted sequential engine is no longer a choice.
+        # There is one matching engine, so no --engine value is a choice.
+        for engine in ("quantum", "heap", "vector", "reference"):
+            with pytest.raises(SystemExit) as excinfo:
+                cli_main(["run", "matching", "--engine", engine])
+            assert excinfo.value.code == 2
         with pytest.raises(SystemExit) as excinfo:
-            cli_main(["run", "matching", "--engine", "heap"])
+            cli_main(["run", "matching", "--proposing", "teachers"])
         assert excinfo.value.code == 2
 
     def test_cli_rejects_bad_worker_flags(self, capsys):
@@ -429,9 +426,9 @@ class TestCLI:
         assert "--executor" in err and "--workers" in err
 
     def test_run_rejects_a_flag_the_experiment_does_not_take(self, capsys):
-        assert cli_main(["run", "fig7", "--engine", "vector"]) == 2
+        assert cli_main(["run", "fig7", "--proposing", "schools"]) == 2
         err = capsys.readouterr().err
-        assert "fig7" in err and "--engine" in err
+        assert "fig7" in err and "--proposing" in err
         assert cli_main(["run", "fig10", "--num-students", "500", "--workers", "2"]) == 2
         err = capsys.readouterr().err
         assert "--num-students" in err and "--workers" not in err
@@ -443,21 +440,21 @@ class TestCLI:
 
         calls = {}
 
-        def matcher(engine=None):
-            calls["matcher"] = {"engine": engine}
-            return ExperimentResult(name="matcher", description="takes --engine")
+        def matcher(proposing=None):
+            calls["matcher"] = {"proposing": proposing}
+            return ExperimentResult(name="matcher", description="takes --proposing")
 
         def plain():
             calls["plain"] = {}
             return ExperimentResult(name="plain", description="takes nothing")
 
         monkeypatch.setattr(cli, "EXPERIMENT_RUNNERS", {"matcher": matcher, "plain": plain})
-        assert cli_main(["run-all", "--engine", "vector"]) == 0
-        assert calls == {"matcher": {"engine": "vector"}, "plain": {}}
+        assert cli_main(["run-all", "--proposing", "schools"]) == 0
+        assert calls == {"matcher": {"proposing": "schools"}, "plain": {}}
         calls.clear()
-        assert cli_main(["run-all", "--engine", "vector", "--proposing", "schools"]) == 2
+        assert cli_main(["run-all", "--proposing", "schools", "--num-students", "500"]) == 2
         assert calls == {}  # rejected before any runner ran
-        assert "--proposing" in capsys.readouterr().err
+        assert "--num-students" in capsys.readouterr().err
 
     def test_backend_flags_need_a_batched_experiment(self, monkeypatch, capsys):
         assert cli_main(["run", "table1", "--executor", "process"]) == 2

@@ -1,12 +1,13 @@
 """Tests for the deferred-acceptance matching substrate.
 
-Covers both engines (``vector`` and its ``reference`` oracle) and the
-deprecated ``heap`` name that now runs ``vector``, both proposing sides, the normalized ranking forms (score matrix / mapping /
-sequence), the padded preference-matrix input and its validation, the
+Covers the one engine, ``deferred_acceptance``, and its pure-Python oracle
+(``tests/_da_reference_oracle.py``), both proposing sides, the normalized
+ranking forms (score matrix / mapping / sequence) and their validation, the
+padded preference-matrix input and its validation, capacity validation, the
 pinned ``proposals_made`` accounting, the pinned tie-break (equal scores
 break by the lower student index, identically everywhere), and — because
 the proposing side's optimal stable matching is unique once school
-tie-breaks make preferences strict — exact engine equivalence on randomized
+tie-breaks make preferences strict — exact engine-to-oracle equality on randomized
 adversarial instances: zero-capacity schools, fully-unacceptable students,
 duplicate scores/ties, empty preference lists, empty districts, capacities
 exceeding the cohort, and a long one-proposer-per-round bump chain.  The DA
@@ -21,21 +22,23 @@ import re
 import numpy as np
 import pytest
 
+from _da_reference_oracle import reference_deferred_acceptance
 from repro.matching import deferred_acceptance, generate_student_preferences
 
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:engine='heap' is deprecated:DeprecationWarning"
-)
-
-# "heap" is the retired engine's name; it still runs, as ``vector``, so
-# callers that pass it get the same checks.
-ENGINES = ("heap", "vector", "reference")
+# Test id -> the matcher it runs.  "heap" and "vector" name the retired heap
+# engine and the round-based one; both ids now run ``deferred_acceptance``,
+# the only engine.  "reference" runs the pure-Python oracle.
+MATCHERS = {
+    "heap": deferred_acceptance,
+    "vector": deferred_acceptance,
+    "reference": reference_deferred_acceptance,
+}
 PROPOSING = ("students", "schools")
 
 
-@pytest.fixture(params=ENGINES)
-def engine(request):
-    return request.param
+@pytest.fixture(params=list(MATCHERS))
+def matcher(request):
+    return MATCHERS[request.param]
 
 
 @pytest.fixture(params=PROPOSING)
@@ -51,28 +54,26 @@ def _assert_matches_equal(left, right) -> None:
 
 
 class TestDeferredAcceptance:
-    def test_simple_one_school(self, engine):
-        match = deferred_acceptance(
+    def test_simple_one_school(self, matcher):
+        match = matcher(
             student_preferences=[[0], [0], [0]],
             school_rankings=[[3.0, 2.0, 1.0]],
             capacities=[2],
-            engine=engine,
         )
         assert match.roster(0) == (0, 1)
         assert match.assignment.tolist() == [0, 0, -1]
         assert match.num_unmatched == 1
 
-    def test_students_get_best_feasible_school(self, engine):
+    def test_students_get_best_feasible_school(self, matcher):
         # Both students prefer school 0, which has one seat and prefers student 1.
-        match = deferred_acceptance(
+        match = matcher(
             student_preferences=[[0, 1], [0, 1]],
             school_rankings=[[1.0, 2.0], [1.0, 2.0]],
             capacities=[1, 1],
-            engine=engine,
         )
         assert match.assignment.tolist() == [1, 0]
 
-    def test_stability_no_blocking_pair(self, engine):
+    def test_stability_no_blocking_pair(self, matcher):
         """Verify stability on a random instance: no student/school pair both
         prefer each other to their match."""
         rng = np.random.default_rng(4)
@@ -80,7 +81,7 @@ class TestDeferredAcceptance:
         preferences = generate_student_preferences(num_students, num_schools, list_length=5, rng=rng)
         rankings = [list(rng.uniform(size=num_students)) for _ in range(num_schools)]
         capacities = [8] * num_schools
-        match = deferred_acceptance(preferences, rankings, capacities, engine=engine)
+        match = matcher(preferences, rankings, capacities)
 
         def prefers(student: int, school: int) -> bool:
             assigned = match.assignment[student]
@@ -103,59 +104,54 @@ class TestDeferredAcceptance:
                     f"blocking pair: student {student} preferred by school {school}"
                 )
 
-    def test_respects_capacities(self, engine):
+    def test_respects_capacities(self, matcher):
         rng = np.random.default_rng(1)
         preferences = generate_student_preferences(50, 3, list_length=3, rng=rng)
         rankings = [list(rng.uniform(size=50)) for _ in range(3)]
-        match = deferred_acceptance(preferences, rankings, [5, 7, 9], engine=engine)
+        match = matcher(preferences, rankings, [5, 7, 9])
         assert len(match.roster(0)) <= 5
         assert len(match.roster(1)) <= 7
         assert len(match.roster(2)) <= 9
 
-    def test_rosters_sorted_by_school_preference(self, engine):
-        match = deferred_acceptance(
+    def test_rosters_sorted_by_school_preference(self, matcher):
+        match = matcher(
             student_preferences=[[0], [0], [0]],
             school_rankings=[[1.0, 3.0, 2.0]],
             capacities=[3],
-            engine=engine,
         )
         assert match.roster(0) == (1, 2, 0)
 
-    def test_mapping_rankings_mark_unacceptable_students(self, engine):
+    def test_mapping_rankings_mark_unacceptable_students(self, matcher):
         # Student 1 is not in school 0's ranking and can never be admitted there.
-        match = deferred_acceptance(
+        match = matcher(
             student_preferences=[[0], [0]],
             school_rankings=[{0: 1.0}],
             capacities=[2],
-            engine=engine,
         )
         assert match.assignment.tolist() == [0, -1]
 
-    def test_short_sequence_ranking_marks_tail_unacceptable(self, engine):
+    def test_short_sequence_ranking_marks_tail_unacceptable(self, matcher):
         # School 0's score list only covers student 0; student 1 is unacceptable.
-        match = deferred_acceptance(
+        match = matcher(
             student_preferences=[[0], [0]],
             school_rankings=[[1.0]],
             capacities=[2],
-            engine=engine,
         )
         assert match.assignment.tolist() == [0, -1]
 
-    def test_zero_capacity_school(self, engine):
-        match = deferred_acceptance(
+    def test_zero_capacity_school(self, matcher):
+        match = matcher(
             student_preferences=[[0, 1]],
             school_rankings=[[1.0], [1.0]],
             capacities=[0, 1],
-            engine=engine,
         )
         assert match.assignment.tolist() == [1]
 
-    def test_empty_preference_list_student_unmatched(self, engine):
-        match = deferred_acceptance(
+    def test_empty_preference_list_student_unmatched(self, matcher):
+        match = matcher(
             student_preferences=[[], [0]],
             school_rankings=[[1.0, 2.0]],
             capacities=[1],
-            engine=engine,
         )
         assert match.assignment.tolist() == [-1, 0]
 
@@ -166,50 +162,87 @@ class TestDeferredAcceptance:
             deferred_acceptance([[5]], [[1.0]], [1])  # unknown school
         with pytest.raises(ValueError):
             deferred_acceptance([[0]], [[1.0]], [-1])  # negative capacity
-        with pytest.raises(ValueError):
-            deferred_acceptance([[0]], [[1.0]], [1], engine="quantum")  # unknown engine
+        with pytest.raises(TypeError):
+            deferred_acceptance([[0]], [[1.0]], [1], engine="quantum")  # no engine selector
         with pytest.raises(ValueError):
             deferred_acceptance([[0]], np.zeros((2, 1)), [1])  # score matrix shape
 
-    def test_higher_ranked_student_displaces_lower(self, engine):
+    def test_higher_ranked_student_displaces_lower(self, matcher):
         # Student 2 applies last but is the school's favourite.
-        match = deferred_acceptance(
+        match = matcher(
             student_preferences=[[0], [0], [0]],
             school_rankings=[[2.0, 1.0, 3.0]],
             capacities=[2],
-            engine=engine,
         )
         assert set(match.roster(0)) == {0, 2}
 
 
+class TestRankingAndCapacityValidation:
+    """Malformed rankings and seat counts fail loudly, naming the school and
+    the value, instead of being truncated or dropped."""
+
+    @pytest.mark.parametrize(
+        "capacity",
+        [1.9, 2.0, np.float64(1.0), True, np.bool_(True)],
+        ids=["fractional", "integral-float", "np-float64", "bool", "np-bool"],
+    )
+    def test_non_integer_capacity_rejected(self, capacity):
+        # Truncating with int() would read 1.9 as one seat and True as one.
+        message = re.escape(f"school 1 has capacity {capacity!r}")
+        with pytest.raises(ValueError, match=message):
+            deferred_acceptance([[0], [1]], [[1.0, 2.0]] * 2, [1, capacity])
+
+    def test_numpy_integer_capacities_accepted(self):
+        capacities = [np.int64(1), np.uint8(1)]
+        match = deferred_acceptance([[0], [1]], [[1.0, 2.0]] * 2, capacities)
+        assert match.assignment.tolist() == [0, 1]
+        match = deferred_acceptance([[0], [1]], [[1.0, 2.0]] * 2, np.array([1, 1]))
+        assert match.assignment.tolist() == [0, 1]
+
+    @pytest.mark.parametrize(
+        "student",
+        [7, 2, -1, 0.0, True],
+        ids=["far", "one-past", "negative", "float", "bool"],
+    )
+    def test_mapping_key_outside_cohort_rejected(self, student):
+        # Two students: a key that is not a student index in [0, 2) names
+        # nobody, so it is a caller error, not an unacceptable student.
+        message = re.escape(f"school 1 ranks unknown student {student!r}")
+        with pytest.raises(ValueError, match=message):
+            deferred_acceptance([[0], [1]], [{0: 1.0}, {student: 9.0, 1: 5.0}], [1, 1])
+
+    def test_long_sequence_ranking_rejected(self):
+        # Three scores for a two-student cohort cannot be matched to students.
+        with pytest.raises(ValueError, match="school 0 ranks 3 students; the cohort has 2"):
+            deferred_acceptance([[0], [0]], [[1.0, 2.0, 3.0]], [1])
+
+
 class TestScoreMatrixInput:
-    def test_score_matrix_equivalent_to_sequences(self, engine):
+    def test_score_matrix_equivalent_to_sequences(self, matcher):
         rng = np.random.default_rng(3)
         preferences = generate_student_preferences(30, 4, list_length=3, rng=rng)
         plane = rng.normal(size=(4, 30))
         capacities = [4, 4, 4, 4]
-        from_matrix = deferred_acceptance(preferences, plane, capacities, engine=engine)
-        from_lists = deferred_acceptance(
-            preferences, [list(row) for row in plane], capacities, engine=engine
-        )
+        from_matrix = matcher(preferences, plane, capacities)
+        from_lists = matcher(preferences, [list(row) for row in plane], capacities)
         assert np.array_equal(from_matrix.assignment, from_lists.assignment)
         assert from_matrix.rosters == from_lists.rosters
         assert from_matrix.proposals_made == from_lists.proposals_made
 
-    def test_nan_in_score_matrix_marks_unacceptable(self, engine):
+    def test_nan_in_score_matrix_marks_unacceptable(self, matcher):
         plane = np.array([[np.nan, 1.0]])
-        match = deferred_acceptance([[0], [0]], plane, [2], engine=engine)
+        match = matcher([[0], [0]], plane, [2])
         assert match.assignment.tolist() == [-1, 0]
 
 
 class TestPreferenceMatrixInput:
-    def test_padded_matrix_equivalent_to_lists(self, engine):
+    def test_padded_matrix_equivalent_to_lists(self, matcher):
         lists = [[2, 0], [1], [], [0, 1, 2]]
         matrix = np.array([[2, 0, -1], [1, -1, -1], [-1, -1, -1], [0, 1, 2]])
         rankings = [[1.0, 2.0, 3.0, 4.0]] * 3
         for capacities in ([1, 1, 1], [0, 2, 1]):
-            a = deferred_acceptance(lists, rankings, capacities, engine=engine)
-            b = deferred_acceptance(matrix, rankings, capacities, engine=engine)
+            a = matcher(lists, rankings, capacities)
+            b = matcher(matrix, rankings, capacities)
             assert np.array_equal(a.assignment, b.assignment)
             assert a.rosters == b.rosters
             assert a.proposals_made == b.proposals_made
@@ -225,30 +258,28 @@ class TestPreferenceMatrixInput:
         with pytest.raises(ValueError):
             deferred_acceptance(np.array([[-2]]), [[1.0]], [1])
 
-    def test_float_matrix_rejected_not_truncated(self, engine):
+    def test_float_matrix_rejected_not_truncated(self, matcher):
         # Truncation would read [0.9, 1.7] as schools [0, 1].
         matrix = np.array([[0.9, 1.7], [1.0, 0.0]])
         with pytest.raises(ValueError, match=r"student 0 lists \[0\.9, 1\.7\]"):
-            deferred_acceptance(matrix, [[1.0, 2.0]] * 2, [1, 1], engine=engine)
+            matcher(matrix, [[1.0, 2.0]] * 2, [1, 1])
 
-    def test_bool_matrix_rejected(self, engine):
+    def test_bool_matrix_rejected(self, matcher):
         with pytest.raises(ValueError, match=r"dtype bool: student 0 lists \[True\]"):
-            deferred_acceptance(
-                np.array([[True], [False]]), [[1.0, 2.0]] * 2, [1, 1], engine=engine
-            )
+            matcher(np.array([[True], [False]]), [[1.0, 2.0]] * 2, [1, 1])
 
     @pytest.mark.parametrize(
         "entry",
         [0.5, 1.0, np.float64(0.0), True, np.bool_(False)],
         ids=["float", "integral-float", "np-float64", "bool", "np-bool"],
     )
-    def test_non_integer_list_entry_rejected(self, engine, entry):
+    def test_non_integer_list_entry_rejected(self, matcher, entry):
         with pytest.raises(ValueError, match=re.escape(f"student 1 lists {entry!r}")):
-            deferred_acceptance([[0], [entry]], [[1.0, 2.0]] * 2, [1, 1], engine=engine)
+            matcher([[0], [entry]], [[1.0, 2.0]] * 2, [1, 1])
 
-    def test_numpy_integer_list_entries_accepted(self, engine):
+    def test_numpy_integer_list_entries_accepted(self, matcher):
         lists = [[np.int64(1), np.int32(0)], [np.uint8(0)]]
-        match = deferred_acceptance(lists, [[1.0, 2.0]] * 2, [1, 1], engine=engine)
+        match = matcher(lists, [[1.0, 2.0]] * 2, [1, 1])
         assert match.assignment.tolist() == [1, 0]
 
 
@@ -257,32 +288,29 @@ class TestProposalAccounting:
     schools are skipped without being counted; applications a seated school
     rejects for unacceptability are counted."""
 
-    def test_zero_capacity_school_not_counted(self, engine):
-        match = deferred_acceptance(
+    def test_zero_capacity_school_not_counted(self, matcher):
+        match = matcher(
             student_preferences=[[0, 1]],
             school_rankings=[[1.0], [1.0]],
             capacities=[0, 1],
-            engine=engine,
         )
         assert match.proposals_made == 1
 
-    def test_unacceptable_application_counted(self, engine):
-        match = deferred_acceptance(
+    def test_unacceptable_application_counted(self, matcher):
+        match = matcher(
             student_preferences=[[0], [0]],
             school_rankings=[{0: 1.0}],
             capacities=[2],
-            engine=engine,
         )
         assert match.proposals_made == 2
 
-    def test_exact_count_with_bump_chain(self, engine):
+    def test_exact_count_with_bump_chain(self, matcher):
         # s0: zero-capacity school first, then school 1 (bumps s1 out);
         # s1: seated then bumped, list exhausted; s2: unacceptable at school 1.
-        match = deferred_acceptance(
+        match = matcher(
             student_preferences=[[0, 1], [1], [1]],
             school_rankings=[{}, {0: 2.0, 1: 1.0}],
             capacities=[0, 1],
-            engine=engine,
         )
         assert match.assignment.tolist() == [1, -1, -1]
         # Counted: s0 -> school 1, s1 -> school 1, s2 -> school 1.  The
@@ -290,13 +318,13 @@ class TestProposalAccounting:
         assert match.proposals_made == 3
         assert match.matched_rank.tolist() == [1, -1, -1]
 
-    def test_count_equals_sum_of_list_positions_consumed(self, engine):
+    def test_count_equals_sum_of_list_positions_consumed(self, matcher):
         # Without zero-capacity or unacceptable entries, every consumed list
         # position is one counted proposal.
         rng = np.random.default_rng(9)
         preferences = generate_student_preferences(40, 4, list_length=3, rng=rng)
         rankings = rng.normal(size=(4, 40))
-        match = deferred_acceptance(preferences, rankings, [6] * 4, engine=engine)
+        match = matcher(preferences, rankings, [6] * 4)
         consumed = 0
         for student, prefs in enumerate(preferences):
             school = match.assignment[student]
@@ -305,11 +333,11 @@ class TestProposalAccounting:
 
 
 class TestMatchedRank:
-    def test_matched_rank_points_into_preference_lists(self, engine):
+    def test_matched_rank_points_into_preference_lists(self, matcher):
         rng = np.random.default_rng(12)
         preferences = generate_student_preferences(50, 5, list_length=4, rng=rng)
         rankings = rng.normal(size=(5, 50))
-        match = deferred_acceptance(preferences, rankings, [7] * 5, engine=engine)
+        match = matcher(preferences, rankings, [7] * 5)
         for student, prefs in enumerate(preferences):
             school = match.assignment[student]
             rank = match.matched_rank[student]
@@ -318,23 +346,22 @@ class TestMatchedRank:
             else:
                 assert prefs[rank] == school
 
-    def test_rank_distribution_sums_to_cohort(self, engine):
+    def test_rank_distribution_sums_to_cohort(self, matcher):
         rng = np.random.default_rng(13)
         preferences = generate_student_preferences(80, 5, list_length=3, rng=rng)
         rankings = rng.normal(size=(5, 80))
-        match = deferred_acceptance(preferences, rankings, [10] * 5, engine=engine)
+        match = matcher(preferences, rankings, [10] * 5)
         counts = match.rank_distribution(3)
         assert counts.shape == (4,)
         assert counts.sum() == 80
         assert counts[3] == match.num_unmatched
 
-    def test_rank_distribution_rejects_uncovered_ranks(self, engine):
+    def test_rank_distribution_rejects_uncovered_ranks(self, matcher):
         # matched_rank is [1, 0, -1]: student 0 lands on their second choice.
-        match = deferred_acceptance(
+        match = matcher(
             student_preferences=[[0, 1], [0, 1], [1]],
             school_rankings=[[1.0, 2.0, 0.0], [3.0, 2.0, 1.0]],
             capacities=[1, 1],
-            engine=engine,
         )
         assert match.matched_rank.tolist() == [1, 0, -1]
         with pytest.raises(ValueError):
@@ -346,69 +373,57 @@ class TestSchoolProposing:
     """Semantics of ``proposing="schools"``: the school-optimal matching,
     with mirrored acceptability rules and proposal accounting."""
 
-    def test_diverges_from_student_optimal_on_classic_instance(self, engine):
+    def test_diverges_from_student_optimal_on_classic_instance(self, matcher):
         # Both sides disagree about who should get what: students want
         # (s0->0, s1->1), schools want the opposite.  The proposing side wins.
         preferences = [[0, 1], [1, 0]]
         plane = np.array([[1.0, 2.0], [2.0, 1.0]])
-        students = deferred_acceptance(
-            preferences, plane, [1, 1], engine=engine, proposing="students"
-        )
-        schools = deferred_acceptance(
-            preferences, plane, [1, 1], engine=engine, proposing="schools"
-        )
+        students = matcher(preferences, plane, [1, 1], proposing="students")
+        schools = matcher(preferences, plane, [1, 1], proposing="schools")
         assert students.assignment.tolist() == [0, 1]
         assert schools.assignment.tolist() == [1, 0]
         assert students.matched_rank.tolist() == [0, 0]
         assert schools.matched_rank.tolist() == [1, 1]
 
-    def test_unlisted_school_cannot_match_student(self, engine):
+    def test_unlisted_school_cannot_match_student(self, matcher):
         # School 1 would love student 0, but student 0 never listed it.
-        match = deferred_acceptance(
-            [[0]], [[1.0], [5.0]], [1, 1], engine=engine, proposing="schools"
-        )
+        match = matcher([[0]], [[1.0], [5.0]], [1, 1], proposing="schools")
         assert match.assignment.tolist() == [0]
 
-    def test_nan_student_never_proposed_to(self, engine):
-        match = deferred_acceptance(
+    def test_nan_student_never_proposed_to(self, matcher):
+        match = matcher(
             [[0], [0]],
             np.array([[np.nan, 1.0]]),
             [2],
-            engine=engine,
             proposing="schools",
         )
         assert match.assignment.tolist() == [-1, 0]
 
-    def test_capacity_respected(self, engine):
+    def test_capacity_respected(self, matcher):
         rng = np.random.default_rng(21)
         preferences = generate_student_preferences(50, 3, list_length=3, rng=rng)
         plane = rng.normal(size=(3, 50))
-        match = deferred_acceptance(
-            preferences, plane, [5, 7, 9], engine=engine, proposing="schools"
-        )
+        match = matcher(preferences, plane, [5, 7, 9], proposing="schools")
         assert [len(match.roster(j)) for j in range(3)] == [5, 7, 9]
 
-    def test_offer_to_empty_list_student_not_counted(self, engine):
+    def test_offer_to_empty_list_student_not_counted(self, matcher):
         # Student 1 lists nothing: the school's offer is skipped silently.
         # Student 0 lists only school 1: school 0's offer is counted and
         # declined.  Counted offers: school0->s0, school1->s0.
-        match = deferred_acceptance(
+        match = matcher(
             [[1], []],
             np.array([[2.0, 1.0], [1.0, np.nan]]),
             [1, 1],
-            engine=engine,
             proposing="schools",
         )
         assert match.assignment.tolist() == [1, -1]
         assert match.proposals_made == 2
 
-    def test_matched_rank_points_into_preference_lists(self, engine):
+    def test_matched_rank_points_into_preference_lists(self, matcher):
         rng = np.random.default_rng(5)
         preferences = generate_student_preferences(60, 5, list_length=4, rng=rng)
         plane = rng.normal(size=(5, 60))
-        match = deferred_acceptance(
-            preferences, plane, [7] * 5, engine=engine, proposing="schools"
-        )
+        match = matcher(preferences, plane, [7] * 5, proposing="schools")
         for student, prefs in enumerate(preferences):
             school = match.assignment[student]
             rank = match.matched_rank[student]
@@ -424,45 +439,41 @@ class TestSchoolProposing:
 
 class TestTieBreakDeterminism:
     """Equal scores break in favour of the lower student index — identically
-    in every engine and on both proposing sides, so heavily tied rubrics
+    in the engine, in the oracle and on both proposing sides, so heavily tied rubrics
     (integer scores, shared cut-offs) still give one deterministic match."""
 
-    def test_all_tied_scores_admit_lowest_indices(self, engine, proposing):
-        match = deferred_acceptance(
+    def test_all_tied_scores_admit_lowest_indices(self, matcher, proposing):
+        match = matcher(
             [[0]] * 5,
             [[1.0] * 5],
             [2],
-            engine=engine,
             proposing=proposing,
         )
         assert match.roster(0) == (0, 1)
         assert match.assignment.tolist() == [0, 0, -1, -1, -1]
 
-    def test_tied_bump_prefers_lower_index(self, engine):
+    def test_tied_bump_prefers_lower_index(self, matcher):
         # Student 2 proposes last with a tied score: the incumbent holders
         # (lower indices) keep their seats.
-        match = deferred_acceptance(
+        match = matcher(
             [[0], [0], [0]],
             [[2.0, 2.0, 2.0]],
             [2],
-            engine=engine,
         )
         assert match.roster(0) == (0, 1)
         # ...but a strictly better late proposal still bumps the weakest.
-        match = deferred_acceptance(
+        match = matcher(
             [[0], [0], [0]],
             [[2.0, 2.0, 3.0]],
             [2],
-            engine=engine,
         )
         assert match.roster(0) == (2, 0)
 
-    def test_tied_rosters_order_by_student_index(self, engine, proposing):
-        match = deferred_acceptance(
+    def test_tied_rosters_order_by_student_index(self, matcher, proposing):
+        match = matcher(
             [[0]] * 4,
             [[7.0, 7.0, 7.0, 7.0]],
             [4],
-            engine=engine,
             proposing=proposing,
         )
         assert match.roster(0) == (0, 1, 2, 3)
@@ -478,17 +489,15 @@ class TestTieBreakDeterminism:
         plane = rng.integers(0, 2, size=(num_schools, num_students)).astype(float)
         capacities = [7] * num_schools
         results = [
-            deferred_acceptance(
-                preferences, plane, capacities, engine=engine, proposing=proposing
-            )
-            for engine in ENGINES
+            matcher(preferences, plane, capacities, proposing=proposing)
+            for matcher in MATCHERS.values()
         ]
         for other in results[1:]:
             _assert_matches_equal(results[0], other)
 
 
 def _random_instance(rng: np.random.Generator):
-    """A randomized instance stressing every edge the engines must agree on."""
+    """A randomized instance stressing every edge engine and oracle must agree on."""
     num_students = int(rng.integers(1, 90))
     num_schools = int(rng.integers(1, 9))
     preferences = []
@@ -558,32 +567,35 @@ def _bump_chain(n: int, proposing: str):
 
 class TestEngineEquivalence:
     """The proposing side's optimal stable matching is unique (school
-    preferences are made strict by the ``-student`` tie-break), so both
-    engines must agree *exactly* — assignment, rosters, matched ranks, and
-    the proposal count, which is order-independent for deferred acceptance."""
+    preferences are made strict by the ``-student`` tie-break), so the engine
+    and the oracle must agree *exactly* — assignment, rosters, matched ranks,
+    and the proposal count, which is order-independent for deferred
+    acceptance."""
 
     @pytest.mark.parametrize("seed", range(25))
     def test_randomized_instances_three_way(self, seed, proposing):
         preferences, rankings, capacities = _random_instance(np.random.default_rng(seed))
         results = {
-            engine: deferred_acceptance(
-                preferences, rankings, capacities, engine=engine, proposing=proposing
-            )
-            for engine in ENGINES
+            name: matcher(preferences, rankings, capacities, proposing=proposing)
+            for name, matcher in MATCHERS.items()
         }
         _assert_matches_equal(results["heap"], results["reference"])
         _assert_matches_equal(results["vector"], results["reference"])
 
     def test_heap_name_warns_and_runs_vector(self, proposing):
+        # The retired engine name is no longer accepted: there is no engine
+        # selector left, and the plain call is the oracle's matching.
         preferences, rankings, capacities = _random_instance(np.random.default_rng(3))
-        with pytest.warns(DeprecationWarning, match="engine='heap' is deprecated"):
-            heap = deferred_acceptance(
+        with pytest.raises(TypeError, match="engine"):
+            deferred_acceptance(
                 preferences, rankings, capacities, engine="heap", proposing=proposing
             )
-        vector = deferred_acceptance(
-            preferences, rankings, capacities, engine="vector", proposing=proposing
+        _assert_matches_equal(
+            deferred_acceptance(preferences, rankings, capacities, proposing=proposing),
+            reference_deferred_acceptance(
+                preferences, rankings, capacities, proposing=proposing
+            ),
         )
-        _assert_matches_equal(heap, vector)
 
     @pytest.mark.parametrize(
         "capacities",
@@ -600,10 +612,8 @@ class TestEngineEquivalence:
         plane = rng.integers(0, 3, size=(3, 40)).astype(float)
         plane[:, 0] = np.nan  # a fully-unacceptable student
         results = [
-            deferred_acceptance(
-                preferences, plane, capacities, engine=engine, proposing=proposing
-            )
-            for engine in ENGINES
+            matcher(preferences, plane, capacities, proposing=proposing)
+            for matcher in MATCHERS.values()
         ]
         for other in results[1:]:
             _assert_matches_equal(results[0], other)
@@ -617,24 +627,20 @@ class TestEngineEquivalence:
         plane[rng.random((12, 400)) < 0.05] = np.nan
         capacities = [0, 10, 25, 25, 25, 25, 25, 25, 25, 25, 25, 25]
         results = [
-            deferred_acceptance(
-                preferences, plane, capacities, engine=engine, proposing=proposing
-            )
-            for engine in ENGINES
+            matcher(preferences, plane, capacities, proposing=proposing)
+            for matcher in MATCHERS.values()
         ]
         for other in results[1:]:
             _assert_matches_equal(results[0], other)
 
     def test_long_bump_chain(self, proposing):
-        # The serial regime: after round one, every round of the vector
-        # engine holds a single proposal.
+        # The serial regime: after round one, every round of the engine
+        # holds a single proposal.
         n = 300
         preferences, plane, capacities = _bump_chain(n, proposing)
         vector, reference = (
-            deferred_acceptance(
-                preferences, plane, capacities, engine=engine, proposing=proposing
-            )
-            for engine in ("vector", "reference")
+            matcher(preferences, plane, capacities, proposing=proposing)
+            for matcher in (deferred_acceptance, reference_deferred_acceptance)
         )
         _assert_matches_equal(vector, reference)
         assert vector.proposals_made == 2 * n

@@ -1,10 +1,10 @@
 """Property-based suite: the deferred-acceptance axioms on random instances.
 
-``tests/test_matching.py`` pins the engines to *each other*; this
-module pins them to the *theory*.  On seeded randomized instances (heavy
-ties, NaN-unacceptable pairings, fully-unacceptable students, zero-capacity
-schools, oversized capacities, empty preference lists) every engine and both
-proposing sides must satisfy the Gale–Shapley axioms:
+``tests/test_matching.py`` pins the engine to its oracle; this module pins
+both to the *theory*.  On seeded randomized instances (heavy ties,
+NaN-unacceptable pairings, fully-unacceptable students, zero-capacity
+schools, oversized capacities, empty preference lists) the engine, the
+oracle and both proposing sides must satisfy the Gale–Shapley axioms:
 
 * **feasibility** — rosters within capacity, every match mutually
   acceptable (student listed the school, school scores the student), the
@@ -28,20 +28,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from _da_reference_oracle import reference_deferred_acceptance
 from repro.matching import deferred_acceptance
 
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:engine='heap' is deprecated:DeprecationWarning"
-)
-
-# "heap" is the retired engine's name; it still runs, as ``vector``.
-ENGINES = ("heap", "vector", "reference")
+# Test id -> the matcher it runs: "heap" (the retired engine's name) and
+# "vector" both run ``deferred_acceptance``; "reference" runs the oracle.
+MATCHERS = {
+    "heap": deferred_acceptance,
+    "vector": deferred_acceptance,
+    "reference": reference_deferred_acceptance,
+}
 SEEDS = range(18)
 
 
-@pytest.fixture(params=ENGINES)
-def engine(request):
-    return request.param
+@pytest.fixture(params=list(MATCHERS))
+def matcher(request):
+    return MATCHERS[request.param]
 
 
 def _instance(seed: int):
@@ -79,11 +81,9 @@ def _school_prefers(plane, school, a, b) -> bool:
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("proposing", ("students", "schools"))
-def test_feasibility_and_view_consistency(seed, engine, proposing):
+def test_feasibility_and_view_consistency(seed, matcher, proposing):
     preferences, plane, capacities = _instance(seed)
-    match = deferred_acceptance(
-        preferences, plane, capacities, engine=engine, proposing=proposing
-    )
+    match = matcher(preferences, plane, capacities, proposing=proposing)
 
     seen: set[int] = set()
     for school, roster in enumerate(match.rosters):
@@ -136,11 +136,9 @@ def _assert_stable(preferences, plane, capacities, match) -> None:
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("proposing", ("students", "schools"))
-def test_no_blocking_pair(seed, engine, proposing):
+def test_no_blocking_pair(seed, matcher, proposing):
     preferences, plane, capacities = _instance(seed)
-    match = deferred_acceptance(
-        preferences, plane, capacities, engine=engine, proposing=proposing
-    )
+    match = matcher(preferences, plane, capacities, proposing=proposing)
     _assert_stable(preferences, plane, capacities, match)
 
 
@@ -148,17 +146,13 @@ def test_no_blocking_pair(seed, engine, proposing):
 # optimality of each proposing side
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
-def test_student_proposing_is_student_optimal(seed, engine):
+def test_student_proposing_is_student_optimal(seed, matcher):
     """Every student weakly prefers the student-proposing outcome to the
     school-proposing one (the student-optimal matching dominates every
     stable matching, of which the school-optimal one is the extreme)."""
     preferences, plane, capacities = _instance(seed)
-    student_optimal = deferred_acceptance(
-        preferences, plane, capacities, engine=engine, proposing="students"
-    )
-    school_optimal = deferred_acceptance(
-        preferences, plane, capacities, engine=engine, proposing="schools"
-    )
+    student_optimal = matcher(preferences, plane, capacities, proposing="students")
+    school_optimal = matcher(preferences, plane, capacities, proposing="schools")
     for student in range(len(preferences)):
         ours = int(student_optimal.matched_rank[student])
         theirs = int(school_optimal.matched_rank[student])
@@ -169,18 +163,14 @@ def test_student_proposing_is_student_optimal(seed, engine):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_school_proposing_is_school_optimal(seed, engine):
+def test_school_proposing_is_school_optimal(seed, matcher):
     """Every school weakly prefers its school-proposing roster, seat by
     seat: with responsive preferences the school-optimal stable matching
     dominates elementwise (students in one roster but not the other are
     uniformly ordered between two stable matchings)."""
     preferences, plane, capacities = _instance(seed)
-    student_optimal = deferred_acceptance(
-        preferences, plane, capacities, engine=engine, proposing="students"
-    )
-    school_optimal = deferred_acceptance(
-        preferences, plane, capacities, engine=engine, proposing="schools"
-    )
+    student_optimal = matcher(preferences, plane, capacities, proposing="students")
+    school_optimal = matcher(preferences, plane, capacities, proposing="schools")
     for school in range(len(capacities)):
         preferred = school_optimal.roster(school)
         fallback = student_optimal.roster(school)
@@ -191,16 +181,12 @@ def test_school_proposing_is_school_optimal(seed, engine):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_rural_hospitals(seed, engine):
+def test_rural_hospitals(seed, matcher):
     """Both stable matchings match the same students and fill every school
     to the same count."""
     preferences, plane, capacities = _instance(seed)
-    student_optimal = deferred_acceptance(
-        preferences, plane, capacities, engine=engine, proposing="students"
-    )
-    school_optimal = deferred_acceptance(
-        preferences, plane, capacities, engine=engine, proposing="schools"
-    )
+    student_optimal = matcher(preferences, plane, capacities, proposing="students")
+    school_optimal = matcher(preferences, plane, capacities, proposing="schools")
     assert np.array_equal(
         student_optimal.assignment >= 0, school_optimal.assignment >= 0
     )
@@ -209,16 +195,12 @@ def test_rural_hospitals(seed, engine):
     ]
 
 
-def test_known_divergent_instance(engine):
+def test_known_divergent_instance(matcher):
     """A two-sided tug-of-war whose two optima are known in closed form."""
     preferences = [[0, 1], [1, 0]]
     plane = np.array([[1.0, 2.0], [2.0, 1.0]])
-    student_optimal = deferred_acceptance(
-        preferences, plane, [1, 1], engine=engine, proposing="students"
-    )
-    school_optimal = deferred_acceptance(
-        preferences, plane, [1, 1], engine=engine, proposing="schools"
-    )
+    student_optimal = matcher(preferences, plane, [1, 1], proposing="students")
+    school_optimal = matcher(preferences, plane, [1, 1], proposing="schools")
     assert student_optimal.assignment.tolist() == [0, 1]
     assert school_optimal.assignment.tolist() == [1, 0]
     _assert_stable(preferences, plane, [1, 1], student_optimal)

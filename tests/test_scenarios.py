@@ -4,7 +4,8 @@ The committed corpus under ``tests/data/scenarios/`` is the differential
 proving ground: every instance is replayed on every tier-1 run, asserting
 
 * the golden numbers still hold (bonus vector, disparity/DDP, assignments);
-* ``vector == reference`` matchings on **both** proposing sides for
+* the engine's matchings equal the pure-Python oracle's
+  (``tests/_da_reference_oracle.py``) on **both** proposing sides for
   every generated market shape (heavy tails, tie storms, zero/oversized
   capacities, ...).
 
@@ -25,7 +26,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.matching import ENGINES, PROPOSING_SIDES, deferred_acceptance
+from _da_reference_oracle import reference_deferred_acceptance
+from repro.matching import PROPOSING_SIDES, deferred_acceptance
 from repro.scenarios import (
     CORPUS_K,
     ScenarioConfig,
@@ -92,25 +94,19 @@ class TestCorpusReplay:
             assert observed[key] == pytest.approx(expected[key], rel=1e-9, abs=1e-12)
 
     def test_cross_engine_matchings_identical(self, path: Path):
-        """vector == reference, both proposing sides, on the raw plane."""
+        """engine == oracle, both proposing sides, on the raw plane."""
         golden = json.loads(path.read_text())
         config = ScenarioConfig.from_dict(golden["scenario"])
         market = generate_market(config, trial=0)
+        instance = (market.preferences, market.score_plane, list(market.capacities))
         for proposing in PROPOSING_SIDES:
-            assignments = {}
-            for engine in ENGINES:
-                match = deferred_acceptance(
-                    market.preferences,
-                    market.score_plane,
-                    list(market.capacities),
-                    engine=engine,
-                    proposing=proposing,
-                )
-                assignments[engine] = match.assignment
-            for engine in ENGINES[1:]:
-                assert np.array_equal(
-                    assignments[ENGINES[0]], assignments[engine]
-                ), f"{config.name}: {engine} differs from {ENGINES[0]} ({proposing=})"
+            match = deferred_acceptance(*instance, proposing=proposing)
+            oracle = reference_deferred_acceptance(*instance, proposing=proposing)
+            where = f"{config.name}: the engine differs from the oracle ({proposing=})"
+            assert np.array_equal(match.assignment, oracle.assignment), where
+            assert np.array_equal(match.matched_rank, oracle.matched_rank), where
+            assert match.rosters == oracle.rosters, where
+            assert match.proposals_made == oracle.proposals_made, where
 
 
 class TestScenarioConfig:
@@ -209,27 +205,24 @@ class TestDriver:
         envelope = run_scenario(
             config,
             trials=2,
-            engines=("vector", "reference"),
             executors=("serial", "process"),
             max_workers=2,
         )
         assert envelope.trials == 2
         assert envelope.all_identical()
-        assert envelope.identity == {
-            "engines_identical": 1,
-            "process_bitwise_identical": 1,
-        }
+        assert envelope.identity == {"process_bitwise_identical": 1}
         for key in ("disparity_norm_before", "ddp_after", "match_share_gap"):
             stats = envelope.fairness[key]
             assert stats["min"] <= stats["mean"] <= stats["max"]
         assert "fit_serial_seconds" in envelope.runtime
         assert "fit_process_seconds" in envelope.runtime
-        assert "match_vector_seconds" in envelope.runtime
+        assert "match_seconds" in envelope.runtime
 
     def test_compensation_reduces_disparity(self):
         envelope = run_scenario(
             get_scenario("clustered_preferences").scaled(num_students=360), trials=1
         )
+        assert envelope.identity == {}  # a serial-only sweep has no verdicts
         fairness = envelope.fairness
         assert (
             fairness["disparity_norm_after"]["mean"]
@@ -242,8 +235,6 @@ class TestDriver:
 
     def test_rejects_unknown_grid_entries(self):
         config = get_scenario("tiny_district")
-        with pytest.raises(ValueError, match="unknown engine"):
-            run_scenario(config, engines=("warp",))
         with pytest.raises(ValueError, match="proposing"):
             run_scenario(config, proposing_sides=("nobody",))
         with pytest.raises(KeyError, match="unknown objective"):
