@@ -75,16 +75,19 @@ run the groups:
 * ``"serial"`` — one group after another in the calling thread;
 * ``"process"`` — a process pool (see :mod:`repro.core.parallel`) whose
   workers receive the population plane — the base scores, attribute
-  matrices, and each objective's compiled state — once, through the pool
-  initializer.  Each group ships as chunks of at most
+  matrices, and the batch's compiled objectives themselves — once, through
+  the pool initializer.  Each group ships as chunks of at most
   ``ceil(len(jobs) / workers)`` jobs, tiny descriptors; a worker rebuilds a
   chunk's stream from its seed and runs it in lockstep.  This is the
   backend that parallelizes the Python-level step loop across cores.
 
-Both produce bitwise identical results for the same specs.  Each objective
-signature is compiled once per batch, through a per-population
+Both backends run one plan (:meth:`DCA._plan`) through one group runner
+(:func:`_run_group`), so they produce bitwise identical results for the
+same specs.  Each objective signature is fitted and compiled once per
+batch, through a per-population
 :class:`~repro.core.parallel.CompiledObjectiveCache` that also lets repeated
-``fit_many`` calls on a population skip recompiling it, on every backend.
+``fit_many`` calls on a population skip recompiling it; an objective
+without a signature is compiled once per job.
 """
 
 from __future__ import annotations
@@ -145,10 +148,10 @@ def _resolve_sample_size(
     """Per-step sample size for a population of ``num_rows`` rows.
 
     Single source of truth for :meth:`_LockstepSearch.from_table` and the
-    parent-side planner of the process backend — the two must agree exactly
-    or the backends stop being bitwise identical.  ``rarest_frequency`` is a
-    thunk so callers only pay for the group scan when ``config.sample_size``
-    is unset.
+    batch planner (:meth:`DCA._plan`) — the two must agree exactly or a
+    batched fit stops being bitwise identical to its lone fit.
+    ``rarest_frequency`` is a thunk so callers only pay for the group scan
+    when ``config.sample_size`` is unset.
     """
     if config.sample_size is not None:
         return int(min(config.sample_size, num_rows))
@@ -434,21 +437,20 @@ def _run_group(
     arrays: Mapping[str, np.ndarray],
     num_rows: int,
     group: StreamGroup,
-    compiled_for: Callable[[int], CompiledObjective],
+    objective_for: Callable[[int], CompiledObjective],
 ) -> list[tuple[int, DCAResult]]:
     """Fit one stream group in lockstep; ``(job index, result)`` per member.
 
     ``arrays`` holds the batch's ``"base"`` scores and attribute matrices
-    (keyed by :func:`~repro.core.parallel.matrix_key`); ``compiled_for``
-    turns an objective key into a compiled objective, called once per
-    distinct key, so members with one key share one instance.
+    (keyed by :func:`~repro.core.parallel.matrix_key`); ``objective_for``
+    turns an objective key into the batch's compiled objective for it, so
+    members with one key share one instance (and its per-step take).
     """
     start = time.perf_counter()
-    compiled = {key: compiled_for(key) for key in dict.fromkeys(key for _, _, key in group.members)}
     search = _LockstepSearch(
         base_scores=arrays["base"],
         attribute_matrix=arrays[matrix_key(group.attribute_names)],
-        members=[(compiled[key], k) for _, k, key in group.members],
+        members=[(objective_for(key), k) for _, k, key in group.members],
         num_rows=num_rows,
         sample_size=group.sample_size,
         attribute_names=group.attribute_names,
@@ -680,17 +682,13 @@ class DCA:
         * ``"serial"`` — groups run one after another in the calling thread;
         * ``"process"`` — a :class:`concurrent.futures.ProcessPoolExecutor`
           over a population plane (:mod:`repro.core.parallel`): base
-          scores, attribute matrices, and compiled objective state reach
+          scores, attribute matrices, and the compiled objectives reach
           each worker once, through the pool initializer (inherited under
-          ``fork``), and each group ships as chunks of at most
-          ``ceil(len(jobs) / max_workers)`` jobs, tiny descriptors — the
-          cohort is never pickled per job.
-          A job runs in the parent instead, serially and with the same
-          result order and values, for exactly one reason: its objective
-          cannot be placed on the plane — it has no
-          :meth:`~repro.core.objectives.FairnessObjective.signature` to
-          share it by, or its compiled state does not
-          :meth:`~repro.core.objectives.CompiledObjective.export_state`.
+          ``fork``, pickled once per worker under ``spawn``), and each
+          group ships as chunks of at most ``ceil(len(jobs) / max_workers)``
+          jobs, tiny descriptors — the cohort is never pickled per job.
+          Every job runs on the pool, custom objectives included; under
+          ``spawn`` a compiled objective that cannot be pickled raises here.
         * ``None`` (default) — ``"process"`` when ``max_workers`` asks for
           parallelism, else ``"serial"``.
 
@@ -750,10 +748,21 @@ class DCA:
             if self.objective_cache is not None
             else default_objective_cache()
         )
+        groups, arrays, compiled = self._plan(table, jobs, cache)
         if executor == "process":
             workers = max_workers if max_workers is not None else min(len(jobs), usable_cores())
-            return self._fit_many_process(table, jobs, cache, workers)
-        return self._fit_many_serial(table, jobs, cache)
+            size = -(-len(jobs) // workers)
+            chunks = [chunk for group in groups for chunk in group.chunks(size)]
+            payload = PlanePayload(table.num_rows, arrays, tuple(compiled))
+            pairs = execute_process_jobs(payload, chunks, workers)
+        else:
+            pairs = [
+                pair
+                for group in groups
+                for pair in _run_group(arrays, table.num_rows, group, compiled.__getitem__)
+            ]
+        results = _batch_results(jobs, groups, pairs)
+        return [results[index] for index in range(len(jobs))]
 
     # ------------------------------------------------------------------
     # fit_many internals
@@ -774,35 +783,39 @@ class DCA:
         return config, objective, k
 
     def _plan(
-        self,
-        table: Table,
-        jobs: Sequence[FitSpec],
-        place: Callable[[FairnessObjective], int | None],
-    ) -> tuple[list[StreamGroup], list[int], dict[str, np.ndarray]]:
-        """Resolve every job and partition the placed ones into stream groups.
+        self, table: Table, jobs: Sequence[FitSpec], cache: CompiledObjectiveCache
+    ) -> tuple[list[StreamGroup], dict[str, np.ndarray], list[CompiledObjective]]:
+        """Resolve and compile every job, and partition the jobs into stream groups.
 
-        ``place(objective)`` returns the key of the job's compiled objective,
-        or ``None`` when the job cannot be placed (the process backend then
-        runs it in the parent).  Jobs share a group when their resolved
-        config (seed included, and not ``None``), sample size and attribute
-        names are all equal: they draw the same sample stream.  Returns the
-        groups, the unplaced job indices, and the arrays the groups read —
-        the ``"base"`` scores and one attribute matrix per attribute set.
+        Each objective signature is fitted and compiled once (through
+        ``cache``); an objective without a signature gets its own copy per
+        job.  Jobs share a group when their resolved config (seed included,
+        and not ``None``), sample size and attribute names are all equal:
+        they draw the same sample stream.  Returns the groups, the arrays
+        they read — the ``"base"`` scores and one attribute matrix per
+        attribute set — and the compiled objectives their members' keys
+        index.
         """
         num_rows = table.num_rows
         if num_rows == 0:
             raise ValueError("cannot fit bonus points on an empty table")
         arrays: dict[str, np.ndarray] = {}
+        compiled: list[CompiledObjective] = []
+        keys: dict[tuple, int] = {}
         rarest: dict[tuple[str, ...], float] = {}
         streams: dict[tuple, list[tuple[int, float, int]]] = {}
-        unplaced: list[int] = []
         for index, spec in enumerate(jobs):
-            config, objective, k = self._resolve_spec(spec)
-            key = place(objective)
-            if key is None:
-                unplaced.append(index)
-                continue
-            attributes = tuple(objective.attribute_names)
+            config, template, k = self._resolve_spec(spec)
+            signature = template.signature()
+            if signature is None or signature not in keys:
+                # A private copy: fit() mutates normalizer state.
+                objective = copy.deepcopy(template)
+                objective.fit(table)
+                compiled.append(cache.compile(objective, table))
+                if signature is not None:
+                    keys[signature] = len(compiled) - 1
+            key = len(compiled) - 1 if signature is None else keys[signature]
+            attributes = tuple(template.attribute_names)
             if matrix_key(attributes) not in arrays:
                 arrays[matrix_key(attributes)] = table.matrix(list(attributes))
 
@@ -817,109 +830,12 @@ class DCA:
             # A seedless job draws fresh entropy, so it shares its stream with no one.
             stream = (attributes, config, sample_size, None if config.seed is not None else index)
             streams.setdefault(stream, []).append((index, k, key))
-        if streams:
-            arrays["base"] = np.asarray(self.score_function.scores(table), dtype=float)
+        arrays["base"] = np.asarray(self.score_function.scores(table), dtype=float)
         groups = [
             StreamGroup(attributes, config, sample_size, tuple(members))
             for (attributes, config, sample_size, _), members in streams.items()
         ]
-        return groups, unplaced, arrays
-
-    def _fit_many_serial(
-        self,
-        table: Table,
-        jobs: Sequence[FitSpec],
-        cache: CompiledObjectiveCache,
-    ) -> list[BatchFitResult]:
-        """The serial backend: every stream group in lockstep, in this process.
-
-        Also runs the process backend's in-parent jobs.  Each objective
-        signature is fitted and compiled once per batch; an objective without
-        a signature gets its own copy per job.
-        """
-        compiled: list[CompiledObjective] = []
-        keys: dict[tuple, int] = {}
-
-        def place(template: FairnessObjective) -> int:
-            signature = template.signature()
-            if signature is None or signature not in keys:
-                # A private copy: fit() mutates normalizer state.
-                objective = copy.deepcopy(template)
-                objective.fit(table)
-                compiled.append(cache.compile(objective, table))
-                if signature is None:
-                    return len(compiled) - 1
-                keys[signature] = len(compiled) - 1
-            return keys[signature]
-
-        groups, _, arrays = self._plan(table, jobs, place)
-        pairs = [
-            pair
-            for group in groups
-            for pair in _run_group(arrays, table.num_rows, group, compiled.__getitem__)
-        ]
-        results = _batch_results(jobs, groups, pairs)
-        return [results[index] for index in range(len(jobs))]
-
-    def _fit_many_process(
-        self,
-        table: Table,
-        jobs: Sequence[FitSpec],
-        cache: CompiledObjectiveCache,
-        max_workers: int,
-    ) -> list[BatchFitResult]:
-        """The process backend of :meth:`fit_many`.
-
-        The parent assembles the population plane — base scores, one raw
-        attribute matrix per distinct attribute set, one compiled state per
-        distinct objective signature — hands it to the pool's workers
-        through the initializer, then dispatches
-        :class:`~repro.core.parallel.StreamGroup` descriptors: each group
-        split into chunks of at most ``ceil(placed jobs / max_workers)``
-        members, every chunk run in lockstep by one worker.  A job whose
-        objective cannot be placed on the plane (the one rule, see
-        :meth:`fit_many`) runs in the parent instead, on the serial backend.
-        """
-        objective_arrays: dict[str, np.ndarray] = {}
-        objective_states: dict[int, tuple[type, dict[str, str], dict]] = {}
-        signature_keys: dict[tuple, int | None] = {}
-
-        def place(objective_template: FairnessObjective) -> int | None:
-            """The objective's state key on the plane; ``None`` if it cannot be placed there."""
-            signature = objective_template.signature()
-            if signature is None:
-                return None
-            if signature not in signature_keys:
-                objective = copy.deepcopy(objective_template)
-                objective.fit(table)
-                compiled = cache.compile(objective, table)
-                exported = compiled.export_state()
-                key = None
-                if exported is not None:
-                    state_arrays, metadata = exported
-                    key = len(objective_states)
-                    array_keys: dict[str, str] = {}
-                    for name, value in state_arrays.items():
-                        plane_key = f"objective:{key}:{name}"
-                        objective_arrays[plane_key] = value
-                        array_keys[name] = plane_key
-                    objective_states[key] = (type(compiled), array_keys, metadata)
-                signature_keys[signature] = key
-            return signature_keys[signature]
-
-        groups, unplaced, arrays = self._plan(table, jobs, place)
-        results: dict[int, BatchFitResult] = {}
-        if groups:
-            placed = sum(len(group.members) for group in groups)
-            size = -(-placed // max_workers)
-            chunks = [chunk for group in groups for chunk in group.chunks(size)]
-            payload = PlanePayload(table.num_rows, {**arrays, **objective_arrays}, objective_states)
-            pairs = execute_process_jobs(payload, chunks, max_workers)
-            results.update(_batch_results(jobs, groups, pairs))
-        if unplaced:
-            in_parent = self._fit_many_serial(table, [jobs[index] for index in unplaced], cache)
-            results.update(zip(unplaced, in_parent))
-        return [results[index] for index in range(len(jobs))]
+        return groups, arrays, compiled
 
     def compensated_scores(self, table: Table, bonus: BonusVector) -> np.ndarray:
         """Convenience: apply a fitted bonus vector to new data."""

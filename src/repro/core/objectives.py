@@ -51,21 +51,17 @@ Sharing compiled state
 
 Compiling an objective is the expensive part of a fit's setup (it walks the
 whole population), and batched fits (:meth:`repro.core.DCA.fit_many`) run
-many jobs against the *same* population.  Two hooks let that work be done
-once:
-
-* :meth:`FairnessObjective.signature` — a stable, hashable description of an
-  objective's compiled-state inputs.  Two objectives with equal signatures,
-  fitted on the same population, compile to bitwise-identical state, so the
-  state can be cached per population
-  (:class:`repro.core.parallel.CompiledObjectiveCache`).
-* :meth:`CompiledObjective.export_state` /
-  :meth:`CompiledObjective.from_state` — split a compiled objective into a
-  dict of plain arrays plus small metadata and rebuild it from them.  The
-  arrays can live anywhere (the in-process cache, or the population plane
-  process-pool workers receive through their initializer), and every
-  rebuilt instance gets private mutable scratch state, so one
-  exported state safely serves many concurrent jobs.
+many jobs against the *same* population.
+:meth:`FairnessObjective.signature` is a stable, hashable description of an
+objective's compiled-state inputs: two objectives with equal signatures,
+fitted on the same population, compile to bitwise-identical state, so one
+compiled instance can serve them all, cached per population
+(:class:`repro.core.parallel.CompiledObjectiveCache`).  A compiled objective
+is a plain value: the process backend hands the instances themselves to its
+workers (inherited under ``fork``, pickled once per worker under ``spawn``).
+Its only mutable state is scratch that is a deterministic function of its
+arrays (a centroid, a per-``k`` weight memo), so sharing an instance keeps
+every bit.
 """
 
 from __future__ import annotations
@@ -106,28 +102,6 @@ class CompiledObjective(abc.ABC):
 
     __slots__ = ()
 
-    def __init_subclass__(cls, **kwargs) -> None:
-        """Enforce the shared-state pairing at class-definition time.
-
-        Overriding :meth:`export_state` requires :meth:`from_state` so
-        workers can rebuild the state they receive.  Failing here, when the
-        subclass is *defined*, beats failing on the first process-pool fit
-        months later.
-        """
-        super().__init_subclass__(**kwargs)
-
-        def overrides(name: str) -> bool:
-            ours = getattr(cls, name, None)
-            base = getattr(CompiledObjective, name)
-            # Compare underlying functions so classmethods participate.
-            return getattr(ours, "__func__", ours) is not getattr(base, "__func__", base)
-
-        if overrides("export_state") and not overrides("from_state"):
-            raise TypeError(
-                f"{cls.__name__} overrides export_state() without from_state(): "
-                "workers cannot rebuild the compiled state they are handed"
-            )
-
     @abc.abstractmethod
     def evaluate(self, indices: np.ndarray | None, scores: np.ndarray, k: float) -> np.ndarray:
         """Per-attribute fairness signal for the rows at ``indices``."""
@@ -145,31 +119,6 @@ class CompiledObjective(abc.ABC):
         built-in objectives gather their state rows here, once.
         """
         return _TakenRows(self, indices)
-
-    def export_state(self) -> tuple[dict[str, np.ndarray], dict] | None:
-        """Split this compiled objective into ``(arrays, metadata)``.
-
-        ``arrays`` maps names to the population-sized ndarrays the objective
-        evaluates on; ``metadata`` holds everything else (small, picklable —
-        grids, kernels, labels of structure).  ``from_state`` on the same
-        class must rebuild an equivalent instance from them, with the arrays
-        possibly read-only and owned by a pool worker's population plane.
-        Returning ``None`` (the default) marks the state as non-shareable:
-        such objectives still work under every executor, but the objective
-        cannot be placed on the plane, which is the one reason a process-pool
-        job of :meth:`repro.core.DCA.fit_many` runs in the parent instead.
-        """
-        return None
-
-    @classmethod
-    def from_state(cls, arrays: dict[str, np.ndarray], metadata: dict) -> "CompiledObjective":
-        """Rebuild a compiled objective from :meth:`export_state` output.
-
-        The returned instance must treat ``arrays`` as read-only (they are
-        shared across jobs, and a pool worker's plane rejects writes) and
-        must keep any mutable scratch state private to itself.
-        """
-        raise NotImplementedError(f"{cls.__name__} does not support shared state")
 
 
 class _TakenRows(CompiledObjective):
@@ -231,11 +180,11 @@ class FairnessObjective(abc.ABC):
         Contract: two objectives with equal signatures that have been
         ``fit`` on the same population compile to bitwise-identical state.
         The signature is what lets :class:`repro.core.parallel.CompiledObjectiveCache`
-        reuse one compilation across the jobs of a batched fit and what keys
-        the population plane handed to process-pool workers.  The default
-        ``None`` opts out of caching and sharing (always correct, never
-        stale) — override it in subclasses whose compiled state is fully
-        determined by constructor parameters plus the fitted population.
+        reuse one compiled instance across the jobs of a batched fit.  The
+        default ``None`` opts out of caching and sharing (always correct,
+        never stale) — override it in subclasses whose compiled state is
+        fully determined by constructor parameters plus the fitted
+        population, and whose compiled form does not hold on to the table.
         """
         return None
 
@@ -317,13 +266,6 @@ class _CompiledDisparity(CompiledObjective):
     def take(self, indices: np.ndarray) -> "_CompiledDisparity":
         return _CompiledDisparity(self._matrix[indices])
 
-    def export_state(self) -> tuple[dict[str, np.ndarray], dict]:
-        return {"matrix": self._matrix}, {}
-
-    @classmethod
-    def from_state(cls, arrays: dict[str, np.ndarray], metadata: dict) -> "_CompiledDisparity":
-        return cls(arrays["matrix"])
-
 
 class LogDiscountedDisparityObjective(FairnessObjective):
     """Section IV-E: discounted disparity over many selection fractions."""
@@ -402,15 +344,6 @@ class _CompiledLogDiscounted(CompiledObjective):
     def take(self, indices: np.ndarray) -> "_CompiledLogDiscounted":
         # The taken rows share this instance's per-k weight cache.
         return _CompiledLogDiscounted(self._matrix[indices], self._k_grid, self._grids)
-
-    def export_state(self) -> tuple[dict[str, np.ndarray], dict]:
-        # The per-k weight cache and the centroid are scratch state: every
-        # rebuilt instance starts without them, so shared state stays immutable.
-        return {"matrix": self._matrix}, {"k_grid": self._k_grid}
-
-    @classmethod
-    def from_state(cls, arrays: dict[str, np.ndarray], metadata: dict) -> "_CompiledLogDiscounted":
-        return cls(arrays["matrix"], tuple(metadata["k_grid"]))
 
 
 class DisparateImpactObjective(FairnessObjective):
@@ -605,15 +538,6 @@ class _CompiledGroupObjective(CompiledObjective):
     def take(self, indices: np.ndarray) -> "_CompiledGroupObjective":
         return _CompiledGroupObjective(self._membership[indices], self._kernel)
 
-    def export_state(self) -> tuple[dict[str, np.ndarray], dict]:
-        # The kernel is a module-level function, so it travels by reference
-        # (both through the in-process cache and through pickle to workers).
-        return {"membership": self._membership}, {"kernel": self._kernel}
-
-    @classmethod
-    def from_state(cls, arrays: dict[str, np.ndarray], metadata: dict) -> "_CompiledGroupObjective":
-        return cls(arrays["membership"], metadata["kernel"])
-
 
 class _CompiledFalsePositiveRate(CompiledObjective):
     """Compiled equalized-odds FPR gaps over precomputed membership and labels."""
@@ -634,13 +558,6 @@ class _CompiledFalsePositiveRate(CompiledObjective):
     def take(self, indices: np.ndarray) -> "_CompiledFalsePositiveRate":
         return _CompiledFalsePositiveRate(self._membership[indices], self._labels[indices])
 
-    def export_state(self) -> tuple[dict[str, np.ndarray], dict]:
-        return {"membership": self._membership, "labels": self._labels}, {}
-
-    @classmethod
-    def from_state(cls, arrays: dict[str, np.ndarray], metadata: dict) -> "_CompiledFalsePositiveRate":
-        return cls(arrays["membership"], arrays["labels"])
-
 
 class _CompiledExposureGap(CompiledObjective):
     """Compiled exposure gaps over a precomputed membership matrix."""
@@ -656,10 +573,3 @@ class _CompiledExposureGap(CompiledObjective):
 
     def take(self, indices: np.ndarray) -> "_CompiledExposureGap":
         return _CompiledExposureGap(self._membership[indices])
-
-    def export_state(self) -> tuple[dict[str, np.ndarray], dict]:
-        return {"membership": self._membership}, {}
-
-    @classmethod
-    def from_state(cls, arrays: dict[str, np.ndarray], metadata: dict) -> "_CompiledExposureGap":
-        return cls(arrays["membership"])

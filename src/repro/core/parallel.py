@@ -7,18 +7,15 @@ This module is the scaling substrate behind :meth:`repro.core.DCA.fit_many`:
   ``fit_many`` call that names no backend.
 
 * :class:`CompiledObjectiveCache` — a per-population cache of compiled
-  objective state.  Fits and batches repeatedly compile the same objective
+  objectives.  Fits and batches repeatedly compile the same objective
   against the same cohort (each compile walks the full population); the
-  cache keys compiled state by *(population identity, objective
-  signature)* and rebuilds a fresh lightweight
-  :class:`~repro.core.objectives.CompiledObjective` around the cached arrays
-  per caller, so every caller keeps private mutable scratch state while the
-  population-sized arrays are computed exactly once.
+  cache keys the compiled instance by *(population identity, objective
+  signature)* and hands the same instance to every caller.
 * :class:`StreamGroup` — the descriptor of a batch's jobs that draw one
   sample stream and so run in lockstep (:mod:`repro.core.dca`).
-* :class:`PlanePayload` — the population plane: the named NumPy arrays a
-  batch of fits needs (base scores, attribute matrices, compiled objective
-  state), handed to each pool worker once through the pool initializer.
+* :class:`PlanePayload` — the population plane: the base scores, the
+  attribute matrices and the compiled objectives a batch of fits needs,
+  handed to each pool worker once through the pool initializer.
 * :func:`execute_process_jobs` — runs :class:`StreamGroup` chunks on a
   plain :class:`concurrent.futures.ProcessPoolExecutor` whose workers keep
   the plane (read-only) and then serve each chunk from its lightweight
@@ -28,9 +25,9 @@ One fit always runs in one process: a step scores a sample of a few hundred
 rows, milliseconds of NumPy work, so splitting a step across processes
 costs more than it saves.  The process backend trades a one-time worker
 start-up cost for multi-core execution of whole lockstep chunks.  Results
-are bitwise identical to the serial path because workers consume exactly
-the arrays the serial path would compute and every chunk rebuilds its
-group's seeded generator.
+are bitwise identical to the serial path because workers run the very
+compiled objectives and arrays the serial path runs and every chunk
+rebuilds its group's seeded generator.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ import numpy as np
 
 from ..tabular import Table
 from .config import DCAConfig
-from .objectives import CompiledObjective, FairnessObjective
+from .objectives import CompiledObjective, FairnessObjective, _CompiledTableFallback
 
 __all__ = [
     "use_execution",
@@ -143,7 +140,7 @@ def current_execution() -> tuple[str | None, int | None]:
 # Compiled-objective caching
 # ----------------------------------------------------------------------
 class CompiledObjectiveCache:
-    """Cache of compiled-objective state, keyed by population and signature.
+    """Cache of compiled objectives, keyed by population and signature.
 
     ``compile(objective, table)`` is a drop-in replacement for
     ``objective.compile(table)`` with one precondition: **the objective must
@@ -151,15 +148,17 @@ class CompiledObjectiveCache:
     :meth:`repro.core.DCA.fit` call establishes before compiling).  Under
     that precondition, two objectives with equal
     :meth:`~repro.core.objectives.FairnessObjective.signature` compile to
-    bitwise-identical state, so the cache can hand the second caller a fresh
-    compiled instance rebuilt around the first caller's arrays.
+    bitwise-identical state, so the cache hands the second caller the first
+    caller's compiled instance.  Sharing it keeps every bit: its only
+    mutable state is scratch computed deterministically from its arrays.
 
     Populations are tracked by object identity through weak references:
     entries die with their table, so holding the module-level default cache
     never pins a cohort in memory.  Objectives whose ``signature()`` is
-    ``None`` (the default for custom subclasses) or whose compiled form does
-    not support :meth:`~repro.core.objectives.CompiledObjective.export_state`
-    bypass the cache entirely.
+    ``None`` (the default for custom subclasses) bypass the cache, and so
+    does the table-slicing wrapper of objectives that only implement the
+    table path: it holds its table, so caching it would keep the entry alive
+    forever.
 
     The cache is thread-safe; ``hits`` / ``misses`` count cache outcomes for
     diagnostics and tests.
@@ -169,13 +168,13 @@ class CompiledObjectiveCache:
         # Reentrant: the weakref eviction callback may fire on this thread
         # while the lock is already held.
         self._lock = threading.RLock()
-        # id(table) -> (weakref to table, {signature: (cls, arrays, metadata)})
+        # id(table) -> (weakref to table, {signature: compiled objective})
         self._populations: dict[int, tuple[weakref.ref, dict]] = {}
         self.hits = 0
         self.misses = 0
 
     def _entry_for(self, table: Table) -> dict:
-        """The signature->state dict for ``table``, creating it if needed."""
+        """The signature->compiled dict for ``table``, creating it if needed."""
         key = id(table)
         entry = self._populations.get(key)
         if entry is not None and entry[0]() is not table:
@@ -190,31 +189,25 @@ class CompiledObjectiveCache:
         return entry[1]
 
     def compile(self, objective: FairnessObjective, table: Table) -> CompiledObjective:
-        """Compile ``objective`` against ``table``, reusing cached state.
+        """Compile ``objective`` against ``table``, or return the cached instance.
 
         Precondition: ``objective.fit(table)`` has been called (see class
-        docstring).  Returns either the freshly compiled objective (first
-        sighting of this signature on this population) or a new instance
-        rebuilt from the cached arrays.
+        docstring).
         """
         signature = objective.signature()
         if signature is None:
             return objective.compile(table)
         with self._lock:
-            states = self._entry_for(table)
-            state = states.get(signature)
-        if state is not None:
-            cls, arrays, metadata = state
-            with self._lock:
+            entries = self._entry_for(table)
+            compiled = entries.get(signature)
+            if compiled is not None:
                 self.hits += 1
-            return cls.from_state(arrays, metadata)
+                return compiled
         compiled = objective.compile(table)
-        exported = compiled.export_state()
         with self._lock:
             self.misses += 1
-            if exported is not None:
-                arrays, metadata = exported
-                states[signature] = (type(compiled), arrays, metadata)
+            if not isinstance(compiled, _CompiledTableFallback):
+                entries[signature] = compiled
         return compiled
 
     def clear(self) -> None:
@@ -259,22 +252,16 @@ class PlanePayload:
     num_rows:
         Population size (drives the per-step index sampling).
     arrays:
-        The population's arrays, keyed by plane-local names (``"base"``,
-        ``"matrix:<attrs>"``, ``"objective:<i>:<name>"``).
-    objective_states:
-        Per distinct objective signature: the compiled class, a mapping from
-        its state-array names to plane keys, and its small metadata dict.
+        The ``"base"`` scores and one attribute matrix per attribute set
+        (keyed by :func:`matrix_key`).
+    compiled:
+        The batch's compiled objectives, indexed by the objective key each
+        :class:`StreamGroup` member carries.
     """
 
     num_rows: int
     arrays: dict[str, np.ndarray]
-    objective_states: dict[int, tuple[type, dict[str, str], dict]]
-
-    def compiled_for(self, key: int) -> CompiledObjective:
-        """Rebuild the compiled objective for ``key`` around the plane's arrays."""
-        cls, array_keys, metadata = self.objective_states[key]
-        arrays = {name: self.arrays[plane_key] for name, plane_key in array_keys.items()}
-        return cls.from_state(arrays, metadata)
+    compiled: tuple[CompiledObjective, ...]
 
 
 @dataclass(frozen=True)
@@ -286,8 +273,7 @@ class StreamGroup:
     initial bonus spans — never on ``k`` or the objective — so these jobs
     can run in lockstep on one stream (:mod:`repro.core.dca`).  ``config``
     carries the resolved seed.  Each member is ``(job index, k, objective
-    key)``; the key points into the payload's ``objective_states`` on the
-    process backend, and into the batch's compiled objectives in-process.
+    key)``; the key indexes the batch's compiled objectives.
     """
 
     attribute_names: tuple[str, ...]
@@ -312,11 +298,26 @@ def _plane_worker_init(payload: PlanePayload) -> None:
 
     Read-only matters: a job that wrote to an inherited array would change
     the worker's private copy, and with it the next job on the same worker.
+    That covers the base scores, the attribute matrices and every ndarray
+    attribute of each compiled objective.
     """
     global _WORKER_PLANE
-    for array in payload.arrays.values():
+    arrays = list(payload.arrays.values())
+    for compiled in payload.compiled:
+        arrays.extend(_array_attributes(compiled))
+    for array in arrays:
         array.flags.writeable = False
     _WORKER_PLANE = payload
+
+
+def _array_attributes(instance: object) -> list[np.ndarray]:
+    """The ndarray attributes of ``instance``: its slots across the MRO and its ``__dict__``."""
+    values = list(getattr(instance, "__dict__", {}).values())
+    for cls in type(instance).__mro__:
+        slots = cls.__dict__.get("__slots__", ())
+        for name in (slots,) if isinstance(slots, str) else slots:
+            values.append(getattr(instance, name, None))
+    return [value for value in values if isinstance(value, np.ndarray)]
 
 
 def _plane_worker_fit(group: StreamGroup):
@@ -330,7 +331,7 @@ def _plane_worker_fit(group: StreamGroup):
     plane = _WORKER_PLANE
     if plane is None:  # pragma: no cover - initializer always runs first
         raise RuntimeError("worker has no population plane")
-    return _run_group(plane.arrays, plane.num_rows, group, plane.compiled_for)
+    return _run_group(plane.arrays, plane.num_rows, group, plane.compiled.__getitem__)
 
 
 def matrix_key(attribute_names: Sequence[str]) -> str:

@@ -13,12 +13,9 @@ DCA objectives — and reports up to three tables:
 
 The matching engine is not re-checked here: its identity with the
 pure-Python oracle is pinned by the tests (``tests/_da_reference_oracle.py``)
-and replayed at stress scale by ``benchmarks/test_bench_scenarios.py``.
-
-The envelope numbers are also recorded through
-``benchmarks/_bench_record.py`` into ``BENCH_scenarios.json`` whenever a
-recording destination is armed (``REPRO_BENCH_OUT`` / ``REPRO_REGEN_BENCH``),
-extending the committed performance trajectory.
+and replayed at stress scale by ``benchmarks/test_bench_scenarios.py``,
+which is also the one writer of ``BENCH_scenarios.json``: the experiment
+only reports.
 
 CLI::
 
@@ -32,35 +29,12 @@ The batch backend is not a parameter: the runner reads the ambient one
 
 from __future__ import annotations
 
-import importlib.util
-from pathlib import Path
-
 from ..core.parallel import current_execution
 from ..matching import PROPOSING_SIDES
 from ..scenarios import builtin_scenarios, run_scenario
 from .harness import ExperimentResult
 
 __all__ = ["run"]
-
-def _load_bench_recorder():
-    """``record_bench`` from ``benchmarks/_bench_record.py``, or ``None``.
-
-    The recorder lives outside the installed package (it is repo tooling,
-    not library code), so locate it relative to the source checkout and
-    degrade silently when the experiment runs from an installed wheel.
-    """
-    for parent in Path(__file__).resolve().parents:
-        candidate = parent / "benchmarks" / "_bench_record.py"
-        if candidate.is_file():
-            spec = importlib.util.spec_from_file_location("_bench_record", candidate)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            return module.record_bench
-    return None
-
-
-def _flat(envelope: dict[str, dict[str, float]], stat: str = "mean") -> dict[str, float]:
-    return {key: stats[stat] for key, stats in envelope.items()}
 
 
 def run(
@@ -91,7 +65,6 @@ def run(
     fairness_rows = []
     runtime_rows = []
     identity_rows = []
-    bench_metrics: dict[str, dict[str, float]] = {}
     for config in builtin_scenarios():
         if num_students is not None:
             config = config.scaled(num_students=num_students)
@@ -125,12 +98,6 @@ def run(
         runtime_rows.append(runtime_row)
         if envelope.identity:
             identity_rows.append({"scenario": config.name, **envelope.identity})
-        bench_metrics[config.name] = {
-            "ddp_after": fairness["ddp_after"]["mean"],
-            "disparity_after": fairness["disparity_norm_after"]["mean"],
-            **{key: stats["mean"] for key, stats in envelope.runtime.items()},
-            **envelope.identity,
-        }
         if not envelope.all_identical():
             result.add_note(
                 f"IDENTITY VIOLATION in scenario {config.name!r}: {envelope.identity}"
@@ -148,15 +115,4 @@ def run(
         f"grid: {len(fairness_rows)} scenarios x "
         f"proposing={','.join(proposing_sides)} x executors={','.join(executors)}"
     )
-
-    record_bench = _load_bench_recorder()
-    if record_bench is not None:
-        record_bench(
-            "scenarios",
-            bench_metrics,
-            context={
-                "scenarios": len(fairness_rows),
-                "proposing_sides": len(proposing_sides),
-            },
-        )
     return result

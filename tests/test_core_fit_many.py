@@ -25,6 +25,7 @@ from repro.core import (
     DisparityResult,
     ExposureGapObjective,
     FairnessObjective,
+    FalsePositiveRateObjective,
     FitSpec,
     LogDiscountedDisparityObjective,
     SampleStream,
@@ -146,6 +147,21 @@ class _SignatureLessObjective(FairnessObjective):
         return DisparityResult(self.attribute_names, values)
 
 
+class _SignedTablePathObjective(_SignatureLessObjective):
+    """A custom objective with a signature but only the table path."""
+
+    def signature(self):
+        return ("signed-table-path", self.attribute_names)
+
+
+class _UnpicklableObjective(_SignatureLessObjective):
+    """A custom objective holding a lambda, which no ``spawn`` worker can receive."""
+
+    def __init__(self, attribute_names) -> None:
+        super().__init__(attribute_names)
+        self.hook = lambda values: values
+
+
 _NO_SHARED_MEMORY_PROBE = """
 import os
 from multiprocessing import resource_tracker
@@ -197,14 +213,7 @@ class TestExecutors:
             _dca().fit_many(population, seeds=(1, 2), executor="serial", max_workers=4)
 
     def test_max_workers_alone_selects_process(self, population, monkeypatch):
-        calls = []
-        original = DCA._fit_many_process
-
-        def spy(self, *args, **kwargs):
-            calls.append(args)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(DCA, "_fit_many_process", spy)
+        calls = _spy_pool(monkeypatch)
         _dca().fit_many(population, seeds=(1, 2), max_workers=2)
         assert len(calls) == 1
         _dca().fit_many(population, seeds=(1, 2))
@@ -212,12 +221,10 @@ class TestExecutors:
 
     @staticmethod
     def _assert_every_job_on_the_pool(population, monkeypatch, config) -> None:
-        def fail(*args, **kwargs):
-            raise AssertionError("a job with an exportable objective ran in the parent")
-
-        monkeypatch.setattr(DCA, "_fit_many_serial", fail)
+        in_parent = _spy_groups(monkeypatch)
         dca = _dca(config)
         batch = dca.fit_many(population, ks=(0.1, 0.2), seeds=(1, 2), executor="process")
+        assert in_parent == []
         monkeypatch.undo()
         serial = dca.fit_many(population, ks=(0.1, 0.2), seeds=(1, 2), executor="serial")
         for left, right in zip(serial, batch):
@@ -303,6 +310,37 @@ class TestExecutors:
             assert np.array_equal(left.result.raw_bonus.values, right.result.raw_bonus.values)
             assert np.array_equal(left.result.bonus.values, right.result.bonus.values)
 
+    def test_spawn_workers_receive_every_objective_kind(self, monkeypatch):
+        """One spawned pool serves every built-in and a custom objective, bitwise."""
+        import repro.core.parallel as parallel_module
+
+        rng = np.random.default_rng(32)
+        n = 2_000
+        protected = (rng.uniform(size=n) < 0.3).astype(float)
+        label = (rng.uniform(size=n) < 0.4).astype(float)
+        score = rng.normal(10.0, 2.0, size=n) - 1.5 * protected
+        table = Table({"score": score, "protected": protected, "label": label})
+        attributes = ("protected",)
+        objectives = (
+            DisparityObjective(attributes),
+            LogDiscountedDisparityObjective(attributes),
+            DisparateImpactObjective(attributes),
+            FalsePositiveRateObjective(attributes, label_column="label"),
+            ExposureGapObjective(attributes),
+            _SignatureLessObjective(attributes),
+        )
+        specs = [
+            FitSpec(k=k, seed=1, objective=objective)
+            for objective in objectives
+            for k in (0.1, 0.3)
+        ]
+        serial = _dca().fit_many(table, specs=specs, executor="serial")
+        monkeypatch.setattr(parallel_module, "process_start_method", lambda: "spawn")
+        spawned = _dca().fit_many(table, specs=specs, executor="process", max_workers=2)
+        assert len(spawned) == len(specs)
+        for left, right in zip(serial, spawned):
+            _assert_same_result(right.result, left.result)
+
     @pytest.mark.skipif(
         process_start_method() != "fork",
         reason="spawn pools start the resource tracker for their semaphores",
@@ -345,21 +383,16 @@ class TestExecutors:
             )
 
     def test_process_falls_back_for_signatureless_objectives(self, population, monkeypatch):
-        """Custom objectives without a signature run in the parent, same results."""
+        """Custom objectives without a signature run on the pool too, same results."""
         objective = _SignatureLessObjective(("protected",))
         assert objective.signature() is None
         specs = [FitSpec(seed=1, objective=objective), FitSpec(seed=2)]
         serial = _dca().fit_many(population, specs=specs)
-        in_parent = []
-        original = DCA._fit_many_serial
-
-        def spy(self, table, jobs, cache):
-            in_parent.extend(jobs)
-            return original(self, table, jobs, cache)
-
-        monkeypatch.setattr(DCA, "_fit_many_serial", spy)
+        # Installed before the pool forks: workers inherit the spy and record
+        # into their own copy, so only a group run in the parent shows here.
+        in_parent = _spy_groups(monkeypatch)
         process = _dca().fit_many(population, specs=specs, executor="process")
-        assert in_parent == [specs[0]]  # only the signature-less job
+        assert in_parent == []
         for left, right in zip(serial, process):
             assert np.array_equal(
                 left.result.raw_bonus.values, right.result.raw_bonus.values
@@ -411,18 +444,33 @@ def _assert_same_result(result, reference) -> None:
 
 
 def _spy_groups(monkeypatch) -> list[int]:
-    """Sizes of the stream groups the serial backend runs."""
+    """Sizes of the stream groups run in this process."""
     import repro.core.dca as dca_module
 
     sizes = []
     original = dca_module._run_group
 
-    def spy(arrays, num_rows, group, compiled_for):
+    def spy(arrays, num_rows, group, objective_for):
         sizes.append(len(group.members))
-        return original(arrays, num_rows, group, compiled_for)
+        return original(arrays, num_rows, group, objective_for)
 
     monkeypatch.setattr(dca_module, "_run_group", spy)
     return sizes
+
+
+def _spy_pool(monkeypatch) -> list[int]:
+    """The worker count of every process pool ``fit_many`` starts."""
+    import repro.core.dca as dca_module
+
+    calls = []
+    original = dca_module.execute_process_jobs
+
+    def spy(payload, groups, max_workers):
+        calls.append(max_workers)
+        return original(payload, groups, max_workers)
+
+    monkeypatch.setattr(dca_module, "execute_process_jobs", spy)
+    return calls
 
 
 class TestStreamGroups:
@@ -540,11 +588,11 @@ class _WorkerFault(Exception):
 
 
 class _FaultyCompiled(CompiledObjective):
-    """An exportable compiled objective whose evaluate fails in the worker.
+    """A compiled objective whose evaluate fails in the worker.
 
     ``fault="raise"`` raises :class:`_WorkerFault`; ``fault="exit"`` kills
     the worker process outright; ``fault="write"`` writes into its state
-    array, which is the worker's plane.  The parent only compiles and exports
+    array, which is part of the worker's plane.  The parent only compiles
     it, so the fault fires on the pool side.
     """
 
@@ -558,13 +606,6 @@ class _FaultyCompiled(CompiledObjective):
         if self._fault == "write":
             self._membership[indices] = False
         raise _WorkerFault(f"evaluate failed on {len(scores)} rows")
-
-    def export_state(self):
-        return {"membership": self._membership}, {"fault": self._fault}
-
-    @classmethod
-    def from_state(cls, arrays, metadata):
-        return cls(arrays["membership"], metadata["fault"])
 
 
 class _FaultyObjective(FairnessObjective):
@@ -612,6 +653,21 @@ class TestProcessFailures:
         """A job cannot write to the plane, so it cannot leak state to the next job."""
         with pytest.raises(ValueError, match="read-only"):
             self._faulty_batch(population, "write")
+
+    def test_unpicklable_objective_raises_under_spawn(self, population, monkeypatch):
+        """No quiet in-parent run: a plane that cannot be pickled fails the call."""
+        import repro.core.parallel as parallel_module
+
+        monkeypatch.setattr(parallel_module, "process_start_method", lambda: "spawn")
+        dca = DCA(
+            ["protected"],
+            ColumnScore("score"),
+            k=0.2,
+            objective=_UnpicklableObjective(("protected",)),
+            config=FAST,
+        )
+        with pytest.raises(Exception, match="pickle"):
+            dca.fit_many(population, seeds=(1, 2), executor="process", max_workers=2)
 
 
 class TestObjectiveCache:
@@ -692,6 +748,32 @@ class TestObjectiveCache:
         gc.collect()
         assert len(cache) == 0
 
+    def test_table_path_objective_does_not_pin_its_table(self, population):
+        """A signed objective with only the table path is never cached.
+
+        Its compiled wrapper holds the table, so a cached wrapper would keep
+        the weakly keyed entry, and the cohort, alive forever.
+        """
+        import gc
+        import weakref
+
+        cache = CompiledObjectiveCache()
+        mortal = population.take(np.arange(500))
+        DCA(
+            ["protected"],
+            ColumnScore("score"),
+            k=0.2,
+            objective=_SignedTablePathObjective(("protected",)),
+            config=FAST,
+            objective_cache=cache,
+        ).fit_many(mortal, seeds=(1, 2))
+        assert (cache.hits, cache.misses, len(cache)) == (0, 1, 0)
+        alive = weakref.ref(mortal)
+        del mortal
+        gc.collect()
+        assert alive() is None
+        assert not cache._populations
+
     def test_dead_entry_not_resurrected_by_signature_collision(self, population):
         """A dead table's cache slot must never serve a successor population.
 
@@ -734,22 +816,10 @@ class TestObjectiveCache:
 class TestAmbientExecution:
     """``use_execution`` sets the backend once; ``fit_many`` reads it."""
 
-    @staticmethod
-    def _spy_pool(monkeypatch) -> list:
-        calls = []
-        original = DCA._fit_many_process
-
-        def spy(self, table, jobs, cache, max_workers):
-            calls.append(max_workers)
-            return original(self, table, jobs, cache, max_workers)
-
-        monkeypatch.setattr(DCA, "_fit_many_process", spy)
-        return calls
-
     def test_fit_many_reads_the_ambient_backend(self, population, monkeypatch):
         dca = _dca()
         serial = dca.fit_many(population, seeds=(1, 2, 3))
-        pooled = self._spy_pool(monkeypatch)
+        pooled = _spy_pool(monkeypatch)
         with use_execution("process", 2):
             assert current_execution() == ("process", 2)
             batch = dca.fit_many(population, seeds=(1, 2, 3))
@@ -762,7 +832,7 @@ class TestAmbientExecution:
         import repro.core.dca as dca_module
 
         monkeypatch.setattr(dca_module, "usable_cores", lambda: 5)
-        pooled = self._spy_pool(monkeypatch)
+        pooled = _spy_pool(monkeypatch)
         with use_execution("process", 2):
             _dca().fit_many(population, seeds=(1, 2), executor="serial")
             _dca().fit_many(population, seeds=(1, 2, 3), executor="process")

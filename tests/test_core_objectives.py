@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -145,52 +147,6 @@ class TestExposureGapObjective:
             ExposureGapObjective(["flag"]).evaluate(Table({"flag": []}), np.array([]), 0.5)
 
 
-class TestCompiledObjectiveContract:
-    """``CompiledObjective.__init_subclass__`` fails fast on broken contracts."""
-
-    def test_export_state_without_from_state_rejected(self):
-        from repro.core.objectives import CompiledObjective
-
-        with pytest.raises(TypeError, match="from_state"):
-
-            class ExporterOnly(CompiledObjective):
-                def evaluate(self, indices, scores, k):
-                    return np.zeros(1)
-
-                def export_state(self):
-                    return {}, {}
-
-    def test_full_contract_accepted_and_inheritable(self):
-        from repro.core.objectives import CompiledObjective
-
-        class WellFormed(CompiledObjective):
-            def evaluate(self, indices, scores, k):
-                return np.zeros(1)
-
-            def export_state(self):
-                return {}, {}
-
-            @classmethod
-            def from_state(cls, arrays, metadata):
-                return cls()
-
-        # A subclass refining only export_state() inherits from_state()
-        # from its parent — that must stay legal.
-        class RefinedExport(WellFormed):
-            def export_state(self):
-                return {"extra": np.zeros(1)}, {}
-
-        arrays, metadata = RefinedExport().export_state()
-        assert isinstance(RefinedExport.from_state(arrays, metadata), RefinedExport)
-
-    def test_builtin_compiled_objectives_still_define_cleanly(self, biased_table):
-        # Importing the module already ran __init_subclass__ over every
-        # built-in compiled objective; compiling one proves the path works.
-        table, _ = biased_table
-        compiled = DisparityObjective(["protected"]).fit(table).compile(table)
-        assert compiled.export_state() is not None
-
-
 def _random_population(n: int = 400, seed: int = 8) -> tuple[Table, np.ndarray]:
     """Two binary groups, a label and tie-heavy scores (rounded to one decimal)."""
     rng = np.random.default_rng(seed)
@@ -212,6 +168,64 @@ _ALL_OBJECTIVES = [
     lambda: ExposureGapObjective(("group_a", "group_b")),
 ]
 _OBJECTIVE_IDS = ["disparity", "log-discounted", "disparate-impact", "fpr", "exposure"]
+
+
+class TestCompiledObjectiveContract:
+    """A compiled objective is a plain value: ``evaluate`` is all a subclass needs."""
+
+    def test_export_state_without_from_state_rejected(self):
+        from repro.core.objectives import CompiledObjective
+
+        # The state-export protocol is gone: workers receive the instance itself.
+        assert not hasattr(CompiledObjective, "export_state")
+        assert not hasattr(CompiledObjective, "from_state")
+
+        class ExporterOnly(CompiledObjective):
+            def evaluate(self, indices, scores, k):
+                return np.zeros(1)
+
+            def export_state(self):
+                return {}, {}
+
+        assert np.array_equal(ExporterOnly().evaluate(None, np.zeros(2), 0.5), np.zeros(1))
+
+    def test_full_contract_accepted_and_inheritable(self):
+        from repro.core.objectives import CompiledObjective
+
+        class WellFormed(CompiledObjective):
+            def evaluate(self, indices, scores, k):
+                return np.zeros(1) if indices is None else np.ones(1)
+
+        class Refined(WellFormed):
+            pass
+
+        taken = Refined().take(np.array([1, 0]))
+        assert np.array_equal(taken.evaluate(None, np.zeros(2), 0.5), np.ones(1))
+
+    def test_builtin_compiled_objectives_still_define_cleanly(self, biased_table):
+        table, _ = biased_table
+        compiled = DisparityObjective(["protected"]).fit(table).compile(table)
+        assert not hasattr(compiled, "export_state")
+        assert not hasattr(type(compiled), "from_state")
+
+    @pytest.mark.parametrize("make_objective", _ALL_OBJECTIVES, ids=_OBJECTIVE_IDS)
+    def test_builtin_compiled_objectives_pickle_bitwise(self, make_objective):
+        """A spawned pool worker receives compiled objectives by pickle: no bit moves."""
+        table, scores = _random_population()
+        compiled = make_objective().fit(table).compile(table)
+        compiled.evaluate(None, scores, 0.2)  # its scratch state travels too
+        restored = pickle.loads(pickle.dumps(compiled))
+        assert type(restored) is type(compiled)
+        rng = np.random.default_rng(4)
+        indices = rng.choice(table.num_rows, size=150, replace=False)
+        for k in (0.05, 0.2, 0.5):
+            assert np.array_equal(
+                restored.evaluate(None, scores, k), compiled.evaluate(None, scores, k)
+            )
+            assert np.array_equal(
+                restored.take(indices).evaluate(None, scores[indices], k),
+                compiled.take(indices).evaluate(None, scores[indices], k),
+            )
 
 
 class TestTake:

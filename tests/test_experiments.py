@@ -37,11 +37,13 @@ from repro.experiments import (
     fig8_refinement,
     fig9_disparate_impact,
     fig10_compas,
+    scenario_stress,
     table1,
     table2,
 )
 from repro.experiments.cli import main as cli_main
 from repro.experiments.harness import get_experiment, register_experiment
+from repro.scenarios import builtin_scenarios
 
 SMALL = 8_000  # cohort size used for experiment smoke tests
 SHORT_SWEEP = (0.05, 0.2, 0.5)
@@ -313,17 +315,30 @@ class TestSchoolExperiments:
             assert matched_and_unmatched == SMALL
 
 
+class TestScenarioStress:
+    def test_armed_run_records_nothing(self, tmp_path, monkeypatch):
+        """Only ``benchmarks/test_bench_scenarios.py`` writes ``BENCH_scenarios.json``."""
+        monkeypatch.setenv("REPRO_BENCH_OUT", str(tmp_path))
+        result = scenario_stress.run(num_students=300, proposing="students", trials=1)
+        assert len(result.table("fairness envelopes (mean over trials)")) == len(
+            builtin_scenarios()
+        )
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestExecution:
     def test_fig4_on_the_process_pool_matches_serial(self, monkeypatch):
         serial = fig4_vary_k.run(num_students=SMALL, k_values=SHORT_SWEEP).format()
+        import repro.core.dca as dca_module
+
         pooled = []
-        original = DCA._fit_many_process
+        original = dca_module.execute_process_jobs
 
-        def spy(self, table, jobs, cache, max_workers):
-            pooled.append((len(jobs), max_workers))
-            return original(self, table, jobs, cache, max_workers)
+        def spy(payload, groups, max_workers):
+            pooled.append((sum(len(group.members) for group in groups), max_workers))
+            return original(payload, groups, max_workers)
 
-        monkeypatch.setattr(DCA, "_fit_many_process", spy)
+        monkeypatch.setattr(dca_module, "execute_process_jobs", spy)
         with use_execution("process", 2):
             text = fig4_vary_k.run(num_students=SMALL, k_values=SHORT_SWEEP).format()
         assert pooled == [(len(SHORT_SWEEP), 2)]

@@ -282,6 +282,27 @@ class TestPreferenceMatrixInput:
         match = matcher(lists, [[1.0, 2.0]] * 2, [1, 1])
         assert match.assignment.tolist() == [1, 0]
 
+    @pytest.mark.parametrize("proposing", PROPOSING)
+    def test_repeated_school_in_list_rejected(self, matcher, proposing):
+        # Matched as given, [0, 0] would count two applications to school 0.
+        with pytest.raises(ValueError, match="student 0 lists school 0 more than once"):
+            matcher([[0, 0], [0]], [[1.0, 2.0]], [1], proposing=proposing)
+        with pytest.raises(ValueError, match="student 2 lists school 1 more than once"):
+            matcher([[0], [1, 0], [1, 0, np.int64(1)]], [[1.0] * 3] * 2, [1, 1],
+                    proposing=proposing)
+
+    @pytest.mark.parametrize("proposing", PROPOSING)
+    def test_repeated_school_in_matrix_rejected(self, matcher, proposing):
+        matrix = np.array([[0, -1, -1], [1, 0, -1], [0, 1, 0]])
+        with pytest.raises(ValueError, match="student 2 lists school 0 more than once"):
+            matcher(matrix, [[1.0] * 3] * 2, [1, 1], proposing=proposing)
+
+    def test_repeated_padding_is_not_a_repeated_school(self, matcher):
+        matrix = np.array([[1, -1, -1], [-1, -1, -1], [0, 1, -1]])
+        lists = [[1], [], [0, 1]]
+        rankings = [[1.0, 2.0, 3.0]] * 2
+        _assert_matches_equal(matcher(matrix, rankings, [1, 1]), matcher(lists, rankings, [1, 1]))
+
 
 class TestProposalAccounting:
     """Pin the ``proposals_made`` semantics: applications to zero-capacity
