@@ -1,4 +1,4 @@
-"""Benchmark: ablations of the design choices DESIGN.md calls out.
+"""Benchmark: ablations of the design choices the paper sets empirically.
 
 Not a paper figure — these record how the sample-size rule, the learning-rate
 schedule, and the rounding granularity affect accuracy and runtime, so

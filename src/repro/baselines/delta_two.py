@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..ranking import selection_mask, selection_size
+from ..ranking import best_first_order, selection_mask, selection_size
 from ..tabular import Table
 
 __all__ = [
@@ -154,7 +154,7 @@ class DeltaTwoReranker:
         k = min(self.constraints.k, n)
         maxima = self.constraints.maxima
         names = self.constraints.group_names
-        order = np.lexsort((np.arange(n), -scores))
+        order = best_first_order(scores)
         bits = np.zeros((n, len(names)), dtype=np.int64)
         for column, name in enumerate(names):
             bits[:, column] = table.numeric(name)[order] > 0.5

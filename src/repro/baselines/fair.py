@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
+from ..ranking import best_first_order
 from ..tabular import Table
 
 __all__ = ["mtable", "adjusted_alpha", "FairRanker", "fair_topk_mask"]
@@ -106,7 +107,7 @@ class FairRanker:
             alpha = adjusted_alpha(k, self.target_proportion, self.alpha)
         minima = mtable(k, self.target_proportion, alpha)
 
-        order = np.lexsort((np.arange(scores.shape[0]), -scores))
+        order = best_first_order(scores)
         protected_queue = [i for i in order if protected[i]]
         open_queue = [i for i in order if not protected[i]]
         result: list[int] = []

@@ -18,8 +18,7 @@ The exact multinomial mtable of the original paper is computed by dynamic
 programming over the multinomial CDF and is expensive; here the per-prefix
 minimum counts are estimated by Monte-Carlo simulation of multinomial draws,
 which preserves the guarantee up to simulation error while keeping the
-baseline fast enough to run inside the benchmark suite.  This substitution is
-documented in DESIGN.md.
+baseline fast enough to run inside the benchmark suite.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ..ranking import best_first_order
 from ..tabular import Table
 
 __all__ = ["MultinomialMTable", "MultinomialFairRanker", "cartesian_subgroups"]
@@ -214,7 +214,7 @@ class MultinomialFairRanker:
             raise ValueError("protected groups must be non-overlapping")
 
         mtable = self._mtable(k)
-        order = np.lexsort((np.arange(n), -scores))
+        order = best_first_order(scores)
         queues: dict[str, list[int]] = {
             name: [i for i in order if masks[name][i]] for name in names
         }

@@ -25,14 +25,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..ranking import selection_size
+from ..ranking import best_first_order, selection_size
 from ..tabular import Table
 
 __all__ = ["quota_selection", "multi_quota_selection"]
-
-
-def _order_by_score(scores: np.ndarray) -> np.ndarray:
-    return np.lexsort((np.arange(scores.shape[0]), -scores))
 
 
 def quota_selection(
@@ -71,7 +67,7 @@ def quota_selection(
     total_seats = selection_size(table.num_rows, k)
     reserved_seats = min(int(round(reserved_share * total_seats)), int(membership.sum()))
 
-    order = _order_by_score(scores)
+    order = best_first_order(scores)
     selected = np.zeros(table.num_rows, dtype=bool)
 
     # Fill the reserved seats with the group's best-ranked members.
@@ -114,7 +110,7 @@ def multi_quota_selection(
         raise ValueError("at least one quota attribute is required")
 
     total_seats = selection_size(table.num_rows, k)
-    order = _order_by_score(scores)
+    order = best_first_order(scores)
     memberships = {
         name: table.numeric(name) > 0.5 for name in reserved_shares
     }

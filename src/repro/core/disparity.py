@@ -27,6 +27,11 @@ attribute matrix of a population once, and
 directly on a row subset of it — no :class:`~repro.tabular.Table` slicing per
 step.  Because normalization is elementwise, indexing rows out of the
 pre-normalized matrix is bitwise identical to normalizing each sample.
+
+The reports here and the compiled objectives of :mod:`repro.core.objectives`
+share one definition of each quantity: :func:`selection_shift` (Definition 3),
+:func:`discounted_grid` (the capped grid and its weights) and
+:func:`discounted_shift` (the discounted sum).
 """
 
 from __future__ import annotations
@@ -100,6 +105,60 @@ class AttributeNormalizer:
             return np.clip(matrix, 0.0, 1.0)
         span = np.where(self._high > self._low, self._high - self._low, 1.0)
         return np.clip((matrix - self._low) / span, 0.0, 1.0)
+
+
+def column_means(matrix: np.ndarray) -> np.ndarray:
+    """Column means via the raw ufunc reduction.
+
+    Bitwise identical to ``matrix.mean(axis=0)`` (which performs the same
+    ``add.reduce`` followed by the same division) but without the Python-level
+    dispatch overhead, which matters at thousands of calls per fit.
+    """
+    return np.add.reduce(matrix, axis=0) / matrix.shape[0]
+
+
+def selection_shift(matrix: np.ndarray, selected: np.ndarray, centroid: np.ndarray) -> np.ndarray:
+    """Definition 3: the ``selected`` rows' centroid minus ``centroid`` (all rows' centroid)."""
+    return column_means(matrix[selected]) - centroid
+
+
+def discounted_grid(
+    k_grid: tuple[float, ...], k: float | None = None
+) -> tuple[tuple[float, ...], np.ndarray]:
+    """The grid fractions up to ``k`` (all if ``None``) and their normalized weights.
+
+    A ``k`` below the whole grid keeps the first fraction.  The weight of
+    fraction ``g`` is ``1 / log2(100·g + 1)`` before normalization.
+    """
+    grid = k_grid if k is None else tuple(g for g in k_grid if g <= k + 1e-12)
+    if not grid:
+        grid = (k_grid[0],)
+    weights = np.asarray([1.0 / np.log2(100.0 * g + 1.0) for g in grid], dtype=float)
+    return grid, weights / weights.sum()
+
+
+def discounted_shift(
+    matrix: np.ndarray,
+    centroid: np.ndarray,
+    scores: np.ndarray,
+    grid: tuple[float, ...],
+    weights: np.ndarray,
+) -> np.ndarray:
+    """The weighted sum of the Definition 3 disparities at each grid fraction."""
+    total = np.zeros(matrix.shape[1], dtype=float)
+    for weight, fraction in zip(weights, grid):
+        total += weight * selection_shift(matrix, selection_mask(scores, fraction), centroid)
+    return total
+
+
+def _checked_scores(table: Table, scores: np.ndarray) -> np.ndarray:
+    """``scores`` as a float array, checked to have one entry per row of ``table``."""
+    scores = np.asarray(scores, dtype=float)
+    if scores.shape != (table.num_rows,):
+        raise ValueError(
+            f"scores have shape {scores.shape}, expected ({table.num_rows},)"
+        )
+    return scores
 
 
 @dataclass(frozen=True)
@@ -177,8 +236,11 @@ class DisparityCalculator:
         """The normalized fairness-attribute matrix of ``table``.
 
         Exposed for the array-plane DCA engine, which precomputes this once
-        per fit and evaluates samples by row indexing into it.
+        per fit and evaluates samples by row indexing into it.  Disparity is
+        undefined on an empty table, so one raises here.
         """
+        if table.num_rows == 0:
+            raise ValueError("cannot compute disparity over an empty table")
         return self._normalizer.transform(table)
 
     def disparity_from_matrix(
@@ -199,20 +261,14 @@ class DisparityCalculator:
             )
         if matrix.shape[0] == 0:
             raise ValueError("cannot compute disparity over an empty matrix")
-        mask = selection_mask(scores, k)
         return DisparityResult(
-            self.attribute_names, matrix[mask].mean(axis=0) - matrix.mean(axis=0)
+            self.attribute_names,
+            selection_shift(matrix, selection_mask(scores, k), column_means(matrix)),
         )
 
     def disparity(self, table: Table, scores: np.ndarray, k: float) -> DisparityResult:
         """Disparity of selecting the top ``k`` fraction of ``table`` by ``scores``."""
-        scores = np.asarray(scores, dtype=float)
-        if scores.shape != (table.num_rows,):
-            raise ValueError(
-                f"scores have shape {scores.shape}, expected ({table.num_rows},)"
-            )
-        if table.num_rows == 0:
-            raise ValueError("cannot compute disparity over an empty table")
+        scores = _checked_scores(table, scores)
         return self.disparity_from_matrix(self.normalized_matrix(table), scores, k)
 
     def disparity_from_mask(self, table: Table, selected: np.ndarray) -> DisparityResult:
@@ -230,7 +286,7 @@ class DisparityCalculator:
             raise ValueError("the selected set is empty")
         matrix = self.normalized_matrix(table)
         return DisparityResult(
-            self.attribute_names, matrix[selected].mean(axis=0) - matrix.mean(axis=0)
+            self.attribute_names, selection_shift(matrix, selected, column_means(matrix))
         )
 
     def disparity_curve(
@@ -282,8 +338,7 @@ class LogDiscountedDisparity:
             if not 0.0 < k <= 1.0:
                 raise ValueError(f"selection fractions must be in (0, 1], got {k}")
         self.k_grid = grid
-        weights = np.asarray([1.0 / np.log2(100.0 * k + 1.0) for k in grid], dtype=float)
-        self._weights = weights / weights.sum()
+        self._weights = discounted_grid(grid)[1]
 
     @property
     def attribute_names(self) -> tuple[str, ...]:
@@ -296,15 +351,13 @@ class LogDiscountedDisparity:
 
     def disparity(self, table: Table, scores: np.ndarray, k: float | None = None) -> DisparityResult:
         """Discounted disparity; ``k``, if given, caps the grid at that fraction."""
-        grid = self.k_grid if k is None else tuple(g for g in self.k_grid if g <= k + 1e-12)
-        if not grid:
-            grid = (self.k_grid[0],)
-        weights = np.asarray([1.0 / np.log2(100.0 * g + 1.0) for g in grid], dtype=float)
-        weights = weights / weights.sum()
-        total = np.zeros(len(self.attribute_names), dtype=float)
-        for weight, fraction in zip(weights, grid):
-            total += weight * self.calculator.disparity(table, scores, fraction).vector
-        return DisparityResult(self.attribute_names, total)
+        scores = _checked_scores(table, scores)
+        matrix = self.calculator.normalized_matrix(table)
+        grid, weights = discounted_grid(self.k_grid, k)
+        return DisparityResult(
+            self.attribute_names,
+            discounted_shift(matrix, column_means(matrix), scores, grid, weights),
+        )
 
 
 # ----------------------------------------------------------------------

@@ -33,11 +33,14 @@ Every objective can be **compiled** against a population via
 ``evaluate(indices, scores, k)`` works directly on NumPy arrays: the
 population-level inputs (normalized attribute matrix, group-membership masks,
 labels) are gathered once, and each sampled DCA step is served by row
-indexing — no per-step :class:`~repro.tabular.Table` construction.  The
-built-in objectives provide exact array-plane compilations (bitwise identical
-to their table-path results); custom subclasses that only implement
-``evaluate`` automatically fall back to a compiled wrapper that slices the
-table, so they keep working in the DCA step loop unchanged.
+indexing — no per-step :class:`~repro.tabular.Table` construction.  A
+built-in objective's table path *is* its compiled form evaluated over the
+whole table, and each compiled form is built from the same kernel as the
+metric the experiments report (:mod:`repro.metrics`,
+:mod:`repro.core.disparity`), so DCA optimizes exactly the reported number.
+Custom subclasses that only implement ``evaluate`` automatically fall back
+to a compiled wrapper that slices the table, so they keep working in the DCA
+step loop unchanged.
 
 Fits that draw the same sample stream run in lockstep
 (:mod:`repro.core.dca`): each step, :meth:`CompiledObjective.take` restricts
@@ -71,6 +74,9 @@ from typing import Sequence
 
 import numpy as np
 
+from ..metrics.disparate_impact import group_selection_rates, impact_ratio
+from ..metrics.exposure import average_exposures, row_exposure
+from ..metrics.rates import false_positive_rates
 from ..ranking import selection_mask
 from ..tabular import Table
 from .disparity import (
@@ -78,6 +84,11 @@ from .disparity import (
     DisparityCalculator,
     DisparityResult,
     LogDiscountedDisparity,
+    _checked_scores,
+    column_means,
+    discounted_grid,
+    discounted_shift,
+    selection_shift,
 )
 
 __all__ = [
@@ -192,7 +203,15 @@ class FairnessObjective(abc.ABC):
         return self.evaluate(table, scores, k).norm
 
 
-class DisparityObjective(FairnessObjective):
+class _BuiltinObjective(FairnessObjective):
+    """A built-in objective: the table path is the compiled form over the whole table."""
+
+    def evaluate(self, table: Table, scores: np.ndarray, k: float) -> DisparityResult:
+        scores = _checked_scores(table, scores)
+        return DisparityResult(self.attribute_names, self.compile(table).evaluate(None, scores, k))
+
+
+class DisparityObjective(_BuiltinObjective):
     """The paper's default objective: Definition 3 disparity at a known ``k``."""
 
     def __init__(
@@ -207,9 +226,6 @@ class DisparityObjective(FairnessObjective):
         self.calculator.fit(table)
         return self
 
-    def evaluate(self, table: Table, scores: np.ndarray, k: float) -> DisparityResult:
-        return self.calculator.disparity(table, scores, k)
-
     def compile(self, table: Table) -> CompiledObjective:
         return _CompiledDisparity(self.calculator.normalized_matrix(table))
 
@@ -223,16 +239,6 @@ def _type_tag(instance: object) -> str:
     return f"{cls.__module__}.{cls.__qualname__}"
 
 
-def _column_means(matrix: np.ndarray) -> np.ndarray:
-    """Column means via the raw ufunc reduction.
-
-    Bitwise identical to ``matrix.mean(axis=0)`` (which performs the same
-    ``add.reduce`` followed by the same division) but without the Python-level
-    dispatch overhead, which matters at thousands of calls per fit.
-    """
-    return np.add.reduce(matrix, axis=0) / matrix.shape[0]
-
-
 def _rows_and_centroid(
     compiled: "_CompiledDisparity | _CompiledLogDiscounted", indices: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -244,9 +250,9 @@ def _rows_and_centroid(
     """
     if indices is not None:
         matrix = compiled._matrix[indices]
-        return matrix, _column_means(matrix)
+        return matrix, column_means(matrix)
     if compiled._centroid is None:
-        compiled._centroid = _column_means(compiled._matrix)
+        compiled._centroid = column_means(compiled._matrix)
     return compiled._matrix, compiled._centroid
 
 
@@ -261,13 +267,13 @@ class _CompiledDisparity(CompiledObjective):
 
     def evaluate(self, indices: np.ndarray | None, scores: np.ndarray, k: float) -> np.ndarray:
         matrix, centroid = _rows_and_centroid(self, indices)
-        return _column_means(matrix[selection_mask(scores, k)]) - centroid
+        return selection_shift(matrix, selection_mask(scores, k), centroid)
 
     def take(self, indices: np.ndarray) -> "_CompiledDisparity":
         return _CompiledDisparity(self._matrix[indices])
 
 
-class LogDiscountedDisparityObjective(FairnessObjective):
+class LogDiscountedDisparityObjective(_BuiltinObjective):
     """Section IV-E: discounted disparity over many selection fractions."""
 
     def __init__(
@@ -283,11 +289,6 @@ class LogDiscountedDisparityObjective(FairnessObjective):
     def fit(self, table: Table) -> "LogDiscountedDisparityObjective":
         self.calculator.fit(table)
         return self
-
-    def evaluate(self, table: Table, scores: np.ndarray, k: float) -> DisparityResult:
-        # ``k`` caps the grid: "the disparity outside that section of the
-        # ranking can be ignored" when only part of the ranking matters.
-        return self.discounted.disparity(table, scores, k=k)
 
     def compile(self, table: Table) -> CompiledObjective:
         return _CompiledLogDiscounted(
@@ -320,33 +321,26 @@ class _CompiledLogDiscounted(CompiledObjective):
         self._centroid: np.ndarray | None = None
 
     def _capped_grid(self, k: float) -> tuple[tuple[float, ...], np.ndarray]:
+        # ``k`` caps the grid: "the disparity outside that section of the
+        # ranking can be ignored" when only part of the ranking matters.
         # ``k`` is constant across a fit's thousands of steps, and a k sweep
         # evaluates a few ``k`` on one instance in turn: cache the capped
         # grid and normalized weights per ``k`` instead of rebuilding them.
         cached = self._grids.get(k)
         if cached is None:
-            grid = tuple(g for g in self._k_grid if g <= k + 1e-12)
-            if not grid:
-                grid = (self._k_grid[0],)
-            weights = np.asarray([1.0 / np.log2(100.0 * g + 1.0) for g in grid], dtype=float)
-            cached = self._grids[k] = (grid, weights / weights.sum())
+            cached = self._grids[k] = discounted_grid(self._k_grid, k)
         return cached
 
     def evaluate(self, indices: np.ndarray | None, scores: np.ndarray, k: float) -> np.ndarray:
-        matrix, population_centroid = _rows_and_centroid(self, indices)
-        grid, weights = self._capped_grid(k)
-        total = np.zeros(matrix.shape[1], dtype=float)
-        for weight, fraction in zip(weights, grid):
-            mask = selection_mask(scores, fraction)
-            total += weight * (_column_means(matrix[mask]) - population_centroid)
-        return total
+        matrix, centroid = _rows_and_centroid(self, indices)
+        return discounted_shift(matrix, centroid, scores, *self._capped_grid(k))
 
     def take(self, indices: np.ndarray) -> "_CompiledLogDiscounted":
         # The taken rows share this instance's per-k weight cache.
         return _CompiledLogDiscounted(self._matrix[indices], self._k_grid, self._grids)
 
 
-class DisparateImpactObjective(FairnessObjective):
+class DisparateImpactObjective(_BuiltinObjective):
     """Scaled disparate impact (Zafar et al.) adapted to DCA's conventions.
 
     For a binary attribute F, disparate impact is
@@ -357,25 +351,15 @@ class DisparateImpactObjective(FairnessObjective):
     the standard update ``B ← B − L·D`` adds points to the disadvantaged group.
     """
 
-    def __init__(self, attribute_names: Sequence[str]) -> None:
-        super().__init__(attribute_names)
-
-    def evaluate(self, table: Table, scores: np.ndarray, k: float) -> DisparityResult:
-        scores = np.asarray(scores, dtype=float)
-        mask = selection_mask(scores, k)
-        membership = _membership_matrix(table, self.attribute_names)
-        return DisparityResult(self.attribute_names, _disparate_impact_values(membership, mask))
-
     def compile(self, table: Table) -> CompiledObjective:
-        return _CompiledGroupObjective(
-            _membership_matrix(table, self.attribute_names), _disparate_impact_values
-        )
+        membership = _membership_matrix(table, self.attribute_names)
+        return _CompiledGroupObjective(_disparate_impact_values, membership)
 
     def signature(self) -> tuple:
         return ("disparate-impact", self.attribute_names)
 
 
-class FalsePositiveRateObjective(FairnessObjective):
+class FalsePositiveRateObjective(_BuiltinObjective):
     """Equalized-odds-style objective: per-group false-positive-rate gaps.
 
     The COMPAS setting flags defendants predicted to re-offend; a *false
@@ -401,25 +385,16 @@ class FalsePositiveRateObjective(FairnessObjective):
         super().__init__(attribute_names)
         self.label_column = str(label_column)
 
-    def evaluate(self, table: Table, scores: np.ndarray, k: float) -> DisparityResult:
-        scores = np.asarray(scores, dtype=float)
-        selected = selection_mask(scores, k)
-        membership = _membership_matrix(table, self.attribute_names)
-        labels = table.numeric(self.label_column) > 0.5
-        return DisparityResult(
-            self.attribute_names, _false_positive_rate_values(membership, labels, selected)
-        )
-
     def compile(self, table: Table) -> CompiledObjective:
         membership = _membership_matrix(table, self.attribute_names)
         labels = table.numeric(self.label_column) > 0.5
-        return _CompiledFalsePositiveRate(membership, labels)
+        return _CompiledGroupObjective(_false_positive_rate_values, membership, labels)
 
     def signature(self) -> tuple:
         return ("fpr", self.attribute_names, self.label_column)
 
 
-class ExposureGapObjective(FairnessObjective):
+class ExposureGapObjective(_BuiltinObjective):
     """Per-group exposure gaps with logarithmic position discounting.
 
     Exposure of a ranked object at (1-based) rank ``r`` is ``1 / log2(r + 1)``
@@ -430,146 +405,80 @@ class ExposureGapObjective(FairnessObjective):
     lower (needs compensation).
     """
 
-    def __init__(self, attribute_names: Sequence[str]) -> None:
-        super().__init__(attribute_names)
-
-    def evaluate(self, table: Table, scores: np.ndarray, k: float) -> DisparityResult:
-        scores = np.asarray(scores, dtype=float)
-        membership = _membership_matrix(table, self.attribute_names)
-        return DisparityResult(self.attribute_names, _exposure_gap_values(membership, scores))
-
     def compile(self, table: Table) -> CompiledObjective:
-        return _CompiledExposureGap(_membership_matrix(table, self.attribute_names))
+        membership = _membership_matrix(table, self.attribute_names)
+        return _CompiledGroupObjective(_exposure_gap_values, membership)
 
     def signature(self) -> tuple:
         return ("exposure-gap", self.attribute_names)
 
 
 # ----------------------------------------------------------------------
-# Shared array-plane kernels.
-#
-# The table-path ``evaluate`` methods and the compiled objectives both call
-# these functions, so the two planes cannot drift apart: a compiled evaluation
-# over ``membership[indices]`` is the same arithmetic as a table evaluation
-# over the sliced table.
+# The signals of the group objectives, each a view of its reported metric's
+# kernel: the objective reads the same rates and exposures the experiments
+# report, and only signs, scales and the degenerate-group rules are its own.
 # ----------------------------------------------------------------------
 def _membership_matrix(table: Table, attribute_names: Sequence[str]) -> np.ndarray:
     """Boolean ``(rows, attributes)`` group-membership matrix of ``table``."""
-    return np.column_stack(
-        [table.numeric(name) > 0.5 for name in attribute_names]
-    )
+    return table.matrix(attribute_names) > 0.5
 
 
-def _disparate_impact_values(membership: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Scaled disparate impact per attribute given membership and selection mask."""
+def _disparate_impact_values(membership: np.ndarray, scores: np.ndarray, k: float) -> np.ndarray:
+    """``±(1 − DI)`` per attribute, negative when the group is selected less; 0 for an empty side."""
     values = np.zeros(membership.shape[1], dtype=float)
-    for i in range(membership.shape[1]):
-        member = membership[:, i]
-        in_group = member.sum()
-        out_group = (~member).sum()
-        if in_group == 0 or out_group == 0:
-            values[i] = 0.0
-            continue
-        rate_in = mask[member].mean()
-        rate_out = mask[~member].mean()
-        if rate_in == 0.0 and rate_out == 0.0:
-            values[i] = 0.0
-            continue
-        high = max(rate_in, rate_out)
-        low = min(rate_in, rate_out)
-        ratio = low / high if high > 0 else 1.0
-        magnitude = 1.0 - ratio
-        values[i] = magnitude if rate_in > rate_out else -magnitude
+    for i, rates in enumerate(group_selection_rates(membership, selection_mask(scores, k))):
+        if rates is not None:
+            rate_in, rate_out = rates
+            magnitude = 1.0 - impact_ratio(rate_in, rate_out)
+            values[i] = magnitude if rate_in > rate_out else -magnitude
     return values
 
 
 def _false_positive_rate_values(
-    membership: np.ndarray, labels: np.ndarray, selected: np.ndarray
+    membership: np.ndarray, labels: np.ndarray, scores: np.ndarray, k: float
 ) -> np.ndarray:
-    """Per-group ``FPR_overall − FPR_group`` given membership, labels, selection."""
-    flagged = ~selected  # not selected for release == predicted positive
-    actual_negative = ~labels
+    """Per-group ``FPR_overall − FPR_group``; 0 for a group with no negatives."""
+    overall, rates = false_positive_rates(membership, labels, selection_mask(scores, k))
     values = np.zeros(membership.shape[1], dtype=float)
-    total_negatives = actual_negative.sum()
-    overall_fpr = float(flagged[actual_negative].mean()) if total_negatives > 0 else 0.0
-    for i in range(membership.shape[1]):
-        group_negatives = membership[:, i] & actual_negative
-        if group_negatives.sum() == 0:
-            values[i] = 0.0
-            continue
-        group_fpr = float(flagged[group_negatives].mean())
-        values[i] = overall_fpr - group_fpr
+    for i, rate in enumerate(rates):
+        if rate is not None:
+            values[i] = overall - rate
     return values
 
 
-def _exposure_gap_values(membership: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Per-group exposure gaps with logarithmic position discounting."""
-    n = scores.shape[0]
-    if n == 0:
+def _exposure_gap_values(membership: np.ndarray, scores: np.ndarray, k: float) -> np.ndarray:
+    """Per-group average exposure minus the complement's, clipped to [-1, 1]; 0 for an empty side.
+
+    Exposure covers the whole ranking, so ``k`` is unused.
+    """
+    if scores.shape[0] == 0:
         raise ValueError("cannot compute exposure over an empty table")
-    order = np.lexsort((np.arange(n), -scores))
-    ranks = np.empty(n, dtype=float)
-    ranks[order] = np.arange(1, n + 1, dtype=float)
-    exposure = 1.0 / np.log2(ranks + 1.0)
+    exposure = row_exposure(scores)
+    inside = average_exposures(exposure, membership)
+    outside = average_exposures(exposure, ~membership)
     values = np.zeros(membership.shape[1], dtype=float)
-    for i in range(membership.shape[1]):
-        member = membership[:, i]
-        if member.sum() == 0 or (~member).sum() == 0:
-            values[i] = 0.0
-            continue
-        gap = exposure[member].mean() - exposure[~member].mean()
-        values[i] = float(np.clip(gap, -1.0, 1.0))
+    for i, (average_in, average_out) in enumerate(zip(inside, outside)):
+        if average_in is not None and average_out is not None:
+            values[i] = float(np.clip(average_in - average_out, -1.0, 1.0))
     return values
 
 
 class _CompiledGroupObjective(CompiledObjective):
-    """Compiled selection-mask objective over a precomputed membership matrix."""
+    """A group objective compiled to its row-aligned arrays (membership, labels).
 
-    __slots__ = ("_membership", "_kernel")
+    ``signal(*rows, scores, k)`` receives the arrays restricted to the
+    evaluated rows.
+    """
 
-    def __init__(self, membership: np.ndarray, kernel) -> None:
-        self._membership = membership
-        self._kernel = kernel
+    __slots__ = ("_signal", "_rows")
+
+    def __init__(self, signal, *rows: np.ndarray) -> None:
+        self._signal = signal
+        self._rows = rows
 
     def evaluate(self, indices: np.ndarray | None, scores: np.ndarray, k: float) -> np.ndarray:
-        membership = self._membership if indices is None else self._membership[indices]
-        return self._kernel(membership, selection_mask(scores, k))
+        rows = self._rows if indices is None else [row[indices] for row in self._rows]
+        return self._signal(*rows, scores, k)
 
     def take(self, indices: np.ndarray) -> "_CompiledGroupObjective":
-        return _CompiledGroupObjective(self._membership[indices], self._kernel)
-
-
-class _CompiledFalsePositiveRate(CompiledObjective):
-    """Compiled equalized-odds FPR gaps over precomputed membership and labels."""
-
-    __slots__ = ("_membership", "_labels")
-
-    def __init__(self, membership: np.ndarray, labels: np.ndarray) -> None:
-        self._membership = membership
-        self._labels = labels
-
-    def evaluate(self, indices: np.ndarray | None, scores: np.ndarray, k: float) -> np.ndarray:
-        if indices is None:
-            membership, labels = self._membership, self._labels
-        else:
-            membership, labels = self._membership[indices], self._labels[indices]
-        return _false_positive_rate_values(membership, labels, selection_mask(scores, k))
-
-    def take(self, indices: np.ndarray) -> "_CompiledFalsePositiveRate":
-        return _CompiledFalsePositiveRate(self._membership[indices], self._labels[indices])
-
-
-class _CompiledExposureGap(CompiledObjective):
-    """Compiled exposure gaps over a precomputed membership matrix."""
-
-    __slots__ = ("_membership",)
-
-    def __init__(self, membership: np.ndarray) -> None:
-        self._membership = membership
-
-    def evaluate(self, indices: np.ndarray | None, scores: np.ndarray, k: float) -> np.ndarray:
-        membership = self._membership if indices is None else self._membership[indices]
-        return _exposure_gap_values(membership, scores)
-
-    def take(self, indices: np.ndarray) -> "_CompiledExposureGap":
-        return _CompiledExposureGap(self._membership[indices])
+        return _CompiledGroupObjective(self._signal, *(row[indices] for row in self._rows))

@@ -1,4 +1,4 @@
-"""Ablation experiments for the design choices DESIGN.md calls out.
+"""Ablation experiments for the design choices of DCA.
 
 These are not paper figures but sanity checks on the knobs the paper sets
 empirically:

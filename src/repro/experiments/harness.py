@@ -3,9 +3,9 @@
 Every experiment module exposes a ``run(...)`` function returning an
 :class:`ExperimentResult`: a named collection of row dictionaries (one table
 or figure-series per key) plus free-form notes.  The harness provides
-formatting helpers so the CLI, the examples, and EXPERIMENTS.md can all print
-the same artefacts, and a small registry the CLI uses to discover the
-experiments.
+formatting helpers so the CLI and the examples print the same artefacts.
+The CLI discovers the experiments through
+:data:`repro.experiments.EXPERIMENT_RUNNERS`.
 
 Experiments that need many independent DCA fits (per-k sweeps, per-seed
 spreads, config ablations) go through :meth:`repro.core.DCA.fit_many` —
@@ -19,15 +19,9 @@ fits with :meth:`repro.core.DCA.fit`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-__all__ = [
-    "ExperimentResult",
-    "format_table",
-    "register_experiment",
-    "experiment_names",
-    "get_experiment",
-]
+__all__ = ["ExperimentResult", "format_table"]
 
 
 def format_table(rows: Sequence[Mapping[str, object]], float_format: str = "{:.3f}") -> str:
@@ -103,25 +97,3 @@ class ExperimentResult:
             raise KeyError(f"no table {label!r}; available: {sorted(self.tables)}")
         return self.tables[label]
 
-
-_REGISTRY: dict[str, Callable[..., ExperimentResult]] = {}
-
-
-def register_experiment(name: str, runner: Callable[..., ExperimentResult]) -> None:
-    """Register an experiment ``run`` callable under ``name`` for the CLI."""
-    if not name:
-        raise ValueError("experiment name must be non-empty")
-    _REGISTRY[name] = runner
-
-
-def experiment_names() -> tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))
-
-
-def get_experiment(name: str) -> Callable[..., ExperimentResult]:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown experiment {name!r}; available: {list(experiment_names())}"
-        ) from None

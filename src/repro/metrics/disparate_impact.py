@@ -9,7 +9,8 @@ where O=1 means the object is selected.  DI lies in [0, 1]; 1 means the
 groups are selected at identical rates (the classic "80% rule" flags DI below
 0.8).  The scaled-to-[-1, 1] version used to drive DCA lives in
 :class:`repro.core.objectives.DisparateImpactObjective`; this module provides
-the plain reporting metric.
+the plain reporting metric.  Both are read off one definition of the rates,
+:func:`group_selection_rates`, and of the ratio, :func:`impact_ratio`.
 """
 
 from __future__ import annotations
@@ -24,6 +25,31 @@ from ..tabular import Table
 __all__ = ["selection_rates", "disparate_impact", "disparate_impact_by_attribute"]
 
 
+def group_selection_rates(
+    membership: np.ndarray, selected: np.ndarray
+) -> list[tuple[float, float] | None]:
+    """(in-group, out-of-group) selection rates of each membership column.
+
+    ``membership`` is a boolean ``(rows, groups)`` matrix; a column whose
+    group or complement is empty has no rates (``None``).
+    """
+    rates: list[tuple[float, float] | None] = []
+    for member in membership.T:
+        if member.all() or not member.any():
+            rates.append(None)
+        else:
+            rates.append((selected[member].mean(), selected[~member].mean()))
+    return rates
+
+
+def impact_ratio(rate_in: float, rate_out: float) -> float:
+    """The DI ratio of two selection rates: lower over higher, 1.0 if neither is selected."""
+    high = max(rate_in, rate_out)
+    if high == 0.0:
+        return 1.0
+    return float(min(rate_in, rate_out) / high)
+
+
 def selection_rates(membership: np.ndarray, selected: np.ndarray) -> tuple[float, float]:
     """Selection rates (in-group, out-of-group) for one binary attribute."""
     membership = np.asarray(membership, dtype=bool)
@@ -32,20 +58,15 @@ def selection_rates(membership: np.ndarray, selected: np.ndarray) -> tuple[float
         raise ValueError(
             f"membership has shape {membership.shape}, expected {selected.shape}"
         )
-    if membership.sum() == 0 or (~membership).sum() == 0:
+    (rates,) = group_selection_rates(membership[:, None], selected)
+    if rates is None:
         raise ValueError("both the protected and unprotected groups must be non-empty")
-    return float(selected[membership].mean()), float(selected[~membership].mean())
+    return float(rates[0]), float(rates[1])
 
 
 def disparate_impact(membership: np.ndarray, selected: np.ndarray) -> float:
     """The DI ratio in [0, 1] for one binary attribute (1 = parity)."""
-    rate_in, rate_out = selection_rates(membership, selected)
-    if rate_in == 0.0 and rate_out == 0.0:
-        return 1.0
-    high, low = max(rate_in, rate_out), min(rate_in, rate_out)
-    if high == 0.0:
-        return 1.0
-    return float(low / high)
+    return impact_ratio(*selection_rates(membership, selected))
 
 
 def disparate_impact_by_attribute(
@@ -54,13 +75,10 @@ def disparate_impact_by_attribute(
     attribute_names: Sequence[str],
     k: float,
 ) -> dict[str, float]:
-    """DI of the top-k selection for each binary fairness attribute."""
+    """DI of the top-k selection for each binary fairness attribute (1.0 for an empty side)."""
     selected = selection_mask(np.asarray(scores, dtype=float), k)
-    result: dict[str, float] = {}
-    for name in attribute_names:
-        membership = table.numeric(name) > 0.5
-        if membership.sum() == 0 or (~membership).sum() == 0:
-            result[name] = 1.0
-            continue
-        result[name] = disparate_impact(membership, selected)
-    return result
+    rates = group_selection_rates(table.matrix(attribute_names) > 0.5, selected)
+    return {
+        name: 1.0 if pair is None else impact_ratio(*pair)
+        for name, pair in zip(attribute_names, rates)
+    }

@@ -15,26 +15,46 @@ from typing import Sequence
 
 import numpy as np
 
+from ..ranking import best_first_order
 from ..tabular import Table
 
 __all__ = ["position_values", "group_exposure", "average_group_exposure", "ddp"]
+
+
+def _position_values(count: int) -> np.ndarray:
+    ranks = np.arange(1, count + 1, dtype=float)
+    return 1.0 / np.log2(ranks + 1.0)
 
 
 def position_values(num_objects: int) -> np.ndarray:
     """The value of each 1-based rank position: ``1 / log2(rank + 1)``."""
     if num_objects <= 0:
         raise ValueError(f"num_objects must be positive, got {num_objects}")
-    ranks = np.arange(1, num_objects + 1, dtype=float)
-    return 1.0 / np.log2(ranks + 1.0)
+    return _position_values(num_objects)
 
 
-def _ranks_from_scores(scores: np.ndarray) -> np.ndarray:
-    scores = np.asarray(scores, dtype=float)
-    n = scores.shape[0]
-    order = np.lexsort((np.arange(n), -scores))
-    ranks = np.empty(n, dtype=np.int64)
-    ranks[order] = np.arange(1, n + 1)
-    return ranks
+def row_exposure(scores: np.ndarray) -> np.ndarray:
+    """Each row's exposure: the position value of its rank in ``best_first_order``.
+
+    ``scores`` must already be a float array.  The reported exposures below
+    and :class:`repro.core.ExposureGapObjective` both rank through this.
+    """
+    exposure = np.empty(scores.shape[0], dtype=float)
+    exposure[best_first_order(scores)] = _position_values(scores.shape[0])
+    return exposure
+
+
+def average_exposures(exposure: np.ndarray, membership: np.ndarray) -> list[float | None]:
+    """Average exposure of each membership column's group (``None`` for an empty group).
+
+    The same ``sum / size`` as :func:`average_group_exposure`; :func:`ddp`
+    and :class:`repro.core.ExposureGapObjective` read it.
+    """
+    averages: list[float | None] = []
+    for member in membership.T:
+        size = int(member.sum())
+        averages.append(float(exposure[member].sum()) / size if size else None)
+    return averages
 
 
 def group_exposure(scores: np.ndarray, membership: np.ndarray) -> float:
@@ -45,9 +65,7 @@ def group_exposure(scores: np.ndarray, membership: np.ndarray) -> float:
         raise ValueError(
             f"membership has shape {membership.shape}, expected {scores.shape}"
         )
-    ranks = _ranks_from_scores(scores)
-    values = 1.0 / np.log2(ranks + 1.0)
-    return float(values[membership].sum())
+    return float(row_exposure(scores)[membership].sum())
 
 
 def average_group_exposure(scores: np.ndarray, membership: np.ndarray) -> float:
@@ -81,17 +99,11 @@ def ddp(
     """
     if len(group_columns) < 2 and not include_complements:
         raise ValueError("DDP needs at least two groups to compare")
-    memberships: list[np.ndarray] = []
-    for name in group_columns:
-        membership = table.numeric(name) > 0.5
-        memberships.append(membership)
-        if include_complements:
-            memberships.append(~membership)
-    averages: list[float] = []
-    for membership in memberships:
-        if membership.sum() == 0:
-            continue
-        averages.append(average_group_exposure(scores, membership))
+    membership = table.matrix(group_columns) > 0.5
+    if include_complements:
+        membership = np.hstack([membership, ~membership])
+    exposure = row_exposure(np.asarray(scores, dtype=float))
+    averages = [a for a in average_exposures(exposure, membership) if a is not None]
     if len(averages) < 2:
         raise ValueError("fewer than two non-empty groups; DDP is undefined")
     return float(max(averages) - min(averages))

@@ -11,14 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..ranking import selection_size
+from ..ranking import top_k_indices
+from .exposure import position_values
 
 __all__ = ["dcg", "ndcg_at_k", "ndcg_curve"]
-
-
-def _log_discounts(count: int) -> np.ndarray:
-    positions = np.arange(1, count + 1, dtype=float)
-    return 1.0 / np.log2(positions + 1.0)
 
 
 def dcg(gains_in_rank_order: np.ndarray) -> float:
@@ -26,7 +22,7 @@ def dcg(gains_in_rank_order: np.ndarray) -> float:
     gains = np.asarray(gains_in_rank_order, dtype=float)
     if gains.size == 0:
         return 0.0
-    return float(np.sum(gains * _log_discounts(gains.size)))
+    return float(np.sum(gains * position_values(gains.size)))
 
 
 def ndcg_at_k(base_scores: np.ndarray, new_scores: np.ndarray, k: float) -> float:
@@ -57,18 +53,13 @@ def ndcg_at_k(base_scores: np.ndarray, new_scores: np.ndarray, k: float) -> floa
         raise ValueError(
             f"score arrays have different shapes: {base_scores.shape} vs {new_scores.shape}"
         )
-    n = base_scores.shape[0]
-    if n == 0:
+    if base_scores.shape[0] == 0:
         raise ValueError("cannot compute nDCG over zero objects")
-    size = selection_size(n, k)
     gains = base_scores - base_scores.min()
-
-    new_order = np.lexsort((np.arange(n), -new_scores))[:size]
-    ideal_order = np.lexsort((np.arange(n), -base_scores))[:size]
-    ideal = dcg(gains[ideal_order])
+    ideal = dcg(gains[top_k_indices(base_scores, k)])
     if ideal == 0.0:
         return 1.0
-    return float(dcg(gains[new_order]) / ideal)
+    return float(dcg(gains[top_k_indices(new_scores, k)]) / ideal)
 
 
 def ndcg_curve(

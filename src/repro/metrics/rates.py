@@ -37,14 +37,31 @@ def _validate(selected: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.
     return selected, labels
 
 
+def false_positive_rates(
+    membership: np.ndarray, labels: np.ndarray, selected: np.ndarray
+) -> tuple[float, list[float | None]]:
+    """The overall FPR and each membership column's FPR.
+
+    A false positive is an actual negative that was not selected.  The overall
+    rate is 0.0 when there are no negatives; a group with no negatives has no
+    rate (``None``).  The reported rates and gaps below and
+    :class:`repro.core.FalsePositiveRateObjective` all read this definition.
+    """
+    flagged = ~selected  # not selected for release == predicted positive
+    negatives = ~labels
+    overall = float(flagged[negatives].mean()) if negatives.any() else 0.0
+    rates: list[float | None] = []
+    for member in membership.T:
+        group_negatives = member & negatives
+        rates.append(float(flagged[group_negatives].mean()) if group_negatives.any() else None)
+    return overall, rates
+
+
 def false_positive_rate(selected: np.ndarray, labels: np.ndarray) -> float:
     """P(flagged | true negative): share of actual negatives that were not selected."""
     selected, labels = _validate(selected, labels)
-    negatives = ~labels
-    if negatives.sum() == 0:
-        return 0.0
-    flagged = ~selected
-    return float(flagged[negatives].mean())
+    no_groups = np.empty((labels.shape[0], 0), dtype=bool)
+    return false_positive_rates(no_groups, labels, selected)[0]
 
 
 def false_negative_rate(selected: np.ndarray, labels: np.ndarray) -> float:
@@ -56,6 +73,23 @@ def false_negative_rate(selected: np.ndarray, labels: np.ndarray) -> float:
     return float(selected[positives].mean())
 
 
+def _rates_by_name(
+    table: Table,
+    scores: np.ndarray,
+    attribute_names: Sequence[str],
+    label_column: str,
+    k: float,
+) -> tuple[float, dict[str, float]]:
+    """Overall FPR and per-group FPRs of the top-k selection (0.0 for no negatives)."""
+    selected = selection_mask(np.asarray(scores, dtype=float), k)
+    overall, rates = false_positive_rates(
+        table.matrix(attribute_names) > 0.5, table.numeric(label_column) > 0.5, selected
+    )
+    return overall, {
+        name: 0.0 if rate is None else rate for name, rate in zip(attribute_names, rates)
+    }
+
+
 def group_false_positive_rates(
     table: Table,
     scores: np.ndarray,
@@ -64,17 +98,7 @@ def group_false_positive_rates(
     k: float,
 ) -> dict[str, float]:
     """FPR of the top-k selection for each binary group column (Figure 10b's series)."""
-    selected = selection_mask(np.asarray(scores, dtype=float), k)
-    labels = table.numeric(label_column) > 0.5
-    rates: dict[str, float] = {}
-    for name in attribute_names:
-        membership = table.numeric(name) > 0.5
-        group_negatives = membership & ~labels
-        if group_negatives.sum() == 0:
-            rates[name] = 0.0
-            continue
-        rates[name] = float((~selected)[group_negatives].mean())
-    return rates
+    return _rates_by_name(table, scores, attribute_names, label_column, k)[1]
 
 
 def fpr_gaps(
@@ -85,11 +109,8 @@ def fpr_gaps(
     k: float,
 ) -> dict[str, float]:
     """Per-group FPR minus the overall FPR (positive = the group is over-flagged)."""
-    selected = selection_mask(np.asarray(scores, dtype=float), k)
-    labels = table.numeric(label_column) > 0.5
-    overall = false_positive_rate(selected, labels)
-    per_group = group_false_positive_rates(table, scores, attribute_names, label_column, k)
-    return {name: rate - overall for name, rate in per_group.items()}
+    overall, rates = _rates_by_name(table, scores, attribute_names, label_column, k)
+    return {name: rate - overall for name, rate in rates.items()}
 
 
 def equalized_odds_gap(

@@ -10,6 +10,7 @@ from .functions import (
 )
 from .ranking import Ranking, rank_table
 from .selection import (
+    best_first_order,
     rank_positions,
     selection_mask,
     selection_size,
@@ -26,6 +27,7 @@ __all__ = [
     "CompositeScore",
     "Ranking",
     "rank_table",
+    "best_first_order",
     "selection_size",
     "top_k_indices",
     "selection_mask",

@@ -24,6 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..tabular import Table
+from .selection import best_first_order
 
 __all__ = [
     "ScoreFunction",
@@ -182,9 +183,8 @@ class RankDerivedScore(ScoreFunction):
         n = base_scores.shape[0]
         if n == 0:
             return base_scores
-        order = np.argsort(-base_scores, kind="stable")
         ranks = np.empty(n, dtype=float)
-        ranks[order] = np.arange(n, dtype=float)
+        ranks[best_first_order(base_scores)] = np.arange(n, dtype=float)
         return self._scale * (n - ranks) / n
 
     def __repr__(self) -> str:

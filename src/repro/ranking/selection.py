@@ -9,6 +9,10 @@ highest f(o) values".  These helpers implement that selection carefully:
 * Ties at the selection boundary are broken deterministically by original row
   index, so repeated runs over the same table select the same objects.  This
   matters for the COMPAS deciles where thousands of defendants share a score.
+
+:func:`best_first_order` is the one definition of that order: the rankings,
+top-k selections, position-based metrics and baselines are built on it, and
+:func:`selection_mask` reproduces its boundary ties without a full sort.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import math
 import numpy as np
 
 __all__ = [
+    "best_first_order",
     "selection_size",
     "top_k_indices",
     "selection_mask",
@@ -42,6 +47,15 @@ def selection_size(num_objects: int, k: float) -> int:
     return min(num_objects, max(1, math.ceil(k * num_objects)))
 
 
+def best_first_order(scores: np.ndarray) -> np.ndarray:
+    """Row indices ordered best-first: descending score, ties to the lower index.
+
+    NaN scores go last.  ``scores`` must already be a float array; the
+    callers coerce once, so the DCA step loop pays for no conversion here.
+    """
+    return np.lexsort((np.arange(scores.shape[0]), -scores))
+
+
 def rank_positions(scores: np.ndarray) -> np.ndarray:
     """Return the 0-based rank of each object (0 = highest score).
 
@@ -49,18 +63,15 @@ def rank_positions(scores: np.ndarray) -> np.ndarray:
     ranking a deterministic function of the score array.
     """
     scores = np.asarray(scores, dtype=float)
-    order = np.lexsort((np.arange(scores.shape[0]), -scores))
     ranks = np.empty(scores.shape[0], dtype=np.int64)
-    ranks[order] = np.arange(scores.shape[0])
+    ranks[best_first_order(scores)] = np.arange(scores.shape[0])
     return ranks
 
 
 def top_k_indices(scores: np.ndarray, k: float) -> np.ndarray:
     """Indices of the top ``k`` fraction of objects, ordered best-first."""
     scores = np.asarray(scores, dtype=float)
-    size = selection_size(scores.shape[0], k)
-    order = np.lexsort((np.arange(scores.shape[0]), -scores))
-    return order[:size]
+    return best_first_order(scores)[: selection_size(scores.shape[0], k)]
 
 
 def selection_mask(scores: np.ndarray, k: float) -> np.ndarray:
@@ -79,7 +90,7 @@ def selection_mask(scores: np.ndarray, k: float) -> np.ndarray:
         return np.ones(n, dtype=bool)
     low = scores.min()
     if low != low:  # NaN present
-        # NaN ordering under argpartition differs from the lexsort reference;
+        # NaN ordering under argpartition differs from ``best_first_order``;
         # fall back to the exact (slower) path for pathological inputs.
         mask = np.zeros(n, dtype=bool)
         mask[top_k_indices(scores, k)] = True
@@ -91,7 +102,7 @@ def selection_mask(scores: np.ndarray, k: float) -> np.ndarray:
     remaining = size - int(np.count_nonzero(mask))
     if remaining > 0:
         # Boundary ties are admitted in original-row order, matching the
-        # deterministic lexsort tie break of ``top_k_indices``.
+        # tie break of ``best_first_order``.
         ties = np.flatnonzero(scores == threshold)
         mask[ties[:remaining]] = True
     return mask

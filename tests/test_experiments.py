@@ -42,7 +42,6 @@ from repro.experiments import (
     table2,
 )
 from repro.experiments.cli import main as cli_main
-from repro.experiments.harness import get_experiment, register_experiment
 from repro.scenarios import builtin_scenarios
 
 SMALL = 8_000  # cohort size used for experiment smoke tests
@@ -115,14 +114,6 @@ class TestHarness:
             result.table("missing")
         formatted = result.format()
         assert "x" in formatted and "note" in formatted
-
-    def test_register_and_get_experiment(self):
-        register_experiment("dummy", lambda: ExperimentResult("dummy", ""))
-        assert get_experiment("dummy")().name == "dummy"
-        with pytest.raises(KeyError):
-            get_experiment("never-registered")
-        with pytest.raises(ValueError):
-            register_experiment("", lambda: None)
 
     def test_runner_registry_covers_all_paper_artifacts(self):
         expected = {"table1", "table2", "fig1", "fig2_fig3", "fig4", "fig5", "fig6",
