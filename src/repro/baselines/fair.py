@@ -6,9 +6,10 @@ statistical test against a target proportion ``p`` at significance ``alpha``.
 The per-prefix minima form the *mtable*; re-ranking then greedily merges the
 protected and non-protected candidate queues while honouring the mtable.
 
-The binomial (single protected group) variant implemented here is the
-building block of the multinomial comparison algorithm in
-:mod:`repro.baselines.multinomial_fair`.
+This is the binomial (single protected group) variant.  The multinomial
+comparison algorithm in :mod:`repro.baselines.multinomial_fair` shares its
+greedy re-ranking idea but not this code: it estimates its per-group mtable
+by Monte-Carlo simulation instead of from the binomial quantile.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ..ranking import best_first_order
 from ..tabular import Table
@@ -38,6 +38,14 @@ def mtable(k: int, p: float, alpha: float) -> np.ndarray:
         raise ValueError(f"target proportion p must be in (0, 1), got {p}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    # Imported here, not at module level: SciPy's stats subpackage costs about
+    # a second to import and nothing else in the package needs it, so only a
+    # process that builds a binomial mtable pays for it.  ``binom.ppf`` is not
+    # re-derived from ``scipy.special.bdtr``: the smallest m with
+    # ``bdtr(m, i, p) >= alpha`` disagrees with it at exact ties (i=7, p=0.5,
+    # alpha=0.5 gives 4 against 3).
+    from scipy import stats
+
     prefixes = np.arange(1, k + 1)
     return stats.binom.ppf(alpha, prefixes, p).astype(int)
 
