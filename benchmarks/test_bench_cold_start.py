@@ -8,8 +8,8 @@ from scratch.  This bench starts fresh interpreters and records into
   ``import repro.experiments``, timed inside each child;
 * the wall-clock of ``python -m repro.experiments.cli list``, interpreter
   start included, timed by the parent;
-* whether ``scipy.stats`` (about a second of import on its own) was loaded
-  by the import, as 0 or 1;
+* whether ``scipy.stats`` (about a second of import on its own) and
+  ``scipy.special`` were loaded by the import, each as 0 or 1;
 * the core count and the Python, NumPy and SciPy versions, each as
   ``{major, minor, micro}``.
 
@@ -40,7 +40,11 @@ import time
 
 start = time.perf_counter()
 import repro.experiments
-print(time.perf_counter() - start, int("scipy.stats" in sys.modules))
+print(
+    time.perf_counter() - start,
+    int("scipy.stats" in sys.modules),
+    int("scipy.special" in sys.modules),
+)
 """
 
 
@@ -65,10 +69,12 @@ def _version(text: str) -> dict[str, int]:
 def test_cold_start_recorded():
     import_seconds = []
     stats_loaded = []
+    special_loaded = []
     for _ in range(INTERPRETERS):
-        seconds, loaded = _run("-c", _IMPORT_PROBE).stdout.split()
+        seconds, stats, special = _run("-c", _IMPORT_PROBE).stdout.split()
         import_seconds.append(float(seconds))
-        stats_loaded.append(int(loaded))
+        stats_loaded.append(int(stats))
+        special_loaded.append(int(special))
 
     start = time.perf_counter()
     listing = _run("-m", "repro.experiments.cli", "list").stdout
@@ -83,6 +89,7 @@ def test_cold_start_recorded():
             "import_seconds_max": round(max(import_seconds), 4),
             "cli_list_seconds": round(cli_list_seconds, 4),
             "scipy_stats_loaded": max(stats_loaded),
+            "scipy_special_loaded": max(special_loaded),
         },
         context={
             "interpreters": INTERPRETERS,

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from _bench_record import floors_enforced, record_bench, usable_cores
 from repro.core import DCA, DCAConfig, DisparityObjective
 from repro.datasets import (
     SCHOOL_FAIRNESS_ATTRIBUTES,
@@ -53,10 +54,13 @@ def _fit_once(num_students: int, seed: int = 7, oracle: bool = False):
 def test_dca_array_engine_quick_profile_5k():
     """Quick-profile smoke on the paper's 5k-student cohort (the CI perf canary).
 
-    The array step loop must beat the table-slicing test oracle
-    (``tests/_dca_table_oracle.py``) by a clear margin on the very same fit
-    — a relative assertion, so it stays meaningful on slow CI runners —
-    while producing bitwise identical bonus vectors.
+    The array step loop produces bonus vectors bitwise identical to the
+    table-slicing test oracle (``tests/_dca_table_oracle.py``) on the very
+    same fit, checked on every run, and both best-of-three wall-clocks are
+    recorded into ``BENCH_dca_runtime.json``.  Under
+    ``REPRO_BENCH_ENFORCE=1`` (the CI bench job) the array loop must also
+    beat the oracle by a clear margin: a relative floor, calibrated on one
+    core, so it stays meaningful on slow runners.
     """
     array_seconds, array_result = min(
         (_fit_once(5_000) for _ in range(3)), key=lambda pair: pair[0]
@@ -65,7 +69,17 @@ def test_dca_array_engine_quick_profile_5k():
         (_fit_once(5_000, oracle=True) for _ in range(3)), key=lambda pair: pair[0]
     )
     assert np.array_equal(array_result.raw_bonus.values, table_result.raw_bonus.values)
-    assert array_seconds * 1.5 < table_seconds
+    record_bench(
+        "dca_runtime",
+        {
+            "quick_profile_array_seconds": round(array_seconds, 4),
+            "quick_profile_table_oracle_seconds": round(table_seconds, 4),
+            "quick_profile": {"speedup": round(table_seconds / array_seconds, 3)},
+        },
+        context={"students": 5_000, "repeats": 3, "cores": usable_cores()},
+    )
+    if floors_enforced():
+        assert array_seconds * 1.5 < table_seconds
 
 
 def test_dca_fit_runtime_default_setting(benchmark, bench_students):

@@ -35,11 +35,13 @@ arrays:
    :meth:`repro.core.objectives.FairnessObjective.compile`) are gathered
    **once**;
 2. every step draws an ``int64`` index array from the
-   :class:`~repro.core.sampling.SampleStream`, gathers ``base[idx]`` and
-   ``A_f[idx]``, takes the compiled objective's rows
+   :class:`~repro.core.sampling.SampleStream`, gathers the sample's rows
+   ``base_s`` and ``A_s`` of ``base`` and ``A_f`` with ``take(idx, axis=0)``
+   (several times cheaper than ``base[idx]`` for the same copy), takes the
+   compiled objective's rows
    (:meth:`~repro.core.objectives.CompiledObjective.take`), computes
-   compensated scores as ``base[idx] + A_f[idx] @ B`` and evaluates the
-   taken objective on them — no per-step :class:`~repro.tabular.Table`
+   compensated scores as ``base_s + A_s @ B`` and evaluates the taken
+   objective on them — no per-step :class:`~repro.tabular.Table`
    materialization, no shadow index column, no
    :class:`~repro.core.bonus.BonusVector` boxing.
 
@@ -309,8 +311,8 @@ class _LockstepSearch:
     def step_signals(self, bonuses: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Draw the next sample and evaluate every member under its own bonus values."""
         indices = self._next_indices()
-        base = self._base_scores[indices]
-        matrix = self._attribute_matrix[indices]
+        base = self._base_scores.take(indices)
+        matrix = self._attribute_matrix.take(indices, axis=0)
         taken = [compiled.take(indices) for compiled in self._compiled]
         return [
             np.asarray(

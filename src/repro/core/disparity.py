@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..ranking import selection_mask
+from ..ranking import best_first_order, selection_mask, selection_size
 from ..tabular import Table
 
 __all__ = [
@@ -117,9 +117,20 @@ def column_means(matrix: np.ndarray) -> np.ndarray:
     return np.add.reduce(matrix, axis=0) / matrix.shape[0]
 
 
+def _check_rows(matrix: np.ndarray, length: int, what: str) -> None:
+    # ``compress`` truncates a short mask and ``take`` never sees the extra
+    # rows of a long score vector, so a length mismatch is caught here.
+    if length != matrix.shape[0]:
+        raise ValueError(f"{what} has {length} rows, the matrix {matrix.shape[0]}")
+
+
 def selection_shift(matrix: np.ndarray, selected: np.ndarray, centroid: np.ndarray) -> np.ndarray:
-    """Definition 3: the ``selected`` rows' centroid minus ``centroid`` (all rows' centroid)."""
-    return column_means(matrix[selected]) - centroid
+    """Definition 3: the ``selected`` rows' centroid minus ``centroid`` (all rows' centroid).
+
+    ``selected`` is a boolean mask over the rows of ``matrix``.
+    """
+    _check_rows(matrix, selected.shape[0], "the selection mask")
+    return column_means(matrix.compress(selected, axis=0)) - centroid
 
 
 def discounted_grid(
@@ -144,10 +155,21 @@ def discounted_shift(
     grid: tuple[float, ...],
     weights: np.ndarray,
 ) -> np.ndarray:
-    """The weighted sum of the Definition 3 disparities at each grid fraction."""
+    """The weighted sum of the Definition 3 disparities at each grid fraction.
+
+    The sample is ranked once: the rows selected at the largest fraction are
+    ordered best-first, and each fraction's selection is a prefix of that
+    order.  Each prefix is gathered in row order, so every centroid sums the
+    same rows in the same order as a per-fraction :func:`selection_mask`.
+    """
+    _check_rows(matrix, scores.shape[0], "the score vector")
+    num_rows = scores.shape[0]
+    widest = np.flatnonzero(selection_mask(scores, max(grid)))
+    order = widest.take(best_first_order(scores.take(widest)))
     total = np.zeros(matrix.shape[1], dtype=float)
     for weight, fraction in zip(weights, grid):
-        total += weight * selection_shift(matrix, selection_mask(scores, fraction), centroid)
+        rows = np.sort(order[: selection_size(num_rows, fraction)])
+        total += weight * (column_means(matrix.take(rows, axis=0)) - centroid)
     return total
 
 

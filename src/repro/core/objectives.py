@@ -249,7 +249,7 @@ def _rows_and_centroid(
     drew it, and they all share its population centroid.
     """
     if indices is not None:
-        matrix = compiled._matrix[indices]
+        matrix = compiled._matrix.take(indices, axis=0)
         return matrix, column_means(matrix)
     if compiled._centroid is None:
         compiled._centroid = column_means(compiled._matrix)
@@ -270,7 +270,7 @@ class _CompiledDisparity(CompiledObjective):
         return selection_shift(matrix, selection_mask(scores, k), centroid)
 
     def take(self, indices: np.ndarray) -> "_CompiledDisparity":
-        return _CompiledDisparity(self._matrix[indices])
+        return _CompiledDisparity(self._matrix.take(indices, axis=0))
 
 
 class LogDiscountedDisparityObjective(_BuiltinObjective):
@@ -337,7 +337,9 @@ class _CompiledLogDiscounted(CompiledObjective):
 
     def take(self, indices: np.ndarray) -> "_CompiledLogDiscounted":
         # The taken rows share this instance's per-k weight cache.
-        return _CompiledLogDiscounted(self._matrix[indices], self._k_grid, self._grids)
+        return _CompiledLogDiscounted(
+            self._matrix.take(indices, axis=0), self._k_grid, self._grids
+        )
 
 
 class DisparateImpactObjective(_BuiltinObjective):
@@ -477,8 +479,11 @@ class _CompiledGroupObjective(CompiledObjective):
         self._rows = rows
 
     def evaluate(self, indices: np.ndarray | None, scores: np.ndarray, k: float) -> np.ndarray:
-        rows = self._rows if indices is None else [row[indices] for row in self._rows]
+        rows = self._rows
+        if indices is not None:
+            rows = [row.take(indices, axis=0) for row in rows]
         return self._signal(*rows, scores, k)
 
     def take(self, indices: np.ndarray) -> "_CompiledGroupObjective":
-        return _CompiledGroupObjective(self._signal, *(row[indices] for row in self._rows))
+        rows = (row.take(indices, axis=0) for row in self._rows)
+        return _CompiledGroupObjective(self._signal, *rows)

@@ -24,11 +24,11 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-# The standard normal CDF and quantile that SciPy's ``norm.cdf``/``norm.ppf``
-# wrap, bit for bit at loc 0 and scale 1.  Importing them alone keeps SciPy's
-# stats subpackage, about a second of import, out of every process that
-# generates a cohort.
-from scipy.special import ndtr, ndtri
+# The marginals use ``scipy.special.ndtr``/``ndtri``: the standard normal CDF
+# and quantile that SciPy's ``norm.cdf``/``norm.ppf`` wrap, bit for bit at
+# loc 0 and scale 1.  They are imported inside the functions that call them,
+# so importing the package loads no SciPy, and generating a cohort loads
+# ``scipy.special`` but never ``scipy.stats``.
 
 __all__ = [
     "MarginalSpec",
@@ -59,6 +59,8 @@ def binary_marginal(name: str, prevalence: float) -> MarginalSpec:
     """
     if not 0.0 < prevalence < 1.0:
         raise ValueError(f"prevalence must be in (0, 1), got {prevalence}")
+    from scipy.special import ndtri
+
     threshold = ndtri(1.0 - prevalence)
 
     def transform(latent: np.ndarray) -> np.ndarray:
@@ -73,6 +75,8 @@ def uniform_marginal(name: str, low: float = 0.0, high: float = 1.0) -> Marginal
         raise ValueError(f"high must exceed low, got [{low}, {high}]")
 
     def transform(latent: np.ndarray) -> np.ndarray:
+        from scipy.special import ndtr
+
         return low + (high - low) * ndtr(latent)
 
     return MarginalSpec(name, transform)

@@ -13,6 +13,9 @@ highest f(o) values".  These helpers implement that selection carefully:
 :func:`best_first_order` is the one definition of that order: the rankings,
 top-k selections, position-based metrics and baselines are built on it, and
 :func:`selection_mask` reproduces its boundary ties without a full sort.
+The log-discounted disparity combines the two: one mask at its largest
+fraction, then one :func:`best_first_order` over the selected rows, whose
+prefixes are the smaller fractions' selections.
 """
 
 from __future__ import annotations
@@ -80,8 +83,11 @@ def selection_mask(scores: np.ndarray, k: float) -> np.ndarray:
     The selected *set* is exactly the one ``top_k_indices`` returns (including
     the index-based tie break at the boundary), but because the mask does not
     need the within-selection ordering it is computed with an ``O(n)``
-    partition instead of a full sort.  This function sits on the hot path of
-    every sampled DCA step, so the difference is measurable.
+    partition instead of a full sort.  A sampled DCA step calls it once per
+    evaluation: at the fit's ``k`` for the Definition 3, disparate-impact
+    and false-positive-rate objectives, and at the largest grid fraction
+    for the log-discounted one, which orders only the selected rows to read
+    its smaller fractions.
     """
     scores = np.asarray(scores, dtype=float)
     n = scores.shape[0]

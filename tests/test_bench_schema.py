@@ -67,6 +67,14 @@ def test_committed_payload_schema(path: Path) -> None:
 
 
 class TestRecorder:
+    @pytest.mark.parametrize("value, enforced", [(None, False), ("0", False), ("1", True)])
+    def test_floors_gate_only_under_enforce(self, monkeypatch, value, enforced):
+        if value is None:
+            monkeypatch.delenv("REPRO_BENCH_ENFORCE", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_BENCH_ENFORCE", value)
+        assert _bench_record.floors_enforced() is enforced
+
     def test_silent_without_destination(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_BENCH_OUT", raising=False)
         monkeypatch.delenv("REPRO_REGEN_BENCH", raising=False)

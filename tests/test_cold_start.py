@@ -1,13 +1,17 @@
-"""Cold start: the package runs without importing ``scipy.stats``.
+"""Cold start: the package imports without SciPy and runs without ``scipy.stats``.
 
 ``scipy.stats`` takes about a second to import, which every CLI run,
-spawn-started pool worker and subprocess would pay.  The copula therefore
+spawn-started pool worker and subprocess would pay, and ``scipy.special``
+is most of what is left of the package's import.  The copula therefore
 uses the standard normal CDF and quantile from ``scipy.special`` (``ndtr``,
-``ndtri``), and binomial FA*IR imports ``scipy.stats`` inside ``mtable``,
-the one function that needs ``binom.ppf``.
+``ndtri``), imported inside the functions that call them, and binomial
+FA*IR imports ``scipy.stats`` inside ``mtable``, the one function that
+needs ``binom.ppf``.
 
-These tests pin both halves: a fresh interpreter that imports every module
-and runs the data and baseline paths never loads ``scipy.stats``, and the
+These tests pin every half: a fresh interpreter that imports
+``repro.experiments`` loads no ``scipy.special`` or ``scipy.stats``;
+generating a cohort loads ``scipy.special``; importing every module and
+running the data and baseline paths never loads ``scipy.stats``; and the
 ``scipy.special`` functions equal the ``scipy.stats.norm`` methods they
 replace bit for bit, so every generated cohort is unchanged.  The tests
 themselves may import ``scipy.stats``.
@@ -36,6 +40,15 @@ import importlib
 import pkgutil
 import sys
 
+import repro.experiments
+
+print("experiments", "scipy.special" in sys.modules, "scipy.stats" in sys.modules)
+
+from repro.datasets import SchoolGeneratorConfig, generate_school_cohort
+
+generate_school_cohort("2016-2017", SchoolGeneratorConfig(num_students=500))
+print("cohort", "scipy.special" in sys.modules, "scipy.stats" in sys.modules)
+
 import repro
 
 walked = [info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")]
@@ -43,7 +56,7 @@ for name in walked:
     importlib.import_module(name)
 
 from repro.baselines import mtable
-from repro.datasets import SchoolGeneratorConfig, generate_compas_dataset, generate_school_cohort
+from repro.datasets import generate_compas_dataset
 from repro.experiments import table2
 
 generate_school_cohort("2016-2017", SchoolGeneratorConfig(num_students=2000))
@@ -77,13 +90,19 @@ def probe() -> dict[str, list[str]]:
         env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
     )
     assert completed.returncode == 0, completed.stderr
-    lines = completed.stdout.splitlines()[-3:]
+    lines = completed.stdout.splitlines()[-5:]
     return {line.split()[0]: line.split()[1:] for line in lines}
 
 
 class TestImportGraph:
     def test_probe_imports_every_module(self, probe):
         assert set(probe["walked"]) == _package_modules()
+
+    def test_import_loads_no_scipy(self, probe):
+        assert probe["experiments"] == ["False", "False"]
+
+    def test_cohort_generation_loads_scipy_special_only(self, probe):
+        assert probe["cohort"] == ["True", "False"]
 
     def test_package_never_loads_scipy_stats(self, probe):
         assert probe["pipeline"] == ["False"]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from _discounted_oracle import reference_discounted_shift
 from repro.core import (
     AttributeNormalizer,
     DisparityCalculator,
@@ -13,6 +14,12 @@ from repro.core import (
     default_k_grid,
     disparity_norm,
     disparity_vector,
+)
+from repro.core.disparity import (
+    column_means,
+    discounted_grid,
+    discounted_shift,
+    selection_shift,
 )
 from repro.tabular import Table
 
@@ -202,3 +209,66 @@ class TestFunctionalHelpers:
 
     def test_disparity_norm_non_negative(self, toy_table):
         assert disparity_norm(toy_table, toy_table.numeric("score"), ["protected"], 0.3) >= 0.0
+
+
+def _scores(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Scores of one of the shapes the discounted kernel is pinned on."""
+    if kind == "distinct":
+        return rng.normal(size=n)
+    if kind == "ties":
+        return rng.integers(0, 4, size=n).astype(float)
+    if kind == "nan":
+        scores = rng.integers(0, 4, size=n).astype(float)
+        scores[rng.uniform(size=n) < 0.3] = np.nan
+        return scores
+    if kind == "inf":
+        return rng.choice([-np.inf, np.inf, 0.0, -0.0, 1.5], size=n)
+    return np.full(n, 0.25)  # all equal
+
+
+#: (grid, cap) pairs: the default grid uncapped and capped, a cap below the
+#: first grid point, and an unsorted custom grid uncapped and capped.
+_GRIDS = [
+    (default_k_grid(), None),
+    (default_k_grid(), 0.2),
+    (default_k_grid(), 0.01),
+    ((0.3, 0.05, 0.5, 0.1), None),
+    ((0.3, 0.05, 0.5, 0.1), 0.2),
+]
+
+
+class TestDiscountedShiftOracle:
+    """The rank-once kernel equals one ``selection_mask`` per fraction, byte for byte."""
+
+    @pytest.mark.parametrize("n", [1, 2, 19, 500, 5_000, 200_000])
+    @pytest.mark.parametrize("kind", ["distinct", "ties", "nan", "inf", "equal"])
+    def test_matches_per_fraction_oracle(self, n, kind):
+        rng = np.random.default_rng(n)
+        matrix = rng.uniform(size=(n, 3))
+        centroid = column_means(matrix)
+        scores = _scores(kind, n, rng)
+        for k_grid, k in _GRIDS:
+            grid, weights = discounted_grid(k_grid, k)
+            expected = reference_discounted_shift(matrix, centroid, scores, grid, weights)
+            actual = discounted_shift(matrix, centroid, scores, grid, weights)
+            assert actual.tobytes() == expected.tobytes(), (k_grid, k)
+
+
+class TestRowCountChecks:
+    """A gather by ``compress``/``take`` would not notice a wrong length: the kernels do."""
+
+    @pytest.mark.parametrize("length", [9, 11])
+    def test_selection_shift_rejects_wrong_length_mask(self, length):
+        matrix = np.random.default_rng(1).uniform(size=(10, 2))
+        mask = np.zeros(length, dtype=bool)
+        mask[:3] = True
+        with pytest.raises(ValueError, match="selection mask"):
+            selection_shift(matrix, mask, column_means(matrix))
+
+    @pytest.mark.parametrize("length", [9, 11])
+    def test_discounted_shift_rejects_wrong_length_scores(self, length):
+        matrix = np.random.default_rng(2).uniform(size=(10, 2))
+        scores = np.arange(length, dtype=float)
+        grid, weights = discounted_grid(default_k_grid())
+        with pytest.raises(ValueError, match="score vector"):
+            discounted_shift(matrix, column_means(matrix), scores, grid, weights)

@@ -245,6 +245,38 @@ class TestTake:
                 for _ in range(2):
                     assert np.array_equal(taken.evaluate(None, scores[indices], k), expected)
 
+    @pytest.mark.parametrize("make_objective", _ALL_OBJECTIVES, ids=_OBJECTIVE_IDS)
+    def test_gathers_equal_fancy_indexed_population(self, make_objective):
+        """``take``/``evaluate(indices, ...)`` equal compiling the fancy-indexed rows.
+
+        The reference population is built column by column with ``column[indices]``;
+        the indices repeat and are out of order, as a draw with replacement would be.
+        """
+        table, scores = _random_population()
+        objective = make_objective().fit(table)
+        compiled = objective.compile(table)
+        rng = np.random.default_rng(6)
+        for size in (1, 37, 400):
+            indices = rng.integers(0, table.num_rows, size=size)
+            subset = Table({name: table.numeric(name)[indices] for name in table.column_names})
+            reference = objective.compile(subset)
+            sample = scores[indices]
+            for k in (0.05, 0.2, 0.5):
+                expected = reference.evaluate(None, sample, k).tobytes()
+                assert compiled.evaluate(indices, sample, k).tobytes() == expected
+                assert compiled.take(indices).evaluate(None, sample, k).tobytes() == expected
+
+    @pytest.mark.parametrize("make_objective", _ALL_OBJECTIVES, ids=_OBJECTIVE_IDS)
+    def test_wrong_length_scores_raise(self, make_objective):
+        table, scores = _random_population()
+        compiled = make_objective().fit(table).compile(table)
+        indices = np.arange(50)
+        for wrong in (scores[:49], scores[:51]):
+            with pytest.raises((ValueError, IndexError)):
+                compiled.evaluate(indices, wrong, 0.2)
+            with pytest.raises((ValueError, IndexError)):
+                compiled.take(indices).evaluate(None, wrong, 0.2)
+
     def test_default_take_defers_to_evaluate(self):
         from repro.core.objectives import CompiledObjective
 
