@@ -6,6 +6,12 @@ a single DCA fit at the default setting on cohorts of different sizes and
 checks that the fit time grows far more slowly than the data (it is not
 strictly constant because scoring the cohort once and the top-k evaluation of
 samples retain a mild dependence).
+
+Every test records its wall-clocks into ``BENCH_dca_runtime.json``.  The
+floors (the quick profile's speedup over the table oracle, the 30 s fit and
+the sublinear growth, calibrated on 2 cores) gate only under
+``REPRO_BENCH_ENFORCE=1`` (see ``floors_enforced``); the bitwise identity
+against the oracle always runs.
 """
 
 from __future__ import annotations
@@ -84,13 +90,31 @@ def test_dca_array_engine_quick_profile_5k():
 
 def test_dca_fit_runtime_default_setting(benchmark, bench_students):
     seconds, _ = run_once(benchmark, _fit_once, bench_students)
+    record_bench(
+        "dca_runtime",
+        {"default_fit_seconds": round(seconds, 4)},
+        context={"default_fit_students": bench_students, "cores": usable_cores()},
+    )
     # The paper reports ≈10s on 80k students with their Python/Pandas setup;
     # this implementation should fit well within that on the reduced cohort.
-    assert seconds < 30.0
+    if floors_enforced():
+        assert seconds < 30.0
 
 
 def test_dca_fit_time_sublinear_in_dataset_size():
     small = min(_fit_once(10_000, seed=s)[0] for s in (1, 2))
     large = min(_fit_once(40_000, seed=s)[0] for s in (1, 2))
+    record_bench(
+        "dca_runtime",
+        {
+            "sublinear": {
+                "seconds_10k": round(small, 4),
+                "seconds_40k": round(large, 4),
+                "ratio": round(large / small, 3),
+            }
+        },
+        context={"cores": usable_cores()},
+    )
     # 4x more data must cost far less than 4x more time (sampling-based fit).
-    assert large < small * 3.0
+    if floors_enforced():
+        assert large < small * 3.0

@@ -16,7 +16,10 @@ make preferences strict, so any divergence between the two is a bug.
 * A final test pins the vectorized preference generator's cost at 100k
   students: it must stay a small fraction of a district match.
 
-Both engine tests record into ``BENCH_matching.json`` with the core count.
+Every test records into ``BENCH_matching.json`` with the core count.  The
+two wall-clock floors (the 3x speedup and the 5 s preference generation,
+both calibrated on 2 cores) gate only under ``REPRO_BENCH_ENFORCE=1`` (see
+``floors_enforced``); the identity and shape assertions always run.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from _bench_record import record_bench, usable_cores
+from _bench_record import floors_enforced, record_bench, usable_cores
 from repro.matching import deferred_acceptance, generate_student_preferences
 
 _ORACLE_PATH = Path(__file__).resolve().parent.parent / "tests" / "_da_reference_oracle.py"
@@ -97,10 +100,11 @@ def test_vector_engine_speedup_and_equivalence_over_reference():
         },
         context=_context("vector_vs_reference_students", MATCH_STUDENTS),
     )
-    assert vector_seconds * 3.0 < reference_seconds, (
-        f"engine {vector_seconds:.2f}s vs oracle {reference_seconds:.2f}s "
-        f"({reference_seconds / vector_seconds:.1f}x) — expected at least 3x"
-    )
+    if floors_enforced():
+        assert vector_seconds * 3.0 < reference_seconds, (
+            f"engine {vector_seconds:.2f}s vs oracle {reference_seconds:.2f}s "
+            f"({reference_seconds / vector_seconds:.1f}x) — expected at least 3x"
+        )
 
 
 def test_school_proposing_engines_identical_at_district_scale():
@@ -134,6 +138,12 @@ def test_preference_generation_is_cheap_at_district_scale():
     )
     seconds = time.perf_counter() - start
     assert preferences.shape == (DISTRICT_STUDENTS, LIST_LENGTH)
+    record_bench(
+        "matching",
+        metrics={"preference_generation_seconds": round(seconds, 4)},
+        context=_context("preference_generation_students", DISTRICT_STUDENTS),
+    )
     # The vectorized generator draws one noise matrix and argsorts it; even
     # at 100k x 100 this is sub-second on any recent machine.
-    assert seconds < 5.0
+    if floors_enforced():
+        assert seconds < 5.0

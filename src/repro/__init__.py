@@ -33,9 +33,7 @@ from .core import (
     DCA,
     Adam,
     BonusVector,
-    CoreDCA,
     DCAConfig,
-    DCARefinement,
     DCAResult,
     DisparateImpactObjective,
     DisparityCalculator,
@@ -44,10 +42,8 @@ from .core import (
     ExposureGapObjective,
     FairnessObjective,
     FalsePositiveRateObjective,
-    FullDCA,
     LogDiscountedDisparity,
     LogDiscountedDisparityObjective,
-    fit_bonus_points,
 )
 from .ranking import Ranking, ScoreFunction, WeightedSumScore, rank_table
 from .tabular import Table
@@ -62,9 +58,6 @@ __all__ = [
     "ScoreFunction",
     "WeightedSumScore",
     "DCA",
-    "CoreDCA",
-    "DCARefinement",
-    "FullDCA",
     "DCAConfig",
     "DCAResult",
     "BonusVector",
@@ -78,5 +71,4 @@ __all__ = [
     "DisparateImpactObjective",
     "FalsePositiveRateObjective",
     "ExposureGapObjective",
-    "fit_bonus_points",
 ]

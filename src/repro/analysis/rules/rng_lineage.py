@@ -4,8 +4,8 @@ R1 audits one function at a time inside the hot directories.  R5 closes the
 gap that leaves open, using the project call graph
 (:mod:`repro.analysis.callgraph`): reachability beats directory layout.  Any
 function reachable from an entry point — ``DCA.fit``, ``fit_many``,
-``deferred_acceptance``, ``fit_bonus_points``, or the process-pool worker
-``_plane_worker_fit`` — is audited for the R1 violation set
+``deferred_acceptance``, or the process-pool worker ``_plane_worker_fit`` —
+is audited for the R1 violation set
 (global-singleton draws, *unseeded* ``default_rng()``, the stdlib ``random``
 module, wall clocks) no matter which directory it lives in.  A helper in
 ``tabular/`` that quietly pulls OS entropy is invisible to R1 and flagged
@@ -33,7 +33,6 @@ __all__ = ["RngLineageRule"]
 ENTRY_TERMINALS = (
     "fit",
     "fit_many",
-    "fit_bonus_points",
     "deferred_acceptance",
     "_plane_worker_fit",
 )

@@ -9,15 +9,7 @@ from .calibration import (
     proportion_sweep,
 )
 from .config import DCAConfig
-from .dca import (
-    DCA,
-    BatchFitResult,
-    CoreDCA,
-    DCARefinement,
-    FitSpec,
-    FullDCA,
-    fit_bonus_points,
-)
+from .dca import DCA, BatchFitResult, FitSpec
 from .disparity import (
     AttributeNormalizer,
     DisparityCalculator,
@@ -52,12 +44,8 @@ __all__ = [
     "compensate_scores",
     "DCAConfig",
     "DCA",
-    "CoreDCA",
-    "DCARefinement",
-    "FullDCA",
     "FitSpec",
     "BatchFitResult",
-    "fit_bonus_points",
     "DCAResult",
     "DCATrace",
     "CompiledObjective",

@@ -19,6 +19,7 @@ granularity.  All of those operations live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -135,10 +136,16 @@ class BonusVector:
 
         The paper restricts published bonus points to multiples of 0.5 "for
         simplicity and efficiency"; stakeholders may choose other step sizes.
+        A multiple is the float nearest the exact decimal multiple of the
+        granularity as written: ``111`` steps of ``0.1`` publish ``11.1``,
+        not ``111 * 0.1 == 11.100000000000001``.  A dyadic granularity such
+        as the default 0.5 gives exactly ``steps * granularity``.
         """
         if granularity <= 0:
             raise ValueError(f"granularity must be positive, got {granularity}")
-        return self._with_values(np.round(self.values / granularity) * granularity)
+        step = Fraction(repr(float(granularity)))
+        steps = np.round(self.values / granularity)
+        return self._with_values(steps * step.numerator / step.denominator)
 
     def norm(self) -> float:
         """The L2 norm of the bonus values (a size diagnostic, not a fairness metric)."""

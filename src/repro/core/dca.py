@@ -1,21 +1,25 @@
 """The Disparity Compensation Algorithm (DCA).
 
-This module implements the paper's primary contribution:
+This module implements the paper's primary contribution.  Algorithms 1 and
+2 are one procedure behind :class:`DCA`:
 
-* :class:`CoreDCA` — Algorithm 1: iterate over decreasing learning rates; at
-  every step draw a small random sample, evaluate the fairness objective for
-  the current bonus vector, and move the bonus vector against it, projecting
-  back onto the feasible box (non-negative, optionally capped) after every
-  step.
-* :class:`DCARefinement` — Algorithm 2: continue from Core DCA's output with
-  an Adam-driven pass over fresh samples, average the iterates to damp the
-  sampling noise, and round to the stakeholder granularity.
-* :class:`DCA` — the user-facing facade that runs both phases and returns a
-  :class:`~repro.core.result.DCAResult`; :meth:`DCA.fit_many` batches fits
-  across seeds, selection fractions, and objectives.
-* :class:`FullDCA` — the deterministic variant that evaluates the objective
-  on the entire dataset at every step (the object of Theorem 4.1); it is much
-  slower but useful as an accuracy reference and in tests.
+* the core passes (Algorithm 1) iterate over decreasing learning rates; at
+  every step they draw a small random sample, evaluate the fairness
+  objective for the current bonus vector, and move the bonus vector against
+  it, projecting back onto the feasible box (non-negative, optionally
+  capped) after every step;
+* the refinement pass (Algorithm 2) continues from the core passes' output
+  with an Adam-driven pass over fresh samples, averages the iterates to
+  damp the sampling noise, and rounds to the stakeholder granularity.
+  ``DCAConfig.without_refinement()`` runs the core passes alone.
+
+:meth:`DCA.fit` returns a :class:`~repro.core.result.DCAResult`, and
+:meth:`DCA.fit_many` batches fits across seeds, selection fractions, and
+objectives.  A fit is a batch of one: both run one planner
+(:meth:`DCA._plan`) and one group runner (:func:`_run_group`).  The
+no-sampling variant that Theorem 4.1 is stated for, which evaluates the
+whole population at every step, is a test oracle
+(``tests/_dca_table_oracle.py::oracle_full_fit``), not part of the package.
 
 The objective is pluggable (:mod:`repro.core.objectives`): the default is the
 Definition 3 disparity at a known selection fraction ``k``, but the same
@@ -46,14 +50,14 @@ arrays:
    :class:`~repro.core.bonus.BonusVector` boxing.
 
 The loop steps a *stream group* of fits at once (see Batched execution);
-:meth:`DCA.fit`, :class:`CoreDCA` and :class:`DCARefinement` run a group of
-one on the same loop.
+:meth:`DCA.fit` runs a group of one on the same loop.
 
 Custom objectives that only implement the table-path ``evaluate`` run
 through the compiled fallback wrapper.  The per-step table-slicing
 evaluation this loop replaced is kept as a per-job test oracle
 (``tests/_dca_table_oracle.py``); it consumes its own generator in the same
-order, and the equivalence tests pin every fit entry point to it bitwise.
+order, and the equivalence tests pin :meth:`DCA.fit` and both
+:meth:`DCA.fit_many` backends to it bitwise.
 
 Batched execution
 -----------------
@@ -83,13 +87,13 @@ run the groups:
   chunk's stream from its seed and runs it in lockstep.  This is the
   backend that parallelizes the Python-level step loop across cores.
 
-Both backends run one plan (:meth:`DCA._plan`) through one group runner
-(:func:`_run_group`), so they produce bitwise identical results for the
-same specs.  Each objective signature is fitted and compiled once per
-batch, through a per-population
-:class:`~repro.core.parallel.CompiledObjectiveCache` that also lets repeated
-``fit_many`` calls on a population skip recompiling it; an objective
-without a signature is compiled once per job.
+Both backends, and :meth:`DCA.fit`, run one plan (:meth:`DCA._plan`)
+through one group runner (:func:`_run_group`), so they produce bitwise
+identical results for the same specs.  Each objective signature is fitted
+and compiled once per batch, through the process-wide
+:func:`~repro.core.parallel.default_objective_cache`, which also lets
+repeated fits and ``fit_many`` calls on a population skip recompiling it;
+an objective without a signature is compiled once per job.
 """
 
 from __future__ import annotations
@@ -108,7 +112,6 @@ from .bonus import BonusVector, compensate_scores
 from .config import DCAConfig
 from .objectives import CompiledObjective, DisparityObjective, FairnessObjective
 from .parallel import (
-    CompiledObjectiveCache,
     PlanePayload,
     StreamGroup,
     current_execution,
@@ -121,15 +124,8 @@ from .parallel import (
 from .result import DCAResult, DCATrace
 from .sampling import SampleStream, rarest_group_frequency, recommended_sample_size
 
-__all__ = [
-    "CoreDCA",
-    "DCARefinement",
-    "DCA",
-    "FullDCA",
-    "FitSpec",
-    "BatchFitResult",
-    "fit_bonus_points",
-]
+__all__ = ["DCA", "FitSpec", "BatchFitResult"]
+
 
 def _project(values: np.ndarray, config: DCAConfig) -> np.ndarray:
     """Project a bonus vector onto the feasible box [min_bonus, max_bonus]."""
@@ -144,54 +140,9 @@ def _signal_norm(signal: np.ndarray) -> float:
     return float(np.sqrt(signal @ signal))
 
 
-def _resolve_sample_size(
-    config: DCAConfig, k: float, num_rows: int, rarest_frequency: Callable[[], float]
-) -> int:
-    """Per-step sample size for a population of ``num_rows`` rows.
-
-    Single source of truth for :meth:`_LockstepSearch.from_table` and the
-    batch planner (:meth:`DCA._plan`) — the two must agree exactly or a
-    batched fit stops being bitwise identical to its lone fit.
-    ``rarest_frequency`` is a thunk so callers only pay for the group scan
-    when ``config.sample_size`` is unset.
-    """
-    if config.sample_size is not None:
-        return int(min(config.sample_size, num_rows))
-    return recommended_sample_size(
-        k, rarest_frequency(), min_group_count=config.min_group_count, maximum=num_rows
-    )
-
-
 def _check_fraction(k: float) -> None:
     if not 0.0 < float(k) <= 1.0:
         raise ValueError(f"selection fraction k must be in (0, 1], got {k}")
-
-
-def _fit_target(
-    fairness_attributes: Sequence[str],
-    k: float,
-    objective: FairnessObjective | None,
-    config: DCAConfig | None,
-) -> tuple[tuple[str, ...], float, FairnessObjective, DCAConfig]:
-    """Validate the arguments :class:`DCA` and :class:`FullDCA` share.
-
-    Returns ``(attributes, k, objective, config)`` with the defaults filled
-    in.  An explicit objective must list exactly the fairness attributes, in
-    the same order: the fitted values follow the objective's order and are
-    published under the fairness attributes' names.
-    """
-    attributes = tuple(fairness_attributes)
-    if not attributes:
-        raise ValueError("at least one fairness attribute is required")
-    _check_fraction(k)
-    config = config or DCAConfig()
-    config.validate()
-    if objective is not None and tuple(objective.attribute_names) != attributes:
-        raise ValueError(
-            "the objective's attributes must match the fairness attributes: "
-            f"{objective.attribute_names} vs {attributes}"
-        )
-    return attributes, float(k), objective or DisparityObjective(attributes), config
 
 
 class _LockstepSearch:
@@ -204,12 +155,11 @@ class _LockstepSearch:
     runs exactly a lone fit's arithmetic: compensation under its own bonus
     and evaluation at its own ``k``.  A lone fit is a group of one.
 
-    The constructor is the one assembly path.  :meth:`from_table` computes
-    the arrays of a single fit from a table; batches and the process-backend
-    workers hand over the batch's arrays (:func:`_run_group`).  Uniform index
-    draws depend only on the population's row count, so all of them pass
-    ``num_rows`` and never the table, and each member's fit is bitwise
-    identical to a serial :meth:`DCA.fit` with the same seed.
+    :func:`_run_group` assembles it from a batch's arrays, in the calling
+    process or in a pool worker.  Uniform index draws depend only on the
+    population's row count, so it takes ``num_rows`` and never the table,
+    and each member's fit is bitwise identical to a lone fit with the same
+    seed.
     """
 
     def __init__(
@@ -238,46 +188,6 @@ class _LockstepSearch:
         self._stream = SampleStream(num_rows, self.sample_size, rng=self.rng)
         self._phase_indices: np.ndarray | None = None
         self._phase_cursor = 0
-
-    @classmethod
-    def from_table(
-        cls,
-        table: Table,
-        score_function: ScoreFunction,
-        objective: FairnessObjective,
-        k: float,
-        config: DCAConfig,
-        objective_cache: CompiledObjectiveCache | None = None,
-    ) -> "_LockstepSearch":
-        """The search of one fit on ``table`` (a group of one).
-
-        Base scores over the full table, the raw fairness-attribute matrix
-        ``A_f``, and the objective compiled against this population (through
-        ``objective_cache`` when one is given).
-        """
-        _check_fraction(k)
-        config.validate()
-        if table.num_rows == 0:
-            raise ValueError("cannot fit bonus points on an empty table")
-        attribute_names = tuple(objective.attribute_names)
-        if objective_cache is not None:
-            compiled = objective_cache.compile(objective, table)
-        else:
-            compiled = objective.compile(table)
-        return cls(
-            base_scores=np.asarray(score_function.scores(table), dtype=float),
-            attribute_matrix=table.matrix(list(attribute_names)),
-            members=[(compiled, k)],
-            num_rows=table.num_rows,
-            sample_size=_resolve_sample_size(
-                config,
-                k,
-                table.num_rows,
-                lambda: rarest_group_frequency(table, attribute_names),
-            ),
-            attribute_names=attribute_names,
-            config=config,
-        )
 
     # ------------------------------------------------------------------
     def initial_bonus(self) -> np.ndarray:
@@ -320,11 +230,6 @@ class _LockstepSearch:
             )
             for slot, k, bonus in zip(self._slots, self.ks, bonuses)
         ]
-
-    def objective_on_full(self, bonus_values: np.ndarray) -> np.ndarray:
-        """Evaluate the first member's objective on the entire population (Full DCA)."""
-        scores = compensate_scores(self._attribute_matrix, self._base_scores, bonus_values)
-        return np.asarray(self._compiled[0].evaluate(None, scores, self.ks[0]), dtype=float)
 
 
 def _run_phase(
@@ -401,16 +306,35 @@ def _publish(raw_bonus: BonusVector, config: DCAConfig) -> BonusVector:
     return final
 
 
-def _finish_fit(search: _LockstepSearch, start: float) -> list[DCAResult]:
-    """Run the core and refinement phases of every member and package the results.
+def _run_group(
+    arrays: Mapping[str, np.ndarray],
+    num_rows: int,
+    group: StreamGroup,
+    objective_for: Callable[[int], CompiledObjective],
+) -> list[tuple[int, DCAResult]]:
+    """Fit one stream group in lockstep; ``(job index, result)`` per member.
 
-    The shared tail of :meth:`DCA.fit`, batched fits and the process-backend
-    workers; each final bonus is published by :func:`_publish`.  ``start`` is
-    the group's ``perf_counter`` origin: each member's ``elapsed_seconds``
-    is its share of the group's wall-clock.
+    The one runner of :meth:`DCA.fit`, serial batches and the process-backend
+    workers.  ``arrays`` holds the batch's ``"base"`` scores and attribute
+    matrices (keyed by :func:`~repro.core.parallel.matrix_key`);
+    ``objective_for`` turns an objective key into the batch's compiled
+    objective for it, so members with one key share one instance (and its
+    per-step take).  Every member runs the core and refinement phases, and
+    its final bonus is published by :func:`_publish`.  Each member's
+    ``elapsed_seconds`` is its share of the group's wall-clock.
     """
-    config = search.config
-    names = search.attribute_names
+    start = time.perf_counter()
+    config = group.config
+    names = group.attribute_names
+    search = _LockstepSearch(
+        base_scores=arrays["base"],
+        attribute_matrix=arrays[matrix_key(names)],
+        members=[(objective_for(key), k) for _, k, key in group.members],
+        num_rows=num_rows,
+        sample_size=group.sample_size,
+        attribute_names=names,
+        config=config,
+    )
     initial = search.initial_bonus()
     core_values, traces = _core_passes(search, [initial for _ in search.ks])
     if config.refinement_iterations > 0:
@@ -420,106 +344,20 @@ def _finish_fit(search: _LockstepSearch, start: float) -> list[DCAResult]:
         raw_values = core_values
     share = (time.perf_counter() - start) / len(search.ks)
     results = []
-    for core, raw, member_traces in zip(core_values, raw_values, traces):
+    for (index, _, _), core, raw, member_traces in zip(
+        group.members, core_values, raw_values, traces
+    ):
         raw_bonus = BonusVector(attribute_names=names, values=raw)
-        results.append(
-            DCAResult(
-                bonus=_publish(raw_bonus, config),
-                raw_bonus=raw_bonus,
-                core_bonus=BonusVector(attribute_names=names, values=core),
-                traces=tuple(member_traces),
-                sample_size=search.sample_size,
-                elapsed_seconds=share,
-            )
+        result = DCAResult(
+            bonus=_publish(raw_bonus, config),
+            raw_bonus=raw_bonus,
+            core_bonus=BonusVector(attribute_names=names, values=core),
+            traces=tuple(member_traces),
+            sample_size=search.sample_size,
+            elapsed_seconds=share,
         )
+        results.append((index, result))
     return results
-
-
-def _run_group(
-    arrays: Mapping[str, np.ndarray],
-    num_rows: int,
-    group: StreamGroup,
-    objective_for: Callable[[int], CompiledObjective],
-) -> list[tuple[int, DCAResult]]:
-    """Fit one stream group in lockstep; ``(job index, result)`` per member.
-
-    ``arrays`` holds the batch's ``"base"`` scores and attribute matrices
-    (keyed by :func:`~repro.core.parallel.matrix_key`); ``objective_for``
-    turns an objective key into the batch's compiled objective for it, so
-    members with one key share one instance (and its per-step take).
-    """
-    start = time.perf_counter()
-    search = _LockstepSearch(
-        base_scores=arrays["base"],
-        attribute_matrix=arrays[matrix_key(group.attribute_names)],
-        members=[(objective_for(key), k) for _, k, key in group.members],
-        num_rows=num_rows,
-        sample_size=group.sample_size,
-        attribute_names=group.attribute_names,
-        config=group.config,
-    )
-    results = _finish_fit(search, start)
-    return [(index, result) for (index, _, _), result in zip(group.members, results)]
-
-
-class CoreDCA:
-    """Algorithm 1: fixed-learning-rate sampled descent on the bonus vector."""
-
-    def __init__(
-        self,
-        table: Table,
-        score_function: ScoreFunction,
-        objective: FairnessObjective,
-        k: float,
-        config: DCAConfig | None = None,
-    ) -> None:
-        self.config = config or DCAConfig()
-        self._search = _LockstepSearch.from_table(
-            table, score_function, objective, k, self.config
-        )
-
-    @property
-    def sample_size(self) -> int:
-        return self._search.sample_size
-
-    def run(self, initial: np.ndarray | None = None) -> tuple[np.ndarray, list[DCATrace]]:
-        """Run the core passes and return (bonus values, per-phase traces)."""
-        search = self._search
-        bonus = search.initial_bonus() if initial is None else _project(
-            np.asarray(initial, dtype=float), self.config
-        )
-        values, traces = _core_passes(search, [bonus])
-        return values[0], traces[0]
-
-
-class DCARefinement:
-    """Algorithm 2: Adam-driven refinement plus iterate averaging and rounding."""
-
-    def __init__(
-        self,
-        table: Table,
-        score_function: ScoreFunction,
-        objective: FairnessObjective,
-        k: float,
-        config: DCAConfig | None = None,
-    ) -> None:
-        self.config = config or DCAConfig()
-        self._search = _LockstepSearch.from_table(
-            table, score_function, objective, k, self.config
-        )
-
-    def run(self, initial: np.ndarray) -> tuple[np.ndarray, DCATrace]:
-        """Refine ``initial`` and return (raw averaged bonus values, trace)."""
-        bonus = np.asarray(initial, dtype=float)
-        if self.config.refinement_iterations == 0:
-            empty = DCATrace(
-                phase="refinement (skipped)",
-                bonus_history=np.zeros((0, len(self._search.attribute_names))),
-                objective_norms=np.zeros(0),
-            )
-            return _project(bonus, self.config), empty
-        values, traces = _refinement_pass(self._search, [bonus])
-        return values[0], traces[0]
 
 
 @dataclass(frozen=True)
@@ -616,13 +454,12 @@ class DCA:
     objective:
         Fairness signal to minimize; defaults to the Definition 3 disparity.
     config:
-        Hyper-parameters; defaults follow Section V-B.
-    objective_cache:
-        Optional :class:`~repro.core.parallel.CompiledObjectiveCache`
-        through which :meth:`fit` compiles its objective, so repeated fits
-        against the same population reuse one compilation.  :meth:`fit_many`
-        always caches (using the process-wide default cache when this is
-        unset).
+        Hyper-parameters; defaults follow Section V-B.  For the core passes
+        alone (Algorithm 1), pass ``config.without_refinement()``.
+
+    An explicit objective must list exactly the fairness attributes, in the
+    same order: the fitted values follow the objective's order and are
+    published under the fairness attributes' names.
     """
 
     def __init__(
@@ -632,27 +469,38 @@ class DCA:
         k: float,
         objective: FairnessObjective | None = None,
         config: DCAConfig | None = None,
-        objective_cache: CompiledObjectiveCache | None = None,
     ) -> None:
-        self.fairness_attributes, self.k, self.objective, self.config = _fit_target(
-            fairness_attributes, k, objective, config
-        )
+        attributes = tuple(fairness_attributes)
+        if not attributes:
+            raise ValueError("at least one fairness attribute is required")
+        _check_fraction(k)
+        config = config or DCAConfig()
+        config.validate()
+        if objective is not None and tuple(objective.attribute_names) != attributes:
+            raise ValueError(
+                "the objective's attributes must match the fairness attributes: "
+                f"{objective.attribute_names} vs {attributes}"
+            )
+        self.fairness_attributes = attributes
+        self.k = float(k)
+        self.objective = objective or DisparityObjective(attributes)
+        self.config = config
         self.score_function = score_function
-        self.objective_cache = objective_cache
 
     def fit(self, table: Table) -> DCAResult:
-        """Fit bonus points on ``table`` (the training cohort / distribution sample)."""
+        """Fit bonus points on ``table`` (the training cohort / distribution sample).
+
+        A batch of one: the same plan and group runner as :meth:`fit_many`,
+        always in the calling process.  Like every batched job, it fits and
+        compiles a private copy of the objective through the process-wide
+        :func:`~repro.core.parallel.default_objective_cache`, so
+        ``self.objective`` is left as it was, and repeated fits on one
+        cohort compile it once.  ``elapsed_seconds`` covers the whole call.
+        """
         start = time.perf_counter()
-        self.objective.fit(table)
-        search = _LockstepSearch.from_table(
-            table,
-            self.score_function,
-            self.objective,
-            self.k,
-            self.config,
-            objective_cache=self.objective_cache,
-        )
-        return _finish_fit(search, start)[0]
+        groups, arrays, compiled = self._plan(table, [FitSpec()])
+        [(_, result)] = _run_group(arrays, table.num_rows, groups[0], compiled.__getitem__)
+        return replace(result, elapsed_seconds=time.perf_counter() - start)
 
     def fit_many(
         self,
@@ -744,13 +592,7 @@ class DCA:
             executor, max_workers = validate_execution(executor, max_workers)
         if executor is None:
             executor = "process" if (max_workers is not None and max_workers > 1) else "serial"
-        # Explicit None check: an empty cache is falsy (it has __len__).
-        cache = (
-            self.objective_cache
-            if self.objective_cache is not None
-            else default_objective_cache()
-        )
-        groups, arrays, compiled = self._plan(table, jobs, cache)
+        groups, arrays, compiled = self._plan(table, jobs)
         if executor == "process":
             workers = max_workers if max_workers is not None else min(len(jobs), usable_cores())
             size = -(-len(jobs) // workers)
@@ -785,13 +627,13 @@ class DCA:
         return config, objective, k
 
     def _plan(
-        self, table: Table, jobs: Sequence[FitSpec], cache: CompiledObjectiveCache
+        self, table: Table, jobs: Sequence[FitSpec]
     ) -> tuple[list[StreamGroup], dict[str, np.ndarray], list[CompiledObjective]]:
         """Resolve and compile every job, and partition the jobs into stream groups.
 
-        Each objective signature is fitted and compiled once (through
-        ``cache``); an objective without a signature gets its own copy per
-        job.  Jobs share a group when their resolved config (seed included,
+        Each objective signature is fitted and compiled once, through the
+        process-wide :func:`~repro.core.parallel.default_objective_cache`;
+        an objective without a signature gets its own copy per job.  Jobs share a group when their resolved config (seed included,
         and not ``None``), sample size and attribute names are all equal:
         they draw the same sample stream.  Returns the groups, the arrays
         they read — the ``"base"`` scores and one attribute matrix per
@@ -801,6 +643,7 @@ class DCA:
         num_rows = table.num_rows
         if num_rows == 0:
             raise ValueError("cannot fit bonus points on an empty table")
+        cache = default_objective_cache()
         arrays: dict[str, np.ndarray] = {}
         compiled: list[CompiledObjective] = []
         keys: dict[tuple, int] = {}
@@ -821,14 +664,14 @@ class DCA:
             if matrix_key(attributes) not in arrays:
                 arrays[matrix_key(attributes)] = table.matrix(list(attributes))
 
-            def rarest_for(attrs: tuple[str, ...] = attributes) -> float:
-                # Not setdefault: its default argument evaluates eagerly,
-                # which would re-run the full group scan per job.
-                if attrs not in rarest:
-                    rarest[attrs] = rarest_group_frequency(table, attrs)
-                return rarest[attrs]
-
-            sample_size = _resolve_sample_size(config, k, num_rows, rarest_for)
+            if config.sample_size is not None:
+                sample_size = int(min(config.sample_size, num_rows))
+            else:
+                if attributes not in rarest:  # one group scan per attribute set
+                    rarest[attributes] = rarest_group_frequency(table, attributes)
+                sample_size = recommended_sample_size(
+                    k, rarest[attributes], min_group_count=config.min_group_count, maximum=num_rows
+                )
             # A seedless job draws fresh entropy, so it shares its stream with no one.
             stream = (attributes, config, sample_size, None if config.seed is not None else index)
             streams.setdefault(stream, []).append((index, k, key))
@@ -842,74 +685,3 @@ class DCA:
     def compensated_scores(self, table: Table, bonus: BonusVector) -> np.ndarray:
         """Convenience: apply a fitted bonus vector to new data."""
         return bonus.apply(table, self.score_function.scores(table))
-
-
-class FullDCA:
-    """The no-sampling variant: every step evaluates the full dataset.
-
-    Theorem 4.1 is stated for this variant.  It is deterministic given the
-    initialization and is used in tests to check the descent property and as
-    an accuracy reference in the ablation benchmarks.  The per-step
-    full-population evaluation runs on the same precomputed arrays as the
-    sampled fit.
-    """
-
-    def __init__(
-        self,
-        fairness_attributes: Sequence[str],
-        score_function: ScoreFunction,
-        k: float,
-        objective: FairnessObjective | None = None,
-        config: DCAConfig | None = None,
-    ) -> None:
-        self.fairness_attributes, self.k, self.objective, self.config = _fit_target(
-            fairness_attributes, k, objective, config
-        )
-        self.score_function = score_function
-
-    def fit(self, table: Table) -> DCAResult:
-        start = time.perf_counter()
-        self.objective.fit(table)
-        config = self.config
-        search = _LockstepSearch.from_table(
-            table, self.score_function, self.objective, self.k, config
-        )
-        bonus = search.initial_bonus()
-        traces: list[DCATrace] = []
-        for learning_rate in config.learning_rates:
-            history = np.zeros((config.iterations, len(self.fairness_attributes)))
-            norms = np.zeros(config.iterations)
-            for step in range(config.iterations):
-                signal = search.objective_on_full(bonus)
-                bonus = _project(bonus - learning_rate * signal, config)
-                history[step] = bonus
-                norms[step] = _signal_norm(signal)
-            traces.append(
-                DCATrace(
-                    phase=f"full lr={learning_rate:g}", bonus_history=history, objective_norms=norms
-                )
-            )
-        raw = BonusVector(attribute_names=self.fairness_attributes, values=bonus)
-        final = _publish(raw, config)
-        elapsed = time.perf_counter() - start
-        return DCAResult(
-            bonus=final,
-            raw_bonus=raw,
-            core_bonus=raw,
-            traces=tuple(traces),
-            sample_size=table.num_rows,
-            elapsed_seconds=elapsed,
-        )
-
-
-def fit_bonus_points(
-    table: Table,
-    fairness_attributes: Sequence[str],
-    score_function: ScoreFunction,
-    k: float,
-    objective: FairnessObjective | None = None,
-    config: DCAConfig | None = None,
-) -> DCAResult:
-    """One-call convenience wrapper around :class:`DCA`."""
-    dca = DCA(fairness_attributes, score_function, k, objective=objective, config=config)
-    return dca.fit(table)

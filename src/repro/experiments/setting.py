@@ -20,7 +20,6 @@ from ..core import (
     DisparityCalculator,
     FairnessObjective,
     FitSpec,
-    default_objective_cache,
 )
 from ..core.bonus import BonusVector
 from ..datasets import (
@@ -108,9 +107,10 @@ class SchoolSetting:
         When an objective over a subset of the fairness attributes is given
         (e.g. the binary-only attributes used by the disparate-impact and
         exposure experiments), the bonus vector is fitted over exactly those
-        attributes.  The objective compiles through the process-wide
-        :func:`~repro.core.default_objective_cache`, as in the batched helpers,
-        so repeated single fits on the cohort compile it once.
+        attributes.  :meth:`repro.core.DCA.fit` compiles through the
+        process-wide :func:`~repro.core.default_objective_cache`, as the
+        batched helpers do, so repeated single fits on the cohort compile it
+        once.
         """
         attributes = objective.attribute_names if objective is not None else self.fairness_attributes
         dca = DCA(
@@ -119,7 +119,6 @@ class SchoolSetting:
             k=k,
             objective=objective,
             config=config or self.dca_config,
-            objective_cache=default_objective_cache(),
         )
         return dca.fit(self.train.table)
 

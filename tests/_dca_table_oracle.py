@@ -4,8 +4,13 @@ This is the original per-fit loop that the array step loop of
 :mod:`repro.core.dca` replaced: every step takes the sampled rows out of the
 population :class:`~repro.tabular.Table`, boxes the bonus values in a
 :class:`~repro.core.bonus.BonusVector`, applies it to the slice and calls the
-objective's table-path ``evaluate``.  The full-population evaluation of
-:class:`~repro.core.FullDCA` does the same on the whole table.
+objective's table-path ``evaluate``.
+
+:func:`oracle_full_fit` is the no-sampling variant that Theorem 4.1 is
+stated for: every step evaluates the whole table.  It is the full-data
+reference of the convergence contract (``tests/test_core_dca.py``), with a
+step cap and a plateau stop so that it runs until its signal norm stops
+improving.
 
 The oracle is a per-job reference: one fit, its own seeded generator and
 :class:`~repro.core.sampling.SampleStream`, its own core and refinement
@@ -14,9 +19,10 @@ of the lockstep sharing (one draw and one gather per group of fits) that the
 batched paths rely on.  It consumes the RNG in the documented order —
 the initial bonus, then one sample per step (or one matrix per phase under
 ``rng_batching="per_phase"``) — so for any seed the production loop must
-reproduce it bit for bit (``np.array_equal``), for every objective and every
-fit entry point.  The oracle rebuilds a ``Table`` per step, which makes it
-far too slow for production use.
+reproduce it bit for bit (``np.array_equal``), for every objective, for
+:meth:`~repro.core.DCA.fit` and for both ``fit_many`` backends.  The
+oracle rebuilds a ``Table`` per step, which makes it far too slow for
+production use.
 
 Import it from a test module as ``from _dca_table_oracle import
 oracle_fit``; benchmarks load it by path.
@@ -106,7 +112,7 @@ class OracleSearch:
 def oracle_core(
     search: OracleSearch, initial: np.ndarray | None = None
 ) -> tuple[np.ndarray, list[DCATrace]]:
-    """The reference for :meth:`repro.core.CoreDCA.run`."""
+    """Algorithm 1: the core passes of :meth:`repro.core.DCA.fit`."""
     config = search.config
     bonus = search.initial_bonus() if initial is None else _project(
         np.asarray(initial, dtype=float), config
@@ -128,7 +134,10 @@ def oracle_core(
 
 
 def oracle_refinement(search: OracleSearch, initial: np.ndarray) -> tuple[np.ndarray, DCATrace]:
-    """The reference for :meth:`repro.core.DCARefinement.run` (``refinement_iterations > 0``)."""
+    """Algorithm 2: the refinement pass of :meth:`repro.core.DCA.fit`.
+
+    Only for ``refinement_iterations > 0``.
+    """
     config = search.config
     bonus = _project(np.asarray(initial, dtype=float), config)
     iterations = config.refinement_iterations
@@ -179,23 +188,40 @@ def oracle_full_fit(
     objective: FairnessObjective,
     k: float,
     config: DCAConfig,
+    *,
+    max_steps: int | None = None,
+    patience: int | None = None,
 ) -> DCAResult:
-    """The reference for :meth:`repro.core.FullDCA.fit`: full-population steps."""
+    """Full-population steps: Algorithm 1 without sampling (Theorem 4.1).
+
+    Each learning rate runs at most ``max_steps`` steps (the step cap;
+    ``config.iterations`` when unset).  With ``patience`` set, a rate's pass
+    also stops once its signal norm has gone ``patience`` steps without a new
+    minimum (the plateau stop), so a large cap costs only the steps that
+    still improve.  The refinement settings are ignored, and the raw bonus is
+    the last iterate.
+    """
     start = time.perf_counter()
     objective.fit(table)
     search = OracleSearch(table, score_function, objective, k, config)
+    cap = config.iterations if max_steps is None else max_steps
     bonus = search.initial_bonus()
     traces: list[DCATrace] = []
     for learning_rate in config.learning_rates:
-        history = np.zeros((config.iterations, len(search.attribute_names)))
-        norms = np.zeros(config.iterations)
-        for step in range(config.iterations):
+        history, norms = [], []
+        for _ in range(cap):
             signal = search.objective_on_full(bonus)
             bonus = _project(bonus - learning_rate * signal, config)
-            history[step] = bonus
-            norms[step] = _signal_norm(signal)
+            history.append(bonus)
+            norms.append(_signal_norm(signal))
+            if patience is not None and len(norms) - 1 - int(np.argmin(norms)) >= patience:
+                break
         traces.append(
-            DCATrace(phase=f"full lr={learning_rate:g}", bonus_history=history, objective_norms=norms)
+            DCATrace(
+                phase=f"full lr={learning_rate:g}",
+                bonus_history=np.array(history),
+                objective_norms=np.array(norms),
+            )
         )
     raw = BonusVector(attribute_names=search.attribute_names, values=bonus)
     return DCAResult(

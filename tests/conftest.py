@@ -88,3 +88,14 @@ def toy_table():
     protected = [0, 0, 0, 1, 0, 1, 1, 0, 1, 1]
     income = [0.9, 0.8, 0.85, 0.3, 0.7, 0.2, 0.25, 0.6, 0.1, 0.15]
     return Table({"score": scores, "protected": protected, "income": income})
+
+
+@pytest.fixture
+def cleared_objective_cache():
+    """The process-wide compiled-objective cache, emptied before and after the test."""
+    from repro.core import default_objective_cache
+
+    cache = default_objective_cache()
+    cache.clear()
+    yield cache
+    cache.clear()

@@ -82,6 +82,24 @@ class TestTransformations:
         bonus = BonusVector({"a": 1.26, "b": 11.74}).rounded(0.5)
         assert bonus.as_dict() == {"a": 1.5, "b": 11.5}
 
+    def test_rounded_publishes_exact_decimals_at_a_tenth(self):
+        """111 steps of 0.1 publish 11.1, not the float product 11.100000000000001."""
+        assert 111 * 0.1 != 11.1
+        bonus = BonusVector({"a": 11.08, "b": 0.34, "c": 2.96}).rounded(0.1)
+        assert bonus.as_dict() == {"a": 11.1, "b": 0.3, "c": 3.0}
+        steps = np.arange(-1000, 1001)
+        names = [f"x{i}" for i in range(steps.size)]
+        values = BonusVector(attribute_names=names, values=steps * 0.1 + 0.01).rounded(0.1).values
+        assert [repr(value) for value in values] == [repr(step / 10) for step in steps]
+
+    def test_rounded_half_points_bitwise_unchanged(self):
+        """The default 0.5 is dyadic: every multiple is the plain float product."""
+        values = np.random.default_rng(3).uniform(-50.0, 50.0, size=2000)
+        names = [f"x{i}" for i in range(values.size)]
+        rounded = BonusVector(attribute_names=names, values=values).rounded(0.5).values
+        assert np.array_equal(rounded, np.round(values / 0.5) * 0.5)
+        assert np.array_equal(np.signbit(rounded), np.signbit(np.round(values / 0.5) * 0.5))
+
     def test_rounded_rejects_non_positive_granularity(self):
         with pytest.raises(ValueError):
             BonusVector({"a": 1.0}).rounded(0.0)

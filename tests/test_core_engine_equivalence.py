@@ -5,9 +5,10 @@ the per-step table-slicing evaluation kept in ``tests/_dca_table_oracle.py``:
 both consume the RNG through the same sample stream and perform the same
 arithmetic on the same values, so for any seed the produced bonus vectors
 are required to be *bitwise* identical — not merely close.  These tests pin
-that contract for every phase class, for :class:`FullDCA`, for the process
-backend of ``fit_many`` and for every built-in objective, plus a custom
-table-only objective exercising the compiled fallback wrapper.
+that contract for :meth:`DCA.fit` with and without the refinement pass
+(core bonus, raw and published bonus, and every phase's trace), for the
+process backend of ``fit_many`` and for every built-in objective, plus a
+custom table-only objective exercising the compiled fallback wrapper.
 """
 
 from __future__ import annotations
@@ -16,26 +17,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from _dca_table_oracle import (
-    OracleSearch,
-    oracle_core,
-    oracle_fit,
-    oracle_full_fit,
-    oracle_refinement,
-)
+from _dca_table_oracle import oracle_fit
 
 from repro.core import (
     DCA,
-    CoreDCA,
     DCAConfig,
-    DCARefinement,
     DisparateImpactObjective,
     DisparityObjective,
     DisparityResult,
     ExposureGapObjective,
     FairnessObjective,
     FalsePositiveRateObjective,
-    FullDCA,
     LogDiscountedDisparityObjective,
 )
 from repro.ranking import ColumnScore
@@ -64,43 +56,21 @@ class TestSchoolDatasetEquivalence:
 
     CONFIG = DCAConfig(seed=17, iterations=40, refinement_iterations=60, sample_size=400)
 
-    def test_core_dca_identical(self, school_setup):
-        table, rubric, attributes = school_setup
-        objective = DisparityObjective(attributes).fit(table)
-        values, traces = CoreDCA(table, rubric, objective, k=0.05, config=self.CONFIG).run()
-        oracle = OracleSearch(
-            table, rubric, DisparityObjective(attributes).fit(table), 0.05, self.CONFIG
-        )
-        expected, expected_traces = oracle_core(oracle)
-        assert np.array_equal(values, expected)
-        for trace, reference in zip(traces, expected_traces):
-            assert np.array_equal(trace.bonus_history, reference.bonus_history)
-
-    def test_refinement_identical(self, school_setup):
-        table, rubric, attributes = school_setup
-        initial = np.asarray([1.0, 5.0, 3.0, 2.0][: len(attributes)], dtype=float)
-        objective = DisparityObjective(attributes).fit(table)
-        refinement = DCARefinement(table, rubric, objective, k=0.05, config=self.CONFIG)
-        values, _ = refinement.run(initial)
-        oracle = OracleSearch(
-            table, rubric, DisparityObjective(attributes).fit(table), 0.05, self.CONFIG
-        )
-        expected, _ = oracle_refinement(oracle, initial)
-        assert np.array_equal(values, expected)
-
-    def test_full_dca_identical(self, school_setup):
-        table, rubric, attributes = school_setup
-        config = DCAConfig(seed=5, iterations=15, refinement_iterations=0)
-        result = FullDCA(attributes, rubric, k=0.05, config=config).fit(table)
-        reference = oracle_full_fit(table, rubric, DisparityObjective(attributes), 0.05, config)
-        _assert_same_fit(result, reference)
-        assert result.as_dict() == reference.as_dict()
-
     def test_dca_facade_identical_end_to_end(self, school_setup):
         table, rubric, attributes = school_setup
         result = DCA(attributes, rubric, k=0.05, config=self.CONFIG).fit(table)
         reference = oracle_fit(table, rubric, DisparityObjective(attributes), 0.05, self.CONFIG)
         _assert_same_fit(result, reference)
+
+    def test_dca_core_only_identical_end_to_end(self, school_setup):
+        """Algorithm 1 alone: ``without_refinement()`` publishes the core bonus."""
+        table, rubric, attributes = school_setup
+        config = self.CONFIG.without_refinement()
+        result = DCA(attributes, rubric, k=0.05, config=config).fit(table)
+        reference = oracle_fit(table, rubric, DisparityObjective(attributes), 0.05, config)
+        _assert_same_fit(result, reference)
+        assert np.array_equal(result.raw_bonus.values, result.core_bonus.values)
+        assert [trace.phase for trace in result.traces] == ["core lr=1", "core lr=0.1"]
 
 
 def _synthetic_population(n: int = 2500, seed: int = 3) -> Table:

@@ -671,67 +671,57 @@ class TestProcessFailures:
 
 
 class TestObjectiveCache:
-    def test_batch_compiles_each_signature_once(self, population):
-        cache = CompiledObjectiveCache()
-        dca = DCA(
-            ["protected"], ColumnScore("score"), k=0.2, config=FAST, objective_cache=cache
-        )
-        dca.fit_many(population, seeds=(1, 2, 3, 4))
+    """Batches compile through the process-wide cache, emptied around each test."""
+
+    def test_batch_compiles_each_signature_once(self, population, cleared_objective_cache):
+        cache = cleared_objective_cache
+        _dca().fit_many(population, seeds=(1, 2, 3, 4))
         # The batch compiles each signature once, so it asks the cache once.
         assert cache.misses == 1
         assert cache.hits == 0
         assert len(cache) == 1
 
-    def test_cache_persists_across_fit_many_calls(self, population):
-        cache = CompiledObjectiveCache()
-        dca = DCA(
-            ["protected"], ColumnScore("score"), k=0.2, config=FAST, objective_cache=cache
-        )
+    def test_cache_persists_across_fit_many_calls(self, population, cleared_objective_cache):
+        dca = _dca()
         dca.fit_many(population, ks=(0.1, 0.2))
         dca.fit_many(population, ks=(0.3, 0.4))
-        assert cache.misses == 1
-        assert cache.hits == 1
+        assert cleared_objective_cache.misses == 1
+        assert cleared_objective_cache.hits == 1
 
-    def test_cached_results_identical_to_uncached(self, population):
-        cached = DCA(
-            ["protected"],
-            ColumnScore("score"),
-            k=0.2,
-            config=FAST,
-            objective_cache=CompiledObjectiveCache(),
-        ).fit_many(population, seeds=(5, 6))
-        plain = [
-            DCA(
-                ["protected"], ColumnScore("score"), k=0.2, config=replace(FAST, seed=seed)
-            ).fit(population)
-            for seed in (5, 6)
-        ]
-        for entry, solo in zip(cached, plain):
-            assert np.array_equal(entry.result.raw_bonus.values, solo.raw_bonus.values)
+    def test_cached_results_identical_to_uncached(self, population, cleared_objective_cache):
+        """A cold compile, a cache hit and the uncompiled table oracle agree bitwise."""
+        dca = _dca()
+        cold = dca.fit_many(population, seeds=(5, 6))
+        warm = dca.fit_many(population, seeds=(5, 6))
+        assert (cleared_objective_cache.misses, cleared_objective_cache.hits) == (1, 1)
+        for seed, left, right in zip((5, 6), cold, warm):
+            reference = oracle_fit(
+                population,
+                ColumnScore("score"),
+                DisparityObjective(("protected",)),
+                0.2,
+                replace(FAST, seed=seed),
+            )
+            assert np.array_equal(left.result.raw_bonus.values, reference.raw_bonus.values)
+            assert np.array_equal(right.result.raw_bonus.values, reference.raw_bonus.values)
 
-    def test_distinct_populations_do_not_collide(self, population):
-        cache = CompiledObjectiveCache()
+    def test_distinct_populations_do_not_collide(self, population, cleared_objective_cache):
         other = population.take(np.arange(population.num_rows // 2))
-        dca = DCA(
-            ["protected"], ColumnScore("score"), k=0.2, config=FAST, objective_cache=cache
-        )
+        dca = _dca()
         dca.fit_many(population, seeds=(1,))
         dca.fit_many(other, seeds=(1,))
-        assert cache.misses == 2
-        assert len(cache) == 2
+        assert cleared_objective_cache.misses == 2
+        assert len(cleared_objective_cache) == 2
 
-    def test_entries_evicted_when_population_dies(self, population):
+    def test_entries_evicted_when_population_dies(self, population, cleared_objective_cache):
         import gc
 
-        cache = CompiledObjectiveCache()
         mortal = population.take(np.arange(500))
-        DCA(
-            ["protected"], ColumnScore("score"), k=0.2, config=FAST, objective_cache=cache
-        ).fit_many(mortal, seeds=(1,))
-        assert len(cache) == 1
+        _dca().fit_many(mortal, seeds=(1,))
+        assert len(cleared_objective_cache) == 1
         del mortal
         gc.collect()
-        assert len(cache) == 0
+        assert len(cleared_objective_cache) == 0
 
     def test_direct_compile_entry_dies_with_table(self, population):
         """The weakref contract holds for direct cache.compile() use too."""
@@ -748,7 +738,9 @@ class TestObjectiveCache:
         gc.collect()
         assert len(cache) == 0
 
-    def test_table_path_objective_does_not_pin_its_table(self, population):
+    def test_table_path_objective_does_not_pin_its_table(
+        self, population, cleared_objective_cache
+    ):
         """A signed objective with only the table path is never cached.
 
         Its compiled wrapper holds the table, so a cached wrapper would keep
@@ -757,7 +749,7 @@ class TestObjectiveCache:
         import gc
         import weakref
 
-        cache = CompiledObjectiveCache()
+        cache = cleared_objective_cache
         mortal = population.take(np.arange(500))
         DCA(
             ["protected"],
@@ -765,7 +757,6 @@ class TestObjectiveCache:
             k=0.2,
             objective=_SignedTablePathObjective(("protected",)),
             config=FAST,
-            objective_cache=cache,
         ).fit_many(mortal, seeds=(1, 2))
         assert (cache.hits, cache.misses, len(cache)) == (0, 1, 0)
         alive = weakref.ref(mortal)
