@@ -15,6 +15,11 @@ make preferences strict, so any divergence between the two is a bug.
   variant at up to 20k students, with no timing assertion.
 * A final test pins the vectorized preference generator's cost at 100k
   students: it must stay a small fraction of a district match.
+* Two records without a floor: the engine's per-side time at the district
+  shape (200k students x 8 schools, 3,750 seats each), and
+  ``best_first_order`` against the ``lexsort`` it replaces, on continuous
+  and decile scores at sizes on both sides of its crossover (the record
+  behind ``repro.ranking.selection._LEXSORT_BELOW``).
 
 Every test records into ``BENCH_matching.json`` with the core count.  The
 two wall-clock floors (the 3x speedup and the 5 s preference generation,
@@ -33,6 +38,8 @@ import numpy as np
 
 from _bench_record import floors_enforced, record_bench, usable_cores
 from repro.matching import deferred_acceptance, generate_student_preferences
+from repro.ranking import best_first_order
+from repro.ranking.selection import _LEXSORT_BELOW, _tie_repaired_order
 
 _ORACLE_PATH = Path(__file__).resolve().parent.parent / "tests" / "_da_reference_oracle.py"
 _spec = importlib.util.spec_from_file_location("_da_reference_oracle", _ORACLE_PATH)
@@ -49,6 +56,14 @@ LIST_LENGTH = 6
 #: Seats for 80% of the cohort: scarce enough that popular schools fill up
 #: and bump constantly, which is exactly the regime the fast engine targets.
 SEAT_FRACTION = 0.8
+#: The admissions district of ``perfbench``'s ``district_match`` workload:
+#: 8 schools seating 15% of 200k students, 8-school preference lists.
+DISTRICT_SHAPE = {"students": 200_000, "schools": 8, "list_length": 8, "seats": 3_750}
+#: ``best_first_order`` sizes: the step loop's ~250-row sort, a 7k pool, a
+#: 20k school row and a 200k district row.
+ORDER_SIZES = (250, 7_000, 20_000, 200_000)
+#: Sizes around the lexsort / tie-repair crossover, timed on both paths.
+CROSSOVER_SIZES = (1_024, 2_048, 4_096)
 
 
 def _district_instance(num_students: int, seed: int = 5):
@@ -147,3 +162,69 @@ def test_preference_generation_is_cheap_at_district_scale():
     # at 100k x 100 this is sub-second on any recent machine.
     if floors_enforced():
         assert seconds < 5.0
+
+
+def _best_seconds(call, repeats: int) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_district_shape_per_side_times():
+    shape = DISTRICT_SHAPE
+    rng = np.random.default_rng(17)
+    preferences = generate_student_preferences(
+        shape["students"], shape["schools"], list_length=shape["list_length"],
+        rng=rng, as_matrix=True,
+    )
+    plane = rng.normal(size=(shape["schools"], shape["students"]))
+    capacities = [shape["seats"]] * shape["schools"]
+    seconds = {
+        side: round(_best_seconds(
+            lambda: deferred_acceptance(preferences, plane, capacities, proposing=side), 3
+        ), 4)
+        for side in ("students", "schools")
+    }
+    record_bench(
+        "matching",
+        metrics={"district_seconds": seconds},
+        context={"district_shape": shape, "cores": usable_cores()},
+    )
+
+
+def _order_record(order, rows: int, repeats: int, rng) -> dict:
+    """``order`` against the lexsort, on continuous and decile scores."""
+    record = {}
+    for kind, scores in (
+        ("continuous", rng.normal(size=rows)),
+        ("decile", rng.integers(0, 10, size=rows).astype(float)),
+    ):
+        lexsort = np.lexsort((np.arange(rows), -scores))
+        assert order(scores).tobytes() == lexsort.tobytes()
+        order_ms = 1e3 * _best_seconds(lambda: order(scores), repeats)
+        lexsort_ms = 1e3 * _best_seconds(
+            lambda: np.lexsort((np.arange(rows), -scores)), repeats
+        )
+        record[f"{kind}_{rows}"] = {
+            "order_ms": round(order_ms, 4),
+            "lexsort_ms": round(lexsort_ms, 4),
+            "speedup": round(lexsort_ms / order_ms, 3),
+        }
+    return record
+
+
+def test_best_first_order_against_lexsort():
+    rng = np.random.default_rng(23)
+    public, crossover = {}, {}
+    for rows in ORDER_SIZES:
+        public.update(_order_record(best_first_order, rows, 5 if rows >= 100_000 else 500, rng))
+    for rows in CROSSOVER_SIZES:
+        crossover.update(_order_record(_tie_repaired_order, rows, 200, rng))
+    record_bench(
+        "matching",
+        metrics={"best_first_order": public, "tie_repair_near_crossover": crossover},
+        context={"best_first_order_lexsort_below": _LEXSORT_BELOW, "cores": usable_cores()},
+    )

@@ -6,11 +6,12 @@ objective — and records the fairness/runtime envelopes into
 ``BENCH_scenarios.json`` via :func:`record_bench`.
 
 One hard assertion rides along (the scenario-smoke CI step relies on it):
-**engine-to-oracle identity**.  A recording spy wraps the driver's
-``deferred_acceptance``; every match the sweep makes is replayed through the
-pure-Python oracle (``tests/_da_reference_oracle.py``, loaded by path) on
-the same compensated score plane, and must come out identical on every
-generated market shape, both proposing sides.
+**engine-to-oracle identity**.  A recording spy wraps the driver's private
+match entry point ``_match`` (the driver validates a market's preferences
+once, then matches both sides); every match the sweep makes is replayed
+through the pure-Python oracle (``tests/_da_reference_oracle.py``, loaded by
+path) from the same preference matrix and compensated score plane, and must
+come out identical on every generated market shape, both proposing sides.
 
 The recorded ``speedup`` per scenario is the oracle's mean match time over
 the engine's — the committed trajectory tracks how the engine's edge moves
@@ -60,14 +61,15 @@ def _replay_through_oracle(name: str, calls) -> list[float]:
 
 def test_scenario_sweep_envelopes_and_identity(monkeypatch):
     calls = []
-    engine = driver.deferred_acceptance
+    engine = driver._match
 
-    def spy(*args, **kwargs):
-        match = engine(*args, **kwargs)
-        calls.append((args, kwargs, match))
+    def spy(preferences, school_rankings, capacities, proposing):
+        match = engine(preferences, school_rankings, capacities, proposing)
+        args = (preferences.matrix, school_rankings, capacities)
+        calls.append((args, {"proposing": proposing}, match))
         return match
 
-    monkeypatch.setattr(driver, "deferred_acceptance", spy)
+    monkeypatch.setattr(driver, "_match", spy)
     metrics = {}
     total_students = 0
     for config in builtin_scenarios():

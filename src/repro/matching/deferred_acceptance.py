@@ -21,15 +21,20 @@ All ranking forms are normalized **once** into a
 ``(num_schools, num_students)`` float score plane (``NaN`` marks a student a
 school finds unacceptable), and all preference forms into one
 ``(num_students, width)`` ``int64`` matrix right-padded with ``-1`` plus the
-list lengths, before the match runs.  The match is round-based, with no
+list lengths, before the match runs.  A caller that matches one preference
+input several times (the scenario driver and corpus, on both sides)
+validates it once and calls the private entry point ``_match``.  The match is round-based, with no
 per-proposal Python loop at all.  Each round gathers **every** unmatched
 student's next listed school through a pointer array, filters the proposals
-against per-school admission cutoffs, groups the survivors (plus the
-affected schools' current holders) into per-school segments with one
-``np.lexsort``, and admits the top ``capacity`` of each segment.  Per-round
-cost is a handful of NumPy kernels over the active students, so
-district-scale matches are bound by memory bandwidth rather than
-interpreter overhead.
+against per-school admission cutoffs, groups the survivors into per-school
+segments in preference order, resolves each segment with the affected
+school's weakest holders, and admits the top ``capacity`` of each pool.
+Every ordering the engine makes (a school's proposal list, the segments,
+the pools, the roster runs and the final rosters) goes through one helper,
+``_preference_order``, built on :func:`~repro.ranking.best_first_order`:
+past about 2k entries that is NumPy's SIMD argsort plus an exact tie
+repair, 5x a ``lexsort`` on continuous scores.  Per-round cost is a handful
+of NumPy kernels over the active students.
 
 There is one engine, because a sequential one does not pay.  A min-heap
 engine (O(P log c), one Python iteration per proposal) measured on 2 cores
@@ -38,7 +43,11 @@ matchings: 2.37–2.57 s against 0.33–0.38 s student-proposing, 0.67–0.78 s
 against 0.33–0.34 s school-proposing.  It led only on one-proposer-per-round
 bump chains (18 ms against 56 ms at length 500, yet 2.43 s against 0.62 s at
 length 6000), which no experiment or benchmark builds, and on tiny markets
-(0.26 ms against 0.39 ms at 90 students).  It was deleted.
+(0.26 ms against 0.39 ms at 90 students).  It was deleted.  Since the
+orderings moved to ``best_first_order`` the same district matches in about
+0.3 s student-proposing and 0.11 s school-proposing, from 0.35 s and 0.28 s
+(best of 7 on 2 cores; ``district_seconds`` in
+``benchmarks/BENCH_matching.json``).
 
 The original pure-Python implementation — per-school ``dict`` rosters and a
 full ``min()`` rescan on every bump, i.e. O(P × c) — lives outside the
@@ -74,9 +83,10 @@ student ``a`` to student ``b`` iff ``(score[j, a], -a) > (score[j, b], -b)``.
 Student preferences are strict by construction (a preference list is an
 order).  Both proposing sides implement this identically — student-proposing
 rounds sort segments by ``(-score, student)``, and schools issue proposals
-in exactly that order — so results are deterministic and equal to the
-oracle's (which compares ``(score, -student)`` keys) even on heavily tied
-integer scores (pinned by ``tests/test_matching.py``).
+in exactly that order, both through ``_preference_order`` — so results are
+deterministic and equal to the oracle's (which compares ``(score,
+-student)`` keys) even on heavily tied integer scores (pinned by
+``tests/test_matching.py``).
 
 Proposal accounting
 -------------------
@@ -97,9 +107,11 @@ the same count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
+
+from ..ranking import best_first_order
 
 __all__ = ["PROPOSING_SIDES", "MatchResult", "deferred_acceptance"]
 
@@ -166,9 +178,16 @@ class MatchResult:
         return counts
 
 
+class _Preferences(NamedTuple):
+    """Validated preference lists: the padded matrix and the list lengths."""
+
+    matrix: np.ndarray
+    lengths: np.ndarray
+
+
 def _normalize_preferences(
     student_preferences: Sequence[Sequence[int]] | np.ndarray, num_schools: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> _Preferences:
     """Validate preference lists; return the padded matrix and the list lengths.
 
     The matrix is ``(num_students, width)`` ``int64``, each row one student's
@@ -204,7 +223,7 @@ def _normalize_preferences(
         if matrix.size and np.any(valid[:, 1:] & ~valid[:, :-1]):
             raise ValueError("preference matrix padding (-1) must be trailing")
         _reject_repeated_schools(matrix)
-        return matrix, valid.sum(axis=1).astype(np.int64)
+        return _Preferences(matrix, valid.sum(axis=1).astype(np.int64))
     lists = list(student_preferences)
     for student, preferences in enumerate(lists):
         for school in preferences:
@@ -223,7 +242,7 @@ def _normalize_preferences(
         (school for prefs in lists for school in prefs), dtype=np.int64, count=int(lengths.sum())
     )
     _reject_repeated_schools(matrix)
-    return matrix, lengths
+    return _Preferences(matrix, lengths)
 
 
 def _reject_repeated_schools(matrix: np.ndarray) -> None:
@@ -314,21 +333,47 @@ def _validate_capacities(capacities: Sequence[int]) -> list[int]:
     return [int(capacity) for capacity in capacities]
 
 
+def _preference_order(
+    scores: np.ndarray,
+    students: np.ndarray | None = None,
+    schools: np.ndarray | None = None,
+) -> np.ndarray:
+    """Positions ordered by the strict school preference ``(-score, student)``.
+
+    The engine's one tie-break, built on :func:`~repro.ranking.best_first_order`:
+    higher score first, equal scores (NaN with NaN) to the lower student.
+    ``students`` holds distinct student indices and defaults to the
+    positions themselves.  With ``schools``, the order is school-major, and
+    each school's run keeps the preference order: one integer sort of
+    ``school * n + position``.
+    """
+    if students is None:
+        order = best_first_order(scores)
+    else:
+        by_student = students.argsort()
+        order = by_student[best_first_order(scores[by_student])]
+    if schools is not None:
+        n = order.shape[0]
+        grouped = schools[order] * n + np.arange(n)
+        grouped.sort()
+        order = order[grouped % n]
+    return order
+
+
 def _build_rosters(
     assignment: np.ndarray, score_plane: np.ndarray, num_schools: int
 ) -> tuple[tuple[int, ...], ...]:
     """Per-school rosters from a final assignment, best student first.
 
-    One lexsort over the matched students orders every roster by the shared
-    strict school preference ``(-score, student)``; ``searchsorted`` then
-    splits the school-major order into per-school tuples.
+    One school-major preference order over the matched students orders every
+    roster; ``searchsorted`` then splits it into per-school tuples.
     """
     matched = np.flatnonzero(assignment >= 0)
     if not matched.size:
         return tuple(() for _ in range(num_schools))
     schools = assignment[matched]
-    scores = score_plane[schools, matched]
-    order = np.lexsort((matched, -scores, schools))
+    # ``matched`` ascends, so positions break ties as the students do.
+    order = _preference_order(score_plane[schools, matched], schools=schools)
     students = matched[order].tolist()
     bounds = np.searchsorted(schools[order], np.arange(num_schools + 1))
     return tuple(
@@ -397,13 +442,13 @@ class _RosterRuns:
         if students.size > max(64, main_size // 4):
             students = np.concatenate([self.main_students[school], students])
             scores = np.concatenate([self.main_scores[school], scores])
-            order = np.lexsort((students, -scores))
+            order = _preference_order(scores, students)
             self.main_students[school] = students[order]
             self.main_scores[school] = scores[order]
             self.edge_students[school] = students[:0]
             self.edge_scores[school] = scores[:0]
         else:
-            order = np.lexsort((students, -scores))
+            order = _preference_order(scores, students)
             self.edge_students[school] = students[order]
             self.edge_scores[school] = scores[order]
 
@@ -435,14 +480,14 @@ def _run_students(
     or below the target school's current admission *cutoff* (the
     ``(score, -student)`` key of its weakest held student once full; NaN
     scores fail every comparison and are dropped here too); (c) sort the
-    surviving proposals into per-school segments with one ``np.lexsort``
-    and resolve each segment against the bounded tail of that school's
-    roster (:class:`_RosterRuns`): ``p`` proposals can bump at most the
-    ``p`` weakest held students, so the top of the roster is never touched,
-    let alone re-sorted.  Admits take the top ``capacity`` of each merged
-    pool; everyone else returns to the active set.  Cutoffs only ever rise,
-    so the pre-filter in (b) never drops a proposal the full resolution
-    would have admitted.
+    surviving proposals into per-school segments in preference order with
+    one :func:`_preference_order` call and resolve each segment against the
+    bounded tail of that school's roster (:class:`_RosterRuns`): ``p``
+    proposals can bump at most the ``p`` weakest held students, so the top
+    of the roster is never touched, let alone re-sorted.  Admits take the
+    top ``capacity`` of each merged pool; everyone else returns to the
+    active set.  Cutoffs only ever rise, so the pre-filter in (b) never
+    drops a proposal the full resolution would have admitted.
     """
     num_students = pref_matrix.shape[0]
     num_schools = len(capacities)
@@ -480,7 +525,7 @@ def _run_students(
             prop_scores = scores[serious]
             # School-major segments, each ordered by the strict school
             # preference (score desc, student asc).
-            order = np.lexsort((proposers, -prop_scores, target))
+            order = _preference_order(prop_scores, proposers, target)
             seg_students = proposers[order]
             seg_scores = prop_scores[order]
             seg_schools = target[order]
@@ -495,7 +540,7 @@ def _run_students(
                     [tail_students, seg_students[begin:end]]
                 )
                 pool_scores = np.concatenate([tail_scores, seg_scores[begin:end]])
-                pool_order = np.lexsort((pool_students, -pool_scores))
+                pool_order = _preference_order(pool_scores, pool_students)
                 # The untouched roster heads are provably safe, so the pool
                 # competes for whatever seats they do not occupy.
                 seats = int(caps[j]) - rosters.held(j)
@@ -541,12 +586,13 @@ _NO_OFFER = np.iinfo(np.int64).max
 def _school_proposal_order(score_plane: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per school: all students in proposal order, and the acceptable count.
 
-    A stable argsort of the negated plane orders each row by score descending
-    with ties broken by the lower student index — the same strict preference
-    the student-proposing side uses — and pushes NaN (unacceptable) students past the
-    returned count.
+    Each row is ranked by the strict school preference (score descending,
+    ties to the lower student index) into one preallocated array; NaN
+    (unacceptable) students sort past the returned count.
     """
-    order = np.argsort(-score_plane, axis=1, kind="stable")
+    order = np.empty(score_plane.shape, dtype=np.int64)
+    for school, scores in enumerate(score_plane):
+        order[school] = _preference_order(scores)
     counts = np.count_nonzero(~np.isnan(score_plane), axis=1).astype(np.int64)
     return order, counts
 
@@ -554,14 +600,12 @@ def _school_proposal_order(score_plane: np.ndarray) -> tuple[np.ndarray, np.ndar
 def _student_rank_matrix(matrix: np.ndarray, num_schools: int) -> np.ndarray:
     """``(num_students, num_schools)`` list positions; ``-1`` = not listed.
 
-    Columns are written back-to-front so that if a list ever repeats a school
-    the *first* occurrence defines the rank, matching ``list.index``.
+    One scatter: ``_normalize_preferences`` rejects a list that names a
+    school twice, so every (student, school) cell is written at most once.
     """
     ranks = np.full((matrix.shape[0], num_schools), -1, dtype=np.int64)
-    for position in range(matrix.shape[1] - 1, -1, -1):
-        column = matrix[:, position]
-        listed = np.flatnonzero(column >= 0)
-        ranks[listed, column[listed]] = position
+    students, positions = np.nonzero(matrix >= 0)
+    ranks[students, matrix[students, positions]] = positions
     return ranks
 
 
@@ -697,8 +741,27 @@ def deferred_acceptance(
             f"unknown proposing side {proposing!r}; expected one of {PROPOSING_SIDES}"
         )
     capacities = _validate_capacities(capacities)
+    preferences = _normalize_preferences(student_preferences, len(capacities))
+    return _match(preferences, school_rankings, capacities, proposing)
+
+
+def _match(
+    preferences: _Preferences,
+    school_rankings: Sequence[Mapping[int, float] | Sequence[float]] | np.ndarray,
+    capacities: list[int],
+    proposing: str,
+) -> MatchResult:
+    """Deferred acceptance on preference lists validated once, up front.
+
+    A caller that matches one preference input several times (both planes,
+    both proposing sides) passes it through :func:`_normalize_preferences`
+    once and calls this for each match.  ``capacities`` must be
+    non-negative ``int`` seat counts and ``proposing`` one of
+    :data:`PROPOSING_SIDES`; the rankings are normalized here, per call.
+    """
     num_schools = len(capacities)
-    pref_matrix, lengths = _normalize_preferences(student_preferences, num_schools)
-    score_plane = _normalize_rankings(school_rankings, num_schools, pref_matrix.shape[0])
+    score_plane = _normalize_rankings(
+        school_rankings, num_schools, preferences.matrix.shape[0]
+    )
     run = _run_students if proposing == "students" else _run_schools
-    return run(pref_matrix, lengths, score_plane, capacities)
+    return run(preferences.matrix, preferences.lengths, score_plane, capacities)

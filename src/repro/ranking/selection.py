@@ -50,13 +50,53 @@ def selection_size(num_objects: int, k: float) -> int:
     return min(num_objects, max(1, math.ceil(k * num_objects)))
 
 
+#: Below this many rows one ``lexsort`` beats a SIMD sort plus the tie
+#: repair on heavily tied scores; at it, the repair wins on continuous and
+#: decile scores alike (``tie_repair_near_crossover`` in
+#: ``benchmarks/BENCH_matching.json``).
+_LEXSORT_BELOW = 2048
+
+
 def best_first_order(scores: np.ndarray) -> np.ndarray:
     """Row indices ordered best-first: descending score, ties to the lower index.
 
-    NaN scores go last.  ``scores`` must already be a float array; the
-    callers coerce once, so the DCA step loop pays for no conversion here.
+    NaN scores go last, in row order; ``-0.0`` ties with ``0.0``.  ``scores``
+    must already be a float array; the callers coerce once, so the DCA step
+    loop pays for no conversion here.
+
+    The key ``(-score, row)`` is a strict total order, so the result is the
+    one permutation ``np.lexsort((np.arange(n), -scores))`` returns.  Small
+    inputs take that lexsort.  Larger ones take NumPy's default (SIMD,
+    unstable) argsort, then put each run of equal scores back into row
+    order with one integer sort of ``run * n + row``, which keeps the runs
+    in place and sorts each by row.
     """
-    return np.lexsort((np.arange(scores.shape[0]), -scores))
+    n = scores.shape[0]
+    if n < _LEXSORT_BELOW:
+        return np.lexsort((np.arange(n), -scores))
+    return _tie_repaired_order(scores)
+
+
+def _tie_repaired_order(scores: np.ndarray) -> np.ndarray:
+    """:func:`best_first_order` by an unstable sort, then one sort of the ties."""
+    n = scores.shape[0]
+    keys = -scores
+    order = np.argsort(keys)
+    ranked = keys[order]
+    starts = np.empty(n, dtype=bool)
+    starts[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+    # The sort puts NaN last, and ``searchsorted`` finds the first NaN; the
+    # NaNs are one run (NaN != NaN would split it).
+    starts[np.searchsorted(ranked, np.nan) + 1 :] = False
+    if starts.all():
+        return order
+    offsets = np.cumsum(starts)
+    offsets *= n
+    repaired = order + offsets
+    repaired.sort()
+    repaired -= offsets
+    return repaired
 
 
 def rank_positions(scores: np.ndarray) -> np.ndarray:

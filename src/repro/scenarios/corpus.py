@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core import DCA, DCAConfig, DisparityCalculator, DisparityObjective
-from ..matching import deferred_acceptance
+from ..matching.deferred_acceptance import _match, _normalize_preferences
 from ..metrics import ddp
 from .configs import ScenarioConfig, builtin_scenarios
 from .market import generate_market
@@ -99,14 +99,10 @@ def build_instance(config: ScenarioConfig) -> dict:
         ]
     )
 
+    preferences = _normalize_preferences(market.preferences, market.num_schools)
     matches = {}
     for side in ("students", "schools"):
-        match = deferred_acceptance(
-            market.preferences,
-            compensated_plane,
-            list(market.capacities),
-            proposing=side,
-        )
+        match = _match(preferences, compensated_plane, list(market.capacities), side)
         matches[side] = {
             "assignment": [int(value) for value in match.assignment],
             "num_unmatched": int(match.num_unmatched),

@@ -35,7 +35,8 @@ from ..core import (
     LogDiscountedDisparityObjective,
 )
 from ..core.dca import FitSpec
-from ..matching import PROPOSING_SIDES, deferred_acceptance
+from ..matching import PROPOSING_SIDES
+from ..matching.deferred_acceptance import _match, _normalize_preferences
 from ..metrics import ddp, representation_gap
 from .configs import ScenarioConfig
 from .market import ScenarioMarket, generate_market
@@ -235,15 +236,11 @@ def run_scenario(
                 for school in range(market.num_schools)
             ]
         )
+        preferences = _normalize_preferences(market.preferences, market.num_schools)
         first_assignment: np.ndarray | None = None
         for side in proposing_sides:
             start = time.perf_counter()
-            match = deferred_acceptance(
-                market.preferences,
-                compensated_plane,
-                list(market.capacities),
-                proposing=side,
-            )
+            match = _match(preferences, compensated_plane, list(market.capacities), side)
             record(runtime_samples, "match_seconds", time.perf_counter() - start)
             if first_assignment is None:
                 first_assignment = match.assignment

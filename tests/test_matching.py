@@ -17,13 +17,20 @@ axioms themselves (stability, optimality, rural hospitals) live in
 
 from __future__ import annotations
 
+import importlib
 import re
+import sys
 
 import numpy as np
 import pytest
 
 from _da_reference_oracle import reference_deferred_acceptance
 from repro.matching import deferred_acceptance, generate_student_preferences
+from repro.ranking.selection import _LEXSORT_BELOW
+
+# ``repro.matching.deferred_acceptance`` as an attribute is the function; the
+# module itself comes from the import system.
+_engine = importlib.import_module("repro.matching.deferred_acceptance")
 
 # Test id -> the matcher it runs.  "heap" and "vector" name the retired heap
 # engine and the round-based one; both ids now run ``deferred_acceptance``,
@@ -671,6 +678,77 @@ class TestEngineEquivalence:
         else:
             expected = [n] + list(range(n - 1))
         assert vector.assignment.tolist() == expected
+
+
+class TestAcrossTheSortCrossover:
+    """Markets big enough that every ordering the engine makes takes
+    ``best_first_order``'s SIMD sort with tie repair rather than its
+    small-input lexsort: 4,400 students over two 2,100-seat schools, so the
+    school rows, the first round's segments and pools, the roster
+    compactions and the final rosters all reach the crossover, on
+    continuous, tied-integer and NaN-holed planes."""
+
+    #: The ordering sites (engine functions) each proposing side must reach.
+    SITES = {
+        "students": {"_run_students", "absorb", "_build_rosters"},
+        "schools": {"_school_proposal_order", "_build_rosters"},
+    }
+
+    @pytest.mark.parametrize("plane_kind", ["continuous", "tied", "nan"])
+    def test_engine_matches_oracle(self, plane_kind, proposing, monkeypatch):
+        rng = np.random.default_rng(11)
+        num_students, capacities = 4_400, [2_100, 2_100]
+        preferences = generate_student_preferences(
+            num_students, len(capacities), list_length=2, rng=rng, as_matrix=True
+        )
+        plane = rng.normal(size=(len(capacities), num_students))
+        if plane_kind == "tied":
+            plane = rng.integers(0, 5, size=plane.shape).astype(float)
+        elif plane_kind == "nan":
+            plane[rng.random(plane.shape) < 0.1] = np.nan
+
+        sites = set()
+        preference_order = _engine._preference_order
+
+        def spy(scores, *args, **kwargs):
+            if scores.shape[0] >= _LEXSORT_BELOW:
+                sites.add(sys._getframe(1).f_code.co_name)
+            return preference_order(scores, *args, **kwargs)
+
+        monkeypatch.setattr(_engine, "_preference_order", spy)
+        engine = deferred_acceptance(preferences, plane, capacities, proposing=proposing)
+        assert sites == self.SITES[proposing]
+        oracle = reference_deferred_acceptance(
+            preferences, plane, capacities, proposing=proposing
+        )
+        _assert_matches_equal(engine, oracle)
+
+
+class TestNormalizedOnce:
+    """Callers that match one preference input several times validate it once."""
+
+    def test_private_entry_point_equals_public_call(self, proposing):
+        preferences, rankings, capacities = _random_instance(np.random.default_rng(5))
+        normalized = _engine._normalize_preferences(preferences, len(capacities))
+        _assert_matches_equal(
+            _engine._match(normalized, rankings, list(capacities), proposing),
+            deferred_acceptance(preferences, rankings, capacities, proposing=proposing),
+        )
+
+    def test_scenario_market_validated_once_for_both_sides(self, monkeypatch):
+        from repro.scenarios import builtin_scenarios, driver, run_scenario
+
+        calls = []
+        normalize = driver._normalize_preferences
+
+        def counting(*args):
+            calls.append(args)
+            return normalize(*args)
+
+        monkeypatch.setattr(driver, "_normalize_preferences", counting)
+        config = next(c for c in builtin_scenarios() if c.name == "tiny_district")
+        run_scenario(config, trials=2)
+        assert len(calls) == 2  # one market per trial, each matched on both sides
 
 
 class TestPreferenceGeneration:

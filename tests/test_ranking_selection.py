@@ -7,6 +7,7 @@ import pytest
 
 from repro.ranking import (
     Ranking,
+    best_first_order,
     rank_positions,
     rank_table,
     selection_mask,
@@ -15,6 +16,7 @@ from repro.ranking import (
     top_k_indices,
     ColumnScore,
 )
+from repro.ranking.selection import _LEXSORT_BELOW, _tie_repaired_order
 from repro.tabular import Table
 
 
@@ -57,6 +59,66 @@ class TestRankPositions:
 
     def test_empty(self):
         assert rank_positions(np.array([])).shape == (0,)
+
+
+#: Sizes on both sides of the crossover from the small-input lexsort to the
+#: SIMD sort with tie repair, plus the empty and one-row edges.
+_ORDER_SIZES = [
+    0, 1, 2, _LEXSORT_BELOW - 1, _LEXSORT_BELOW, _LEXSORT_BELOW + 1,
+    4 * _LEXSORT_BELOW, 200_000,
+]
+
+
+def _order_scores(kind: str, n: int) -> np.ndarray:
+    rng = np.random.default_rng(n)
+    if kind == "continuous":
+        return rng.normal(size=n)
+    if kind == "integer_ties":
+        return rng.integers(0, 10, size=n).astype(float)
+    if kind == "specials":  # NaN of either sign, +-0.0, +-inf
+        values = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 1.0, -1.0]
+        return rng.choice(np.array(values), size=n)
+    if kind == "all_nan":
+        return np.full(n, np.nan)
+    if kind == "signed_zeros":
+        return np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    if kind == "float32":
+        return rng.normal(size=n).astype(np.float32)
+    raise AssertionError(kind)
+
+
+class TestBestFirstOrder:
+    """``best_first_order`` is the permutation of ``np.lexsort((arange, -scores))``."""
+
+    @pytest.mark.parametrize("n", _ORDER_SIZES)
+    @pytest.mark.parametrize(
+        "kind",
+        ["continuous", "integer_ties", "specials", "all_nan", "signed_zeros", "float32"],
+    )
+    def test_byte_identical_to_lexsort(self, kind, n):
+        scores = _order_scores(kind, n)
+        before = scores.copy()
+        order = best_first_order(scores)
+        expected = np.lexsort((np.arange(n), -scores))
+        assert order.dtype == expected.dtype
+        assert order.tobytes() == expected.tobytes()
+        assert np.array_equal(scores, before, equal_nan=True)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 250])
+    @pytest.mark.parametrize("kind", ["integer_ties", "specials", "all_nan", "signed_zeros"])
+    def test_tie_repair_identical_below_the_crossover(self, kind, n):
+        # The small sizes take the lexsort; the repair path is exact there too.
+        scores = _order_scores(kind, n)
+        expected = np.lexsort((np.arange(n), -scores))
+        assert _tie_repaired_order(scores).tobytes() == expected.tobytes()
+
+    def test_nan_last_in_row_order_and_signed_zeros_tie(self):
+        scores = np.r_[np.zeros(_LEXSORT_BELOW), [np.nan, 1.0, -0.0, -np.nan, -np.inf]]
+        order = best_first_order(scores)
+        n = _LEXSORT_BELOW
+        assert order[0] == n + 1
+        assert order[1 : n + 2].tolist() == list(range(n)) + [n + 2]
+        assert order[n + 2 :].tolist() == [n + 4, n, n + 3]
 
 
 class TestTopK:
